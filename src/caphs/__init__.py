@@ -41,17 +41,7 @@ from .core import (
 )
 from .domset import BipartiteGraph, construct_small_dominator, min_dominator_forced
 from .exact import ExactResult, WeightedResult, solve_exact, solve_exact_weighted
-from .feasibility import (
-    JIT_ENABLED,
-    FlowNetwork,
-    FlowResult,
-    assignment_ok,
-    brute_force_assignment,
-    build_network,
-    check_feasible,
-    coverage,
-    max_flow,
-)
+from .feasibility import assignment_ok, build_network, check_feasible, coverage
 from .independence import (
     IndependenceContext,
     count_conflicting_pairs,

@@ -360,8 +360,8 @@ def solve_extended(
 ) -> ExtendedResult:
     """Close an extended tuple: dominate the stars, pick an independent set.
 
-    Returns a solution only when the combined pick is flow-feasible and within
-    ceil(4k/3).
+    Returns a solution only when the combined pick passes check_feasible and
+    stays within ceil(4k/3).
     """
     cfg = cfg.resolved(inst.d)
     t = e.base

@@ -274,7 +274,7 @@ def parse_solution(text: str) -> tuple[Solution, Assignment | None]:
             x = int(key)
         except ValueError:
             raise MalformedInput(f"copies key {key!r} is not an element id") from None
-        _expect(isinstance(c, int), "copy counts must be integers")
+        _expect(_is_int(c), "copy counts must be integers")
         copies[x] = c
     asg = None
     if obj.get("assignment") is not None:
@@ -285,7 +285,7 @@ def parse_solution(text: str) -> tuple[Solution, Assignment | None]:
                 j = int(key)
             except ValueError:
                 raise MalformedInput(f"assignment key {key!r} is not a set index") from None
-            _expect(isinstance(x, int), "assignment values must be element ids")
+            _expect(_is_int(x), "assignment values must be element ids")
             target[j] = x
         asg = Assignment(target)
     return Solution(copies), asg
@@ -294,6 +294,11 @@ def parse_solution(text: str) -> tuple[Solution, Assignment | None]:
 def _expect(cond: bool, msg: str):
     if not cond:
         raise MalformedInput(msg)
+
+
+def _is_int(v) -> bool:
+    """A JSON integer; true/false are rejected although bool subclasses int."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def parse_instance(text: str) -> Instance:
@@ -312,24 +317,24 @@ def parse_instance(text: str) -> Instance:
         raise ValidationError(f"unsupported format {obj['format']!r}")
     for key in ("d", "elements", "family"):
         _expect(key in obj, f"missing key {key!r}")
-    _expect(isinstance(obj["d"], int), "d must be an integer")
+    _expect(_is_int(obj["d"]), "d must be an integer")
     _expect(isinstance(obj["elements"], list), "elements must be a list")
     _expect(isinstance(obj["family"], list), "family must be a list")
     elements = []
     for ent in obj["elements"]:
         _expect(isinstance(ent, dict), "each element must be an object")
         _expect("id" in ent and "cap" in ent, "element needs id and cap")
-        _expect(isinstance(ent["id"], int) and isinstance(ent["cap"], int),
+        _expect(_is_int(ent["id"]) and _is_int(ent["cap"]),
                 "element id and cap must be integers")
         mult = ent.get("mult", UNBOUNDED)
-        _expect(mult is None or isinstance(mult, int), "mult must be an integer or null")
-        _expect("weight" in ent and isinstance(ent["weight"], int),
+        _expect(mult is None or _is_int(mult), "mult must be an integer or null")
+        _expect("weight" in ent and _is_int(ent["weight"]),
                 "element needs an integer weight")
         weight = ent["weight"]
         elements.append(Element(id=ent["id"], cap=ent["cap"], mult=mult, weight=weight))
     family = []
     for s in obj["family"]:
-        _expect(isinstance(s, list) and all(isinstance(x, int) for x in s),
+        _expect(isinstance(s, list) and all(_is_int(x) for x in s),
                 "each family set must be a list of integer ids")
         family.append(tuple(s))
     return Instance(elements=tuple(elements), family=tuple(family), d=obj["d"])

@@ -1,120 +1,16 @@
-"""Flow-based feasibility: decide whether a Solution admits a valid Assignment.
+"""Matching-based feasibility: decide whether a Solution admits a valid Assignment.
 
 The assignment constraints (every set charged to a member element, per-element
-load at most cap * copies) form a bipartite b-matching, solved here as integral
-max flow on a dense network: source -> set nodes (cap 1) -> bought element
-nodes (cap 1 where the element is a member) -> sink (cap * copies).
-
-The augmenting-path kernel is numba-jitted when numba is available and the
-CAPHS_NO_JIT environment variable is unset; otherwise the same function runs
-as plain Python.  benchmarks/flow_bench.py compares both paths.
+load at most cap * copies) form a bipartite b-matching from sets to bought
+elements, solved here by breadth-first augmenting paths over adjacency lists.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-
-import numpy as np
+from bisect import insort
 
 from .core import Assignment, Instance, Solution
-from .errors import OracleTooLarge, UnknownElement, ValidationError
-
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-
-JIT_ENABLED = HAS_NUMBA and not os.environ.get("CAPHS_NO_JIT")
-
-
-def _edmonds_karp(cap, flow, source, sink):
-    """Shortest augmenting paths on a dense capacity matrix.
-
-    Mutates flow in place (antisymmetric convention) and returns the flow
-    value.  BFS scans neighbors in ascending node order, so results are
-    deterministic for a fixed matrix.
-    """
-    n = cap.shape[0]
-    parent = np.empty(n, np.int64)
-    queue = np.empty(n, np.int64)
-    total = 0
-    while True:
-        parent[:] = -1
-        parent[source] = source
-        queue[0] = source
-        head = 0
-        tail = 1
-        while head < tail and parent[sink] < 0:
-            u = queue[head]
-            head += 1
-            for v in range(n):
-                if parent[v] < 0 and cap[u, v] - flow[u, v] > 0:
-                    parent[v] = u
-                    queue[tail] = v
-                    tail += 1
-        if parent[sink] < 0:
-            break
-        push = np.int64(1) << 62
-        v = sink
-        while v != source:
-            u = parent[v]
-            r = cap[u, v] - flow[u, v]
-            if r < push:
-                push = r
-            v = u
-        v = sink
-        while v != source:
-            u = parent[v]
-            flow[u, v] += push
-            flow[v, u] -= push
-            v = u
-        total += push
-    return total
-
-
-_edmonds_karp_py = _edmonds_karp
-if JIT_ENABLED:
-    _edmonds_karp = numba.njit(cache=True)(_edmonds_karp)
-
-
-@dataclass(frozen=True)
-class FlowNetwork:
-    """Dense integer-capacity network.  labels[i] names node i."""
-
-    labels: tuple
-    cap: np.ndarray
-    source: int
-    sink: int
-
-
-@dataclass(frozen=True)
-class FlowResult:
-    value: int
-    flow: dict
-
-
-def max_flow(net: FlowNetwork) -> FlowResult:
-    """Integral maximum s-t flow with deterministic ascending tie-breaking.
-
-    Returns:
-        FlowResult with the optimal value and a map (tail label, head label)
-        -> flow for every positive-capacity arc.
-    """
-    cap = np.asarray(net.cap, dtype=np.int64)
-    if (cap < 0).any():
-        raise ValidationError("arc capacities must be nonnegative")
-    flow = np.zeros_like(cap)
-    value = int(_edmonds_karp(cap, flow, net.source, net.sink))
-    arcs = {}
-    n = cap.shape[0]
-    for u in range(n):
-        for v in range(n):
-            if cap[u, v] > 0:
-                arcs[(net.labels[u], net.labels[v])] = int(max(flow[u, v], 0))
-    return FlowResult(value=value, flow=arcs)
+from .errors import CaphsError, ValidationError
 
 
 def _bought(inst: Instance, sol: Solution) -> list[int]:
@@ -125,22 +21,12 @@ def _bought(inst: Instance, sol: Solution) -> list[int]:
     return sorted(x for x, c in sol.copies.items() if c >= 1)
 
 
-def build_network(inst: Instance, sol: Solution) -> FlowNetwork:
-    bought = _bought(inst, sol)
-    m = inst.m
-    n_nodes = 1 + m + len(bought) + 1
-    sink = n_nodes - 1
-    labels = ["source"] + [("set", j) for j in range(m)] + [("elem", x) for x in bought] + ["sink"]
-    elem_node = {x: 1 + m + i for i, x in enumerate(bought)}
-    cap = np.zeros((n_nodes, n_nodes), dtype=np.int64)
-    for j, members in enumerate(inst.family):
-        cap[0, 1 + j] = 1
-        for x in members:
-            if x in elem_node:
-                cap[1 + j, elem_node[x]] = 1
-    for x in bought:
-        cap[elem_node[x], sink] = inst.element(x).cap * sol.copies[x]
-    return FlowNetwork(labels=tuple(labels), cap=cap, source=0, sink=sink)
+def build_network(inst: Instance, sol: Solution) -> tuple[list[list[int]], dict[int, int]]:
+    """The b-matching graph: per set, its bought members in ascending id, and
+    per bought element, its room cap * copies."""
+    room = {x: inst.element(x).cap * sol.copies[x] for x in _bought(inst, sol)}
+    members = [[x for x in s if x in room] for s in inst.family]
+    return members, room
 
 
 def assignment_ok(inst: Instance, sol: Solution, asg: Assignment) -> bool:
@@ -162,68 +48,64 @@ def assignment_ok(inst: Instance, sol: Solution, asg: Assignment) -> bool:
 def check_feasible(inst: Instance, sol: Solution) -> Assignment | None:
     """Return a valid Assignment for sol, or None when none exists.
 
+    Each round runs one breadth-first search that starts from the unassigned
+    sets in ascending index, goes from a set to its bought members in
+    ascending id and from an element to the sets assigned to it in ascending
+    index, and ends at the first element reached with spare room; the sets
+    along that path are then re-assigned one step forward.  This is the path
+    a dense shortest-augmenting-path max flow with ascending node order would
+    push, so the result is deterministic for a fixed (inst, sol).
+
     Args:
         inst: the instance.
         sol: candidate solution; copy counts must respect multiplicities.
 
     Returns:
-        An Assignment covering every set occurrence, or None iff the max flow
-        falls short of m.
+        An Assignment covering every set occurrence, or None iff no
+        b-matching saturates all m sets.
     """
-    bought = _bought(inst, sol)
-    total_cap = sum(inst.element(x).cap * sol.copies[x] for x in bought)
-    if total_cap < inst.m:
+    members, room = build_network(inst, sol)
+    if sum(room.values()) < inst.m or not all(members):
         return None
-    net = build_network(inst, sol)
-    cap = net.cap
-    flow = np.zeros_like(cap)
-    value = int(_edmonds_karp(cap, flow, net.source, net.sink))
-    if value < inst.m:
-        return None
-    m = inst.m
-    elem_of_node = {1 + m + i: x for i, x in enumerate(bought)}
-    target = {}
-    for j in range(m):
-        for node, x in elem_of_node.items():
-            if flow[1 + j, node] > 0:
-                target[j] = x
-                break
-    asg = Assignment(target=target)
-    assert assignment_ok(inst, sol, asg), "flow produced an invalid assignment"
-    return asg
-
-
-def brute_force_assignment(inst: Instance, sol: Solution, max_sets: int = 12) -> Assignment | None:
-    """Independent oracle: exhaustive search over membership-respecting maps.
-
-    Tries targets in lexicographic order (set index ascending, member ids
-    ascending), pruning on capacity overload.  Only usable for small families.
-    """
-    if inst.m > max_sets:
-        raise OracleTooLarge(f"m={inst.m} exceeds the {max_sets}-set oracle cap")
-    bought = set(_bought(inst, sol))
-    budget = {x: inst.element(x).cap * sol.copies[x] for x in bought}
-    choices = [[x for x in members if x in bought] for members in inst.family]
     target: dict[int, int] = {}
-
-    def rec(j: int) -> bool:
-        if j == inst.m:
-            return True
-        for x in choices[j]:
-            if budget[x] > 0:
-                budget[x] -= 1
-                target[j] = x
-                if rec(j + 1):
-                    return True
-                del target[j]
-                budget[x] += 1
-        return False
-
-    if rec(0):
-        asg = Assignment(target=dict(target))
-        assert assignment_ok(inst, sol, asg), "oracle produced an invalid assignment"
-        return asg
-    return None
+    holders: dict[int, list[int]] = {x: [] for x in room}  # ascending set indices
+    free = list(range(inst.m))
+    while free:
+        # reached[x] is the set x was first reached from.  An assigned set is
+        # reached only from its own element, so that element is never revisited.
+        reached: dict[int, int] = {}
+        queue = list(free)
+        end = None
+        for j in queue:  # grows while it is scanned
+            for x in members[j]:
+                if x in reached:
+                    continue
+                reached[x] = j
+                # Elements would leave a BFS queue in the order they are
+                # reached, so testing for room here finds the same one.
+                if len(holders[x]) < room[x]:
+                    end = x
+                    break
+                queue.extend(holders[x])
+            if end is not None:
+                break
+        if end is None:
+            return None
+        x = end
+        while True:
+            j = reached[x]
+            prev = target.get(j)
+            target[j] = x
+            insort(holders[x], j)
+            if prev is None:
+                free.remove(j)
+                break
+            holders[prev].remove(j)
+            x = prev
+    asg = Assignment(target=dict(sorted(target.items())))
+    if not assignment_ok(inst, sol, asg):
+        raise CaphsError("matching produced an invalid assignment")
+    return asg
 
 
 def coverage(asg: Assignment, x: int, indices) -> int:

@@ -1,7 +1,7 @@
 """Independent reference implementations used to cross-check the real modules.
 
-Everything here is deliberately naive: straight-line enumeration and DFS with
-none of the package's pruning, bucketing, or flow machinery.
+Everything here is deliberately naive: straight-line enumeration, DFS and
+dense BFS with none of the package's pruning, bucketing, or matching machinery.
 """
 
 from __future__ import annotations
@@ -10,7 +10,9 @@ import itertools
 
 import numpy as np
 
-from caphs.core import Instance
+from caphs.core import Assignment, Instance, Solution
+from caphs.errors import OracleTooLarge
+from caphs.feasibility import _bought, assignment_ok
 
 
 def ford_fulkerson_value(cap, source: int, sink: int) -> int:
@@ -43,6 +45,111 @@ def ford_fulkerson_value(cap, source: int, sink: int) -> int:
             res[u][v] -= push
             res[v][u] += push
         total += push
+
+
+def dense_network(inst: Instance, sol: Solution):
+    """(cap, bought) of the dense flow network for the assignment question.
+
+    Nodes: 0 = source, 1..m = sets, then one node per bought element in
+    ascending id, then the sink.  Arcs: source -> set (1), set -> bought
+    member (1), element -> sink (cap * copies).
+    """
+    bought = _bought(inst, sol)
+    m = inst.m
+    sink = 1 + m + len(bought)
+    elem_node = {x: 1 + m + i for i, x in enumerate(bought)}
+    cap = np.zeros((sink + 1, sink + 1), dtype=np.int64)
+    for j, members in enumerate(inst.family):
+        cap[0, 1 + j] = 1
+        for x in members:
+            if x in elem_node:
+                cap[1 + j, elem_node[x]] = 1
+    for x in bought:
+        cap[elem_node[x], sink] = inst.element(x).cap * sol.copies[x]
+    return cap, bought
+
+
+def edmonds_karp_assignment(inst: Instance, sol: Solution) -> dict | None:
+    """Assignment target from shortest augmenting paths on the dense network.
+
+    The BFS scans neighbors in ascending node order; this fixes which
+    assignment comes out, and check_feasible must return the same one.
+    """
+    cap, bought = dense_network(inst, sol)
+    n = cap.shape[0]
+    source, sink = 0, n - 1
+    res = [[int(cap[i, j]) for j in range(n)] for i in range(n)]
+    total = 0
+    while True:
+        parent = [-1] * n
+        parent[source] = source
+        queue = [source]
+        head = 0
+        while head < len(queue) and parent[sink] < 0:
+            u = queue[head]
+            head += 1
+            for v in range(n):
+                if parent[v] < 0 and res[u][v] > 0:
+                    parent[v] = u
+                    queue.append(v)
+        if parent[sink] < 0:
+            break
+        push = None
+        v = sink
+        while v != source:
+            u = parent[v]
+            push = res[u][v] if push is None else min(push, res[u][v])
+            v = u
+        v = sink
+        while v != source:
+            u = parent[v]
+            res[u][v] -= push
+            res[v][u] += push
+            v = u
+        total += push
+    if total < inst.m:
+        return None
+    m = inst.m
+    target = {}
+    for j in range(m):
+        for i, x in enumerate(bought):
+            if res[1 + m + i][1 + j] > 0:  # reverse residual = flow on set -> element
+                target[j] = x
+                break
+    return target
+
+
+def brute_force_assignment(inst: Instance, sol: Solution, max_sets: int = 12) -> Assignment | None:
+    """Independent oracle: exhaustive search over membership-respecting maps.
+
+    Tries targets in lexicographic order (set index ascending, member ids
+    ascending), pruning on capacity overload.  Only usable for small families.
+    """
+    if inst.m > max_sets:
+        raise OracleTooLarge(f"m={inst.m} exceeds the {max_sets}-set oracle cap")
+    bought = set(_bought(inst, sol))
+    budget = {x: inst.element(x).cap * sol.copies[x] for x in bought}
+    choices = [[x for x in members if x in bought] for members in inst.family]
+    target: dict[int, int] = {}
+
+    def rec(j: int) -> bool:
+        if j == inst.m:
+            return True
+        for x in choices[j]:
+            if budget[x] > 0:
+                budget[x] -= 1
+                target[j] = x
+                if rec(j + 1):
+                    return True
+                del target[j]
+                budget[x] += 1
+        return False
+
+    if rec(0):
+        asg = Assignment(target=dict(target))
+        assert assignment_ok(inst, sol, asg), "oracle produced an invalid assignment"
+        return asg
+    return None
 
 
 def assign_backtracking(inst: Instance, copies: dict) -> dict | None:

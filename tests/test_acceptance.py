@@ -28,7 +28,7 @@ from caphs.core import Solution, equivalence_classes, generate_instance, stars
 from caphs.domset import BipartiteGraph, construct_small_dominator, min_dominator_forced
 from caphs.errors import BudgetExceeded
 from caphs.exact import solve_exact, solve_exact_weighted
-from caphs.feasibility import assignment_ok, brute_force_assignment, check_feasible
+from caphs.feasibility import assignment_ok, check_feasible
 from caphs.independence import IndependenceContext, count_conflicting_pairs
 from caphs.reductions import (
     MdkInstance,
@@ -41,6 +41,7 @@ from caphs.reductions import (
 )
 
 from _oracles import (
+    brute_force_assignment,
     min_dominator_bruteforce,
     mdk_min_bruteforce,
     random_bipartite_mindeg2,

@@ -42,6 +42,7 @@ def test_solve_exact_and_check_round_trip(tmp_path, capsys):
     assert doc["found"] is True
     assert doc["size"] == 4
     assert doc["copies"] == {"1": 1, "4": 1, "5": 2}
+    assert doc["assignment"] == {"0": 4, "1": 5, "2": 5, "3": 1, "4": 1, "5": 1, "6": 5, "7": 5}
 
     sol_path = tmp_path / "sol.json"
     sol = Solution({int(x): c for x, c in doc["copies"].items()})

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -132,6 +133,23 @@ def test_parse_rejects_malformed_documents():
             ' "elements": [{"id": 0, "cap": 1, "mult": 1}],'
             ' "family": [[0]]}'
         )
+    # bool subclasses int, but true/false are not integers in the format
+    doc = {"format": 1, "d": 1, "elements": [{"id": 0, "cap": 1, "mult": 1, "weight": 1}],
+           "family": [[0]]}
+    bools = [
+        {**doc, "d": True},
+        {**doc, "family": [[False]]},
+    ] + [
+        {**doc, "elements": [{**doc["elements"][0], key: True}]}
+        for key in ("id", "cap", "mult", "weight")
+    ]
+    for bad in bools:
+        with pytest.raises(MalformedInput):
+            parse_instance(json.dumps(bad))
+    parse_instance(json.dumps(doc))
+    for bad in ('{"copies": {"0": true}}', '{"copies": {"0": 1}, "assignment": {"0": false}}'):
+        with pytest.raises(MalformedInput):
+            parse_solution(bad)
 
 
 def test_solution_and_assignment_basics():

@@ -1,21 +1,18 @@
 import numpy as np
 import pytest
 
+import caphs.feasibility as feasibility
 from caphs.core import Assignment, Element, Instance, Solution, ValidationError, generate_instance
-from caphs.feasibility import (
-    JIT_ENABLED,
-    OracleTooLarge,
-    _edmonds_karp,
-    _edmonds_karp_py,
-    assignment_ok,
-    brute_force_assignment,
-    build_network,
-    check_feasible,
-    coverage,
-    max_flow,
-)
+from caphs.errors import CaphsError, OracleTooLarge
+from caphs.feasibility import assignment_ok, build_network, check_feasible, coverage
 
-from _oracles import assign_backtracking, ford_fulkerson_value
+from _oracles import (
+    assign_backtracking,
+    brute_force_assignment,
+    dense_network,
+    edmonds_karp_assignment,
+    ford_fulkerson_value,
+)
 
 GEN = {
     "n": 5,
@@ -27,46 +24,66 @@ GEN = {
 }
 
 
-def random_network(rng, nodes):
-    cap = rng.integers(0, 5, size=(nodes, nodes))
-    np.fill_diagonal(cap, 0)
-    return cap.astype(np.int64)
+def random_cases(seed, count, n_range=(2, 7), m_range=(1, 10)):
+    """(inst, sol) pairs with caps 0..4, mults 1..3 and random copy counts."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        params = {
+            "n": int(rng.integers(*n_range)),
+            "m": int(rng.integers(*m_range)),
+            "d": int(rng.integers(1, 4)),
+            "cap_range": (0, 4),
+            "weight_range": (1, 1),
+            "mult_range": (1, 3),
+        }
+        inst = generate_instance(params, seed=seed * 1000 + i)
+        copies = {}
+        for e in inst.elements:
+            if rng.random() < 0.7:
+                copies[e.id] = int(rng.integers(1, e.mult + 1))
+        yield inst, Solution(copies=copies)
 
 
 def test_flow_kernel_matches_reference_search():
-    rng = np.random.default_rng(42)
-    for _ in range(60):
-        nodes = int(rng.integers(2, 9))
-        cap = random_network(rng, nodes)
-        flow = np.zeros_like(cap)
-        got = _edmonds_karp(cap.copy(), flow, 0, nodes - 1)
-        want = ford_fulkerson_value(cap, 0, nodes - 1)
-        assert got == want
+    feasible = 0
+    for inst, sol in random_cases(42, 200):
+        cap, _ = dense_network(inst, sol)
+        sink = cap.shape[0] - 1
+        got = check_feasible(inst, sol)
+        assert (got is not None) == (ford_fulkerson_value(cap, 0, sink) == inst.m)
+        feasible += got is not None
+    assert 40 < feasible < 160  # sanity: both verdicts are exercised
 
 
-def test_python_fallback_matches_active_kernel():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        nodes = int(rng.integers(2, 8))
-        cap = random_network(rng, nodes)
-        a = _edmonds_karp(cap.copy(), np.zeros_like(cap), 0, nodes - 1)
-        b = _edmonds_karp_py(cap.copy(), np.zeros_like(cap), 0, nodes - 1)
-        assert a == b
+def test_matcher_keeps_dense_bfs_tie_breaks():
+    feasible = 0
+    for inst, sol in random_cases(5, 400):
+        got = check_feasible(inst, sol)
+        want = edmonds_karp_assignment(inst, sol)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.target == want
+            assert list(got.target) == sorted(got.target)
+            feasible += 1
+    assert feasible >= 100
 
 
 def test_build_network_shape():
     inst = generate_instance(GEN, seed=3)
-    sol = Solution(copies={0: 1, 2: 1})
-    net = build_network(inst, sol)
-    assert net.labels[0] == "source"
-    assert net.labels[-1] == "sink"
-    assert net.labels[1] == ("set", 0)
-    assert ("elem", 0) in net.labels and ("elem", 2) in net.labels
-    assert net.cap.shape == (1 + inst.m + 2 + 1,) * 2
-    res = max_flow(net)
-    assert 0 <= res.value <= inst.m
-    for (_, _), f in res.flow.items():
-        assert f >= 0
+    sol = Solution(copies={0: 1, 2: 2})
+    members, room = build_network(inst, sol)
+    assert room == {0: inst.element(0).cap, 2: 2 * inst.element(2).cap}
+    assert len(members) == inst.m
+    for j, row in enumerate(members):
+        assert row == [x for x in inst.family[j] if x in (0, 2)]
+        assert row == sorted(row)
+
+
+def test_check_feasible_raises_when_postcondition_fails(monkeypatch):
+    inst = Instance(elements=(Element(id=0, cap=1),), family=((0,),), d=1)
+    monkeypatch.setattr(feasibility, "assignment_ok", lambda *args: False)
+    with pytest.raises(CaphsError):
+        check_feasible(inst, Solution(copies={0: 1}))
 
 
 def test_check_feasible_agrees_with_backtracking():
@@ -137,6 +154,10 @@ def test_unbought_member_is_never_assigned():
     asg = check_feasible(inst, Solution(copies={1: 1}))
     assert asg is not None
     assert asg.target == {0: 1}
+    # enough capacity in total, but the second set has no bought member
+    two = Instance(elements=inst.elements, family=((0,), (1,)), d=1)
+    assert check_feasible(two, Solution(copies={0: 1})) is None
+    assert check_feasible(two, Solution(copies={0: 1, 1: 1})) is not None
 
 
 def test_coverage_counts_only_given_indices():
@@ -155,12 +176,3 @@ def test_zero_capacity_element_counts_for_nothing():
     )
     assert check_feasible(inst, Solution(copies={0: 1})) is None
     assert check_feasible(inst, Solution(copies={0: 1, 1: 1})) is not None
-
-
-def test_jit_flag_is_consistent():
-    import caphs.feasibility as fz
-
-    if JIT_ENABLED:
-        assert fz._edmonds_karp is not fz._edmonds_karp_py
-    else:
-        assert fz._edmonds_karp is fz._edmonds_karp_py
