@@ -13,13 +13,13 @@ approximation guarantee on the way down.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .colorweights import default_trials, random_colorings, weight_estimates
 from .core import (
     Assignment,
-    EquivalenceClasses,
     Instance,
     Solution,
     equivalence_classes,
@@ -28,6 +28,7 @@ from .core import (
 from .domset import BipartiteGraph, min_dominator_forced
 from .errors import (
     BudgetExceeded,
+    InvariantViolated,
     NoColoringSeparates,
     OracleInconsistent,
     PreconditionViolated,
@@ -100,6 +101,8 @@ class SolverConfig:
             raise ValueError("top_t must be positive and the threshold nonnegative")
         if self.tuple_budget < 0 or self.recursion_budget < 0:
             raise ValueError("budgets must be nonnegative")
+        if self.epsilon is not None and self.epsilon <= 0:
+            raise ValueError("epsilon must be positive")
         return replace(
             self,
             k=kk,
@@ -119,60 +122,39 @@ def _ceil(fr: Fraction) -> int:
     return -((-fr.numerator) // fr.denominator)
 
 
-_POWER_CACHE: dict[Fraction, list[Fraction]] = {}
-
-
-def _powers(base: Fraction, upto: int) -> list[Fraction]:
-    """Power table [base^0, base^1, ...] extended until it exceeds upto."""
-    tab = _POWER_CACHE.setdefault(base, [Fraction(1)])
-    while tab[-1] <= upto:
-        tab.append(tab[-1] * base)
-    return tab
-
-
-def _rung(c: int, base) -> tuple[list[Fraction], int]:
-    """(power table, largest p with base^p <= c).  The table ends above c."""
+def _rung(c: int, base) -> tuple[Fraction, int]:
+    """(base, largest p with base^p <= c)."""
     if c < 1:
         raise ValueError("bucket values need c >= 1")
     base = Fraction(base)
     if base <= 1:
         raise ValueError("bucket base must exceed 1")
-    tab = _powers(base, c)
-    lo, hi = 0, len(tab) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if tab[mid] <= c:
-            lo = mid
-        else:
-            hi = mid - 1
-    return tab, lo
+    p = int(math.log(c) / math.log1p(base - 1))  # a float estimate, corrected exactly
+    while p > 0 and base ** p > c:
+        p -= 1
+    while base ** (p + 1) <= c:
+        p += 1
+    return base, p
 
 
 def bucket_value(c: int, base) -> int:
     """ceil(base^p) for the largest p with base^p <= c.  Exact arithmetic."""
-    tab, p = _rung(c, base)
-    return _ceil(tab[p])
+    base, p = _rung(c, base)
+    return _ceil(base ** p)
 
 
 def bucket_value_next(c: int, base) -> int:
     """ceil(base^(p+1)) for the same p as bucket_value: the next rung up."""
-    tab, p = _rung(c, base)
-    return _ceil(tab[p + 1])
+    base, p = _rung(c, base)
+    return _ceil(base ** (p + 1))
 
 
 def bucket_values_upto(limit: int, base) -> list[int]:
     """Distinct rung values ceil(base^p) that are <= limit, ascending."""
     if limit < 1:
         return []
-    tab, _ = _rung(limit, base)
-    out: list[int] = []
-    for pw in tab:
-        v = _ceil(pw)
-        if v > limit:
-            break
-        if not out or out[-1] != v:
-            out.append(v)
-    return out
+    base, p = _rung(limit, base)
+    return sorted({_ceil(base ** q) for q in range(p + 1)})
 
 
 @dataclass(frozen=True)
@@ -263,16 +245,26 @@ class ApproxResult:
 
 @dataclass(frozen=True)
 class Expansion:
+    """Clone instance; back maps clone ids to originals, copy_ids the reverse."""
+
     instance: Instance
     back: dict
+    copy_ids: dict
 
 
-class _Budget:
-    """Shared mutable counters for one solve call tree."""
+class _Search:
+    """State shared by one solve's call tree on one instance.
 
-    def __init__(self, tuples: int, recursions: int):
-        self.tuples = tuples
-        self.recursions = recursions
+    Holds the two budgets and memoizes what depends only on S (its classes,
+    sorted realized classes and class incidence) or on a class size and the
+    bucket base (the gamma values enumerate_tuples ranges over).
+    """
+
+    def __init__(self, cfg: SolverConfig):
+        self.tuples = cfg.tuple_budget
+        self.recursions = cfg.recursion_budget
+        self._frames: dict = {}
+        self._gammas: dict = {}
 
     def charge_tuple(self):
         if self.tuples <= 0:
@@ -284,24 +276,45 @@ class _Budget:
             raise BudgetExceeded("recursion budget exhausted")
         self.recursions -= 1
 
+    def frame(self, inst: Instance, S: tuple[int, ...]):
+        """(classes, sorted realized classes, incidence) for a sorted S.
 
-def _class_incidence(inst: Instance, classes: EquivalenceClasses):
-    """incidence[(v, cls)] = how many sets of that class contain v."""
-    inc: dict = {}
-    for cls, idxs in classes.by_class.items():
-        for j in idxs:
-            for v in inst.family[j]:
-                key = (v, cls)
-                inc[key] = inc.get(key, 0) + 1
-    return inc
+        incidence[(v, cls)] counts the sets of class cls that contain v.
+        """
+        got = self._frames.get(S)
+        if got is None:
+            classes = equivalence_classes(inst, S)
+            inc: dict = {}
+            for cls, idxs in classes.by_class.items():
+                for j in idxs:
+                    for v in inst.family[j]:
+                        inc[(v, cls)] = inc.get((v, cls), 0) + 1
+            got = self._frames[S] = (classes, sorted(classes.by_class), inc)
+        return got
+
+    def gamma_values(self, size: int, base: Fraction) -> list[int]:
+        """0 plus the bucket rungs up to size: the demands on a class that big."""
+        key = (size, base)
+        if key not in self._gammas:
+            self._gammas[key] = [0] + bucket_values_upto(size, base)
+        return self._gammas[key]
 
 
-def info_tuple(t: AnnotatedTuple, inst: Instance, cfg: SolverConfig) -> InfoTuple:
+def _enter(cfg: SolverConfig, d: int, ctx: _Search | None):
+    """A direct call resolves cfg and starts a fresh search; a nested call
+    already carries the resolved cfg and its solve's search."""
+    if ctx is None:
+        cfg = cfg.resolved(d)
+        ctx = _Search(cfg)
+    return cfg, ctx
+
+
+def info_tuple(
+    t: AnnotatedTuple, inst: Instance, cfg: SolverConfig, *, _ctx: _Search | None = None
+) -> InfoTuple:
     """Filter each part by capacity and incidence; compute n(v, cls) and scores."""
-    cfg = cfg.resolved(inst.d)
-    classes = equivalence_classes(inst, t.S)
-    realized = sorted(classes.by_class)
-    inc = _class_incidence(inst, classes)
+    cfg, ctx = _enter(cfg, inst.d, _ctx)
+    _, realized, inc = ctx.frame(inst, t.S)
     base = cfg.bucket_base
     xprime: list[tuple[int, ...]] = []
     n_of: dict = {}
@@ -335,10 +348,15 @@ def info_tuple(t: AnnotatedTuple, inst: Instance, cfg: SolverConfig) -> InfoTupl
 
 
 def candidate_set(
-    e: ExtendedTuple, it: InfoTuple, cfg: SolverConfig, d: int
+    e: ExtendedTuple,
+    it: InfoTuple,
+    cfg: SolverConfig,
+    d: int,
+    *,
+    _ctx: _Search | None = None,
 ) -> tuple[tuple[int, ...], ...]:
     """X''_i: the whole filtered part when small, else top scorers per tau1 star."""
-    cfg = cfg.resolved(d)
+    cfg, _ = _enter(cfg, d, _ctx)
     t = e.base
     out = []
     for i, xp in enumerate(it.xprime):
@@ -356,14 +374,14 @@ def candidate_set(
 
 
 def solve_extended(
-    e: ExtendedTuple, inst: Instance, cfg: SolverConfig
+    e: ExtendedTuple, inst: Instance, cfg: SolverConfig, *, _ctx: _Search | None = None
 ) -> ExtendedResult:
     """Close an extended tuple: dominate the stars, pick an independent set.
 
     Returns a solution only when the combined pick passes check_feasible and
     stays within ceil(4k/3).
     """
-    cfg = cfg.resolved(inst.d)
+    cfg, ctx = _enter(cfg, inst.d, _ctx)
     t = e.base
     if len(t.S) + t.r != cfg.k:
         raise ValueError("tuple arity does not match k")
@@ -379,8 +397,7 @@ def solve_extended(
         if t.r >= 2 and e.tau1[s] == e.tau2[s]:
             return ExtendedResult(solution=None, reason=TAU_CLASH)
 
-    classes = equivalence_classes(inst, t.S)
-    st = stars(classes, t.pi)
+    st = stars(ctx.frame(inst, t.S)[0], t.pi)
     graph = BipartiteGraph(
         reds=tuple(range(t.r)),
         blues=tuple(sorted(t.S)),
@@ -393,11 +410,11 @@ def solve_extended(
     if dom is None:
         return ExtendedResult(solution=None, reason=NO_DOMINATOR)
 
-    it = info_tuple(t, inst, cfg)
-    xpp = candidate_set(e, it, cfg, inst.d)
-    ctx = IndependenceContext(S=frozenset(t.S), stars=st, rho=cfg.rho)
+    it = info_tuple(t, inst, cfg, _ctx=ctx)
+    xpp = candidate_set(e, it, cfg, inst.d, _ctx=ctx)
+    ind = IndependenceContext(S=frozenset(t.S), stars=st, rho=cfg.rho)
     quotas = tuple(2 if i in dom else 1 for i in range(t.r))
-    picked = find_independent_set(ctx, xpp, quotas, inst)
+    picked = find_independent_set(ind, xpp, quotas, inst)
     if picked is None:
         return ExtendedResult(solution=None, reason=INDEPENDENCE_FAIL)
     sol = Solution({x: 1 for x in set(t.S) | set(picked)})
@@ -409,21 +426,23 @@ def solve_extended(
     return ExtendedResult(solution=sol)
 
 
-def enumerate_tuples(S, parts, inst: Instance, cfg: SolverConfig, budget: _Budget):
+def enumerate_tuples(
+    S, parts, inst: Instance, cfg: SolverConfig, *, _ctx: _Search | None = None
+):
     """Yield every annotated tuple on (S, parts): all pi maps, all gamma rows.
 
     gamma rows range over {0} plus the bucket rungs up to the class size; the
     s rows stay zero (they are bookkeeping the closing step never reads).
-    Each yielded tuple is charged against the shared budget.
+    Each yielded tuple is charged against the search's tuple budget, which a
+    direct call takes from cfg.
     """
-    cfg = cfg.resolved(inst.d)
+    cfg, ctx = _enter(cfg, inst.d, _ctx)
     S = tuple(sorted(S))
     parts = tuple(tuple(sorted(p)) for p in parts)
-    classes = equivalence_classes(inst, S)
-    realized = sorted(classes.by_class)
+    classes, realized, _ = ctx.frame(inst, S)
     if len(S) == cfg.k:
         pi = {cls: min(S) for cls in realized} if S else {}
-        budget.charge_tuple()
+        ctx.charge_tuple()
         yield AnnotatedTuple(S=S, parts=parts, pi=pi, gamma_part={}, gamma_s={})
         return
     nonempty = [cls for cls in realized if cls]
@@ -433,7 +452,7 @@ def enumerate_tuples(S, parts, inst: Instance, cfg: SolverConfig, budget: _Budge
         pi_choices = iter([()])
     keys = [(i, cls) for i in range(len(parts)) for cls in realized]
     value_lists = [
-        [0] + bucket_values_upto(len(classes.by_class[cls]), cfg.bucket_base)
+        ctx.gamma_values(len(classes.by_class[cls]), cfg.bucket_base)
         for (_, cls) in keys
     ]
     for choice in pi_choices:
@@ -442,21 +461,28 @@ def enumerate_tuples(S, parts, inst: Instance, cfg: SolverConfig, budget: _Budge
             pi[()] = min(S)
         for combo in itertools.product(*value_lists):
             gamma = {k: v for k, v in zip(keys, combo) if v}
-            budget.charge_tuple()
+            ctx.charge_tuple()
             yield AnnotatedTuple(
                 S=S, parts=parts, pi=pi, gamma_part=gamma, gamma_s={}
             )
 
 
 def good_tuple_from_opt(
-    S, parts, opt: Solution, asg: Assignment, inst: Instance, cfg: SolverConfig
+    S,
+    parts,
+    opt: Solution,
+    asg: Assignment,
+    inst: Instance,
+    cfg: SolverConfig,
+    *,
+    _ctx: _Search | None = None,
 ) -> AnnotatedTuple:
     """The annotated tuple an optimal pair (opt, asg) induces on (S, parts).
 
     pi follows the majority coverage, gamma buckets the actual coverage of the
     representative opt element in each part (and of each s in S).
     """
-    cfg = cfg.resolved(inst.d)
+    cfg, ctx = _enter(cfg, inst.d, _ctx)
     S = tuple(sorted(S))
     parts = tuple(tuple(sorted(p)) for p in parts)
     opt_ids = set(opt.copies)
@@ -470,10 +496,10 @@ def good_tuple_from_opt(
                 "each part must contain exactly one oracle element"
             )
         rep.append(inside[0])
-    classes = equivalence_classes(inst, S)
+    classes, realized, _ = ctx.frame(inst, S)
     base = cfg.bucket_base
     pi: dict = {}
-    for cls in sorted(classes.by_class):
+    for cls in realized:
         if not S:
             break
         if cls == ():
@@ -506,44 +532,42 @@ def solve_annotated(
     inst: Instance,
     cfg: SolverConfig,
     mode,
-    _budget: _Budget | None = None,
+    *,
+    _ctx: _Search | None = None,
 ) -> Solution | None:
     """Search below one annotated tuple, in enumerate or guided mode."""
-    cfg = cfg.resolved(inst.d)
+    cfg, ctx = _enter(cfg, inst.d, _ctx)
     if len(t.S) + t.r != cfg.k:
         raise ValueError("tuple arity does not match k")
-    budget = _budget if _budget is not None else _Budget(
-        cfg.tuple_budget, cfg.recursion_budget
-    )
     if t.r == 0:
         sol = Solution({s: 1 for s in t.S})
         return sol if check_feasible(inst, sol) is not None else None
 
     if isinstance(mode, Guided):
-        return _solve_guided(t, inst, cfg, mode, budget)
+        return _solve_guided(t, inst, cfg, mode, ctx)
     if mode != ENUMERATE:
         raise ValueError("mode must be ENUMERATE or a Guided value")
 
-    it = info_tuple(t, inst, cfg)
+    it = info_tuple(t, inst, cfg, _ctx=ctx)
     r = t.r
     order = sorted(t.S)
     for m1 in itertools.product(range(r), repeat=len(order)):
         for m2 in itertools.product(range(r), repeat=len(order)):
-            budget.charge_tuple()
+            ctx.charge_tuple()
             tau1 = dict(zip(order, m1))
             tau2 = dict(zip(order, m2))
             e = ExtendedTuple(base=t, tau1=tau1, tau2=tau2)
-            xpp = candidate_set(e, it, cfg, inst.d)
+            xpp = candidate_set(e, it, cfg, inst.d, _ctx=ctx)
             for i in range(r):
                 for v in xpp[i]:
                     s2 = t.S + (v,)
                     parts2 = t.parts[:i] + t.parts[i + 1 :]
-                    for child in enumerate_tuples(s2, parts2, inst, cfg, budget):
-                        budget.charge_recursion()
-                        got = solve_annotated(child, inst, cfg, ENUMERATE, budget)
+                    for child in enumerate_tuples(s2, parts2, inst, cfg, _ctx=ctx):
+                        ctx.charge_recursion()
+                        got = solve_annotated(child, inst, cfg, ENUMERATE, _ctx=ctx)
                         if got is not None:
                             return got
-            res = solve_extended(e, inst, cfg)
+            res = solve_extended(e, inst, cfg, _ctx=ctx)
             if res.solution is not None:
                 return res.solution
     return None
@@ -554,7 +578,7 @@ def _solve_guided(
     inst: Instance,
     cfg: SolverConfig,
     mode: Guided,
-    budget: _Budget,
+    ctx: _Search,
 ) -> Solution | None:
     opt_ids = set(mode.opt.copies)
     if not set(t.S) <= opt_ids:
@@ -565,8 +589,7 @@ def _solve_guided(
         if len(inside) != 1:
             raise OracleInconsistent("a part lost its oracle representative")
         rep.append(inside[0])
-    classes = equivalence_classes(inst, t.S)
-    st = stars(classes, t.pi)
+    st = stars(ctx.frame(inst, t.S)[0], t.pi)
     r = t.r
     tau1: dict = {}
     tau2: dict = {}
@@ -580,15 +603,17 @@ def _solve_guided(
             rest = [i for i in range(r) if i != best]
             tau2[s] = max(rest, key=lambda i: (idxs_per_i[i], -i))
     e = ExtendedTuple(base=t, tau1=tau1, tau2=tau2)
-    it = info_tuple(t, inst, cfg)
-    xpp = candidate_set(e, it, cfg, inst.d)
+    it = info_tuple(t, inst, cfg, _ctx=ctx)
+    xpp = candidate_set(e, it, cfg, inst.d, _ctx=ctx)
     hit = next((i for i in range(r) if rep[i] in xpp[i]), None)
     if hit is not None:
         s2 = t.S + (rep[hit],)
         parts2 = t.parts[:hit] + t.parts[hit + 1 :]
-        child = good_tuple_from_opt(s2, parts2, mode.opt, mode.asg, inst, cfg)
-        return solve_annotated(child, inst, cfg, mode, budget)
-    res = solve_extended(e, inst, cfg)
+        child = good_tuple_from_opt(
+            s2, parts2, mode.opt, mode.asg, inst, cfg, _ctx=ctx
+        )
+        return solve_annotated(child, inst, cfg, mode, _ctx=ctx)
+    res = solve_extended(e, inst, cfg, _ctx=ctx)
     return res.solution
 
 
@@ -596,7 +621,6 @@ def expand_multiplicities(inst: Instance, k: int) -> Expansion:
     """Clone each element min(k, mult) times with multiplicity one.
 
     Set membership is inherited by every clone, so sets grow up to d*k wide.
-    back maps clone ids to originals.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -625,7 +649,7 @@ def expand_multiplicities(inst: Instance, k: int) -> Expansion:
     widest = max((len(fs) for fs in family2), default=inst.d)
     d2 = max(1, min(inst.d * k, widest))
     inst2 = Instance(elements=tuple(new_elements), family=tuple(family2), d=d2)
-    return Expansion(instance=inst2, back=back)
+    return Expansion(instance=inst2, back=back, copy_ids=copy_ids)
 
 
 def _map_back(inst: Instance, sol2: Solution, back: dict) -> Solution:
@@ -667,7 +691,7 @@ def solve_approx(
     mode is ENUMERATE for the self-contained search or GUIDED for the
     oracle-backed descent.  With cfg.epsilon set the weighted variant runs:
     parts are additionally sliced into weight windows and the guarantee traded
-    for weight at most 2(1+epsilon) times the optimum.
+    for weight at most (2 + epsilon) times the optimum.
     """
     if cfg is None:
         cfg = SolverConfig(k=k)
@@ -678,14 +702,9 @@ def solve_approx(
     if mode not in (GUIDED, ENUMERATE):
         raise ValueError("mode must be GUIDED or ENUMERATE")
     exp = expand_multiplicities(inst, k)
-    inst2, back = exp.instance, exp.back
-    copy_ids: dict = {}
-    for cid, orig in back.items():
-        copy_ids.setdefault(orig, []).append(cid)
-    for orig in copy_ids:
-        copy_ids[orig].sort()
-    n2 = inst2.n
+    inst2 = exp.instance
     ids2 = [e.id for e in inst2.elements]
+    ctx = _Search(cfg)
 
     if mode == GUIDED:
         if cfg.epsilon is not None:
@@ -694,107 +713,80 @@ def solve_approx(
             got = solve_exact(inst, k)
         if got is None:
             return None
-        opt, asg = got.solution, got.assignment
-        ell = opt.size()
+        ell = got.solution.size()
         if ell == 0:
-            sol = Solution({})
-            asg0 = check_feasible(inst, sol)
-            assert asg0 is not None
-            return ApproxResult(solution=sol, assignment=asg0, weight=0)
-        opt2, asg2 = _lift_oracle(inst2, copy_ids, opt, asg)
+            return _finish(inst, Solution({}), exp.back)
+        opt2, asg2 = _lift_oracle(inst2, exp.copy_ids, got.solution, got.assignment)
         cfg2 = cfg.resolved(inst2.d, k=ell)
-        trials = min(default_trials(n2, ell), cfg.max_coloring_trials)
-        colorings = random_colorings(ids2, ell, trials, cfg.seed)
-        opt2_ids = sorted(opt2.copies)
-        parts0 = None
-        for cand in colorings:
-            where = {}
-            for i, part in enumerate(cand):
-                for v in part:
-                    where[v] = i
-            if len({where[v] for v in opt2_ids}) == ell:
-                parts0 = [tuple(sorted(p)) for p in cand]
+        trials = min(default_trials(inst2.n, ell), cfg.max_coloring_trials)
+        parts = None
+        for cand in random_colorings(ids2, ell, trials, cfg.seed):
+            hit = {i for i, part in enumerate(cand) for v in part if v in opt2.copies}
+            if len(hit) == ell:
+                parts = tuple(tuple(sorted(p)) for p in cand)
                 break
-        if parts0 is None:
+        if parts is None:
             raise NoColoringSeparates(
                 f"no coloring among {trials} separated the oracle solution"
             )
-        rep_of = {}
-        for i, p in enumerate(parts0):
-            inside = [v for v in p if v in opt2.copies]
-            rep_of[i] = inside[0]
         if cfg.epsilon is not None:
+            # Each part keeps the weight window of its oracle element.
             w_star = opt2.weight(inst2)
-            west = weight_estimates(inst2, ell)
-            W = next(w for w in west if w >= w_star)
-            log_n = max(1, (n2 - 1).bit_length())
-            delta = max(1, _ceil(Fraction(cfg.epsilon) * W / (ell * log_n)))
-            parts = []
-            for i, p in enumerate(parts0):
-                b = inst2.element(rep_of[i]).weight // delta
-                lo, hi = b * delta, b * delta + delta
-                parts.append(
-                    tuple(
-                        v for v in p if lo <= inst2.element(v).weight <= hi
-                    )
-                )
-        else:
-            parts = parts0
-        root = good_tuple_from_opt((), tuple(parts), opt2, asg2, inst2, cfg2)
-        sol2 = solve_annotated(root, inst2, cfg2, Guided(opt2, asg2))
-        if sol2 is None:
-            return None
-        sol = _map_back(inst, sol2, back)
-        final = check_feasible(inst, sol)
-        assert final is not None
-        return ApproxResult(solution=sol, assignment=final, weight=sol.weight(inst))
+            W = next(w for w in weight_estimates(inst2, ell) if w >= w_star)
+            delta = _window_width(cfg.epsilon, W, ell, inst2.n)
+            reps = [next(v for v in p if v in opt2.copies) for p in parts]
+            bvec = [inst2.element(v).weight // delta for v in reps]
+            parts = _weight_windows(inst2, parts, bvec, delta)
+        root = good_tuple_from_opt((), parts, opt2, asg2, inst2, cfg2, _ctx=ctx)
+        sol2 = solve_annotated(root, inst2, cfg2, Guided(opt2, asg2), _ctx=ctx)
+        return None if sol2 is None else _finish(inst, sol2, exp.back)
 
-    budget = _Budget(cfg.tuple_budget, cfg.recursion_budget)
     for ell in range(1, k + 1):
         cfg2 = cfg.resolved(inst2.d, k=ell)
-        trials = min(default_trials(n2, ell), cfg.max_coloring_trials)
-        colorings = random_colorings(ids2, ell, trials, cfg.seed)
-        for cand in colorings:
+        trials = min(default_trials(inst2.n, ell), cfg.max_coloring_trials)
+        for cand in random_colorings(ids2, ell, trials, cfg.seed):
             parts0 = tuple(tuple(sorted(p)) for p in cand)
             if any(not p for p in parts0):
                 continue
-            if cfg.epsilon is not None:
-                max_w = max(e.weight for e in inst2.elements)
-                log_n = max(1, (n2 - 1).bit_length())
-                for W in weight_estimates(inst2, ell):
-                    delta = max(
-                        1, _ceil(Fraction(cfg.epsilon) * W / (ell * log_n))
-                    )
-                    top_b = max_w // delta
-                    for bvec in itertools.product(range(top_b + 1), repeat=ell):
-                        parts = tuple(
-                            tuple(
-                                v
-                                for v in parts0[i]
-                                if bvec[i] * delta
-                                <= inst2.element(v).weight
-                                <= bvec[i] * delta + delta
-                            )
-                            for i in range(ell)
-                        )
-                        if any(not p for p in parts):
-                            continue
-                        got = _enumerate_from_root(
-                            parts, inst2, cfg2, budget
-                        )
-                        if got is not None:
-                            return _finish(inst, got, back)
-            else:
-                got = _enumerate_from_root(parts0, inst2, cfg2, budget)
+            for parts in _all_windows(inst2, parts0, ell, cfg.epsilon):
+                if any(not p for p in parts):
+                    continue
+                got = _enumerate_from_root(parts, inst2, cfg2, ctx)
                 if got is not None:
-                    return _finish(inst, got, back)
+                    return _finish(inst, got, exp.back)
     return None
 
 
-def _enumerate_from_root(parts, inst2, cfg2, budget) -> Solution | None:
-    for root in enumerate_tuples((), parts, inst2, cfg2, budget):
-        budget.charge_recursion()
-        got = solve_annotated(root, inst2, cfg2, ENUMERATE, budget)
+def _window_width(epsilon, W: int, ell: int, n: int) -> int:
+    """delta = ceil(epsilon * W / (ell * log n)), at least 1."""
+    log_n = max(1, (n - 1).bit_length())
+    return max(1, _ceil(Fraction(epsilon) * W / (ell * log_n)))
+
+
+def _weight_windows(inst2: Instance, parts, bvec, delta: int):
+    """Part i cut to the elements weighing between b_i * delta and (b_i + 1) * delta."""
+    return tuple(
+        tuple(v for v in p if b * delta <= inst2.element(v).weight <= b * delta + delta)
+        for p, b in zip(parts, bvec)
+    )
+
+
+def _all_windows(inst2: Instance, parts0, ell: int, epsilon):
+    """parts0 itself; with epsilon set, its cut to every window vector instead."""
+    if epsilon is None:
+        yield parts0
+        return
+    max_w = max(e.weight for e in inst2.elements)
+    for W in weight_estimates(inst2, ell):
+        delta = _window_width(epsilon, W, ell, inst2.n)
+        for bvec in itertools.product(range(max_w // delta + 1), repeat=ell):
+            yield _weight_windows(inst2, parts0, bvec, delta)
+
+
+def _enumerate_from_root(parts, inst2, cfg2, ctx: _Search) -> Solution | None:
+    for root in enumerate_tuples((), parts, inst2, cfg2, _ctx=ctx):
+        ctx.charge_recursion()
+        got = solve_annotated(root, inst2, cfg2, ENUMERATE, _ctx=ctx)
         if got is not None:
             return got
     return None
@@ -803,5 +795,6 @@ def _enumerate_from_root(parts, inst2, cfg2, budget) -> Solution | None:
 def _finish(inst: Instance, sol2: Solution, back: dict) -> ApproxResult:
     sol = _map_back(inst, sol2, back)
     asg = check_feasible(inst, sol)
-    assert asg is not None
+    if asg is None:
+        raise InvariantViolated("the mapped-back solution is infeasible")
     return ApproxResult(solution=sol, assignment=asg, weight=sol.weight(inst))

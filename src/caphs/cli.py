@@ -21,7 +21,7 @@ from .core import (
     parse_solution,
     serialize_instance,
 )
-from .errors import CaphsError, ValidationError
+from .errors import CaphsError, InvariantViolated, ValidationError
 from .exact import solve_exact, solve_exact_weighted
 from .feasibility import assignment_ok, check_feasible
 from .reductions import (
@@ -143,7 +143,7 @@ def cmd_solve_approx(args) -> int:
             "found": True,
             "size": res.solution.size(),
             "weight": res.weight,
-            "ratio_bound": 4 / 3,
+            "ratio_bound": 4 / 3 if cfg.epsilon is None else float(2 + cfg.epsilon),
             "size_bound": ceil43(args.k),
             "copies": _copies_json(res.solution),
             "assignment": _assignment_json(res.assignment),
@@ -157,7 +157,8 @@ def _certify_row(path: str, inst, k: int, seed: int) -> str | None:
     if exact is None:
         return None
     approx = solve_approx(inst, k, SolverConfig(k=k, seed=seed), GUIDED)
-    assert approx is not None
+    if approx is None:
+        raise InvariantViolated("guided search lost the exact optimum")
     es, ew = exact.solution.size(), exact.solution.weight(inst)
     as_, aw = approx.solution.size(), approx.weight
     return "%s,%d,%d,%d,%d,%d,%d,%.6f,%.6f,%d" % (

@@ -262,11 +262,7 @@ def serialize_solution(sol: Solution, asg: Assignment | None = None) -> str:
 
 
 def parse_solution(text: str) -> tuple[Solution, Assignment | None]:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"not valid JSON: {exc}") from exc
-    _expect(isinstance(obj, dict), "top level must be an object")
+    obj = _load_object(text, "solution document")
     _expect("copies" in obj and isinstance(obj["copies"], dict), "missing copies object")
     copies = {}
     for key, c in obj["copies"].items():
@@ -296,6 +292,20 @@ def _expect(cond: bool, msg: str):
         raise MalformedInput(msg)
 
 
+def _load_object(text: str, what: str) -> dict:
+    """Decode a JSON document whose top level must be an object.
+
+    Every decoding failure is MalformedInput, including nesting too deep for
+    the decoder and integers past the interpreter's digit limit.
+    """
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedInput(f"not valid JSON: {exc}") from None
+    _expect(isinstance(obj, dict), f"{what} must be a JSON object")
+    return obj
+
+
 def _is_int(v) -> bool:
     """A JSON integer; true/false are rejected although bool subclasses int."""
     return isinstance(v, int) and not isinstance(v, bool)
@@ -308,11 +318,7 @@ def parse_instance(text: str) -> Instance:
     ValidationError when the described instance breaks a model invariant
     (oversized or empty sets, unknown ids, negative capacities, ...).
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"not valid JSON: {exc}") from exc
-    _expect(isinstance(obj, dict), "top level must be an object")
+    obj = _load_object(text, "instance document")
     if "format" in obj and obj["format"] != FORMAT_VERSION:
         raise ValidationError(f"unsupported format {obj['format']!r}")
     for key in ("d", "elements", "family"):

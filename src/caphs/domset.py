@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import PreconditionViolated
+from .errors import InvariantViolated, PreconditionViolated
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,10 @@ def construct_small_dominator(g: BipartiteGraph):
         pick = min(g.adj[v])
         D.append(pick)
         undominated -= inv[pick]
-    assert not undominated, "construction left a blue undominated"
-    assert len(D) <= (b + r) // 3, f"|D|={len(D)} beats the (b+r)/3 bound"
+    if undominated:
+        raise InvariantViolated("construction left a blue undominated")
+    if len(D) > (b + r) // 3:
+        raise InvariantViolated(f"|D|={len(D)} beats the (b+r)/3 bound")
     return tuple(sorted(D))
 
 

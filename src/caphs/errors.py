@@ -33,6 +33,10 @@ class QuotaInvalid(CaphsError):
     """An independent-set quota was outside {1, 2}."""
 
 
+class InvariantViolated(CaphsError):
+    """A result failed a check the algorithm guarantees: a bug, not bad input."""
+
+
 class PreconditionViolated(CaphsError):
     """A documented operation precondition does not hold."""
 

@@ -76,6 +76,8 @@ def _vector_solution(limits, vec) -> Solution:
 def _enumerate_feasible(inst: Instance, k: int, budget: int):
     """Yield (size, vec, sol, asg) for every feasible candidate, ordered by
     size then lexicographic copies vector."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     limits = _limits(inst, k)
     count = _count_vectors(limits, k)
     if count > budget:
@@ -96,8 +98,8 @@ def solve_exact(inst: Instance, k: int, budget: int = DEFAULT_CANDIDATE_BUDGET) 
 
     Candidates are multisets with copies(x) <= min(k, mult(x)); ties are
     broken by the lexicographically smallest copies vector (ascending id
-    order).  Raises BudgetExceeded when the candidate space is too large,
-    never conflating that with infeasibility.
+    order).  Raises ValueError for k < 0, and BudgetExceeded when the
+    candidate space is too large, never conflating that with infeasibility.
     """
     for _, _, sol, asg in _enumerate_feasible(inst, k, budget):
         return ExactResult(solution=sol, assignment=asg)

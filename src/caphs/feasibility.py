@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import insort
 
 from .core import Assignment, Instance, Solution
-from .errors import CaphsError, ValidationError
+from .errors import InvariantViolated, ValidationError
 
 
 def _bought(inst: Instance, sol: Solution) -> list[int]:
@@ -104,7 +104,7 @@ def check_feasible(inst: Instance, sol: Solution) -> Assignment | None:
             x = prev
     asg = Assignment(target=dict(sorted(target.items())))
     if not assignment_ok(inst, sol, asg):
-        raise CaphsError("matching produced an invalid assignment")
+        raise InvariantViolated("matching produced an invalid assignment")
     return asg
 
 

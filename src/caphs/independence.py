@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Instance
-from .errors import QuotaInvalid
+from .errors import InvariantViolated, QuotaInvalid
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,8 @@ def is_conflicting(ctx: IndependenceContext, x: int, y: int, inst: Instance) -> 
 def count_conflicting_pairs(ctx: IndependenceContext, X, inst: Instance, k: int | None = None) -> int:
     """Number of unordered conflicting pairs within X.
 
-    When k is given, the |X| * d * k / rho upper bound is enforced as a hard
-    assertion.
+    When k is given, the |X| * d * k / rho upper bound is enforced: beating
+    it raises InvariantViolated.
     """
     xs = sorted(set(X))
     count = 0
@@ -61,7 +61,8 @@ def count_conflicting_pairs(ctx: IndependenceContext, X, inst: Instance, k: int 
                 count += 1
     if k is not None:
         bound = Fraction(len(xs) * inst.d * k) / ctx.rho
-        assert Fraction(count) <= bound, f"conflict count {count} beats the {bound} bound"
+        if count > bound:
+            raise InvariantViolated(f"conflict count {count} beats the {bound} bound")
     return count
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import FORMAT_VERSION, Element, Instance
+from .core import FORMAT_VERSION, Element, Instance, _is_int, _load_object
 from .errors import (
     BudgetExceeded,
     EnumerationBudgetExceeded,
@@ -115,18 +115,13 @@ def serialize_csp(csp: CspInstance) -> str:
 
 
 def parse_csp(text: str) -> CspInstance:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise MalformedInput("csp document must be a JSON object")
+    doc = _load_object(text, "csp document")
     if doc.get("format") != FORMAT_VERSION:
         raise ValidationError(f"unsupported format {doc.get('format')!r}")
     for key in ("k", "n", "constraints"):
         if key not in doc:
             raise MalformedInput(f"csp document misses key {key!r}")
-    if not isinstance(doc["k"], int) or not isinstance(doc["n"], int):
+    if not _is_int(doc["k"]) or not _is_int(doc["n"]):
         raise MalformedInput("k and n must be integers")
     if not isinstance(doc["constraints"], list):
         raise MalformedInput("constraints must be a list")
@@ -134,13 +129,13 @@ def parse_csp(text: str) -> CspInstance:
     for ent in doc["constraints"]:
         if not isinstance(ent, dict) or not {"u", "v", "allowed"} <= set(ent):
             raise MalformedInput(f"bad constraint entry: {ent!r}")
-        if not isinstance(ent["u"], int) or not isinstance(ent["v"], int):
+        if not _is_int(ent["u"]) or not _is_int(ent["v"]):
             raise MalformedInput("constraint endpoints must be integers")
         if not isinstance(ent["allowed"], list):
             raise MalformedInput("allowed must be a list of pairs")
         pairs = []
         for p in ent["allowed"]:
-            if not (isinstance(p, list) and len(p) == 2 and all(isinstance(x, int) for x in p)):
+            if not (isinstance(p, list) and len(p) == 2 and all(_is_int(x) for x in p)):
                 raise MalformedInput(f"bad allowed pair: {p!r}")
             pairs.append((p[0], p[1]))
         cons.append(Constraint(u=ent["u"], v=ent["v"], allowed=tuple(pairs)))
@@ -195,24 +190,19 @@ def serialize_mdk(mdk: MdkInstance) -> str:
 
 
 def parse_mdk(text: str) -> MdkInstance:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise MalformedInput("mdk document must be a JSON object")
+    doc = _load_object(text, "mdk document")
     if doc.get("format") != FORMAT_VERSION:
         raise ValidationError(f"unsupported format {doc.get('format')!r}")
     for key in ("d", "k", "target", "vectors"):
         if key not in doc:
             raise MalformedInput(f"mdk document misses key {key!r}")
-    if not isinstance(doc["d"], int) or not isinstance(doc["k"], int):
+    if not _is_int(doc["d"]) or not _is_int(doc["k"]):
         raise MalformedInput("d and k must be integers")
     if not isinstance(doc["target"], list) or not isinstance(doc["vectors"], list):
         raise MalformedInput("target and vectors must be lists")
     for row in [doc["target"]] + doc["vectors"]:
-        if not all(isinstance(x, int) for x in row):
-            raise MalformedInput("entries must be integers")
+        if not isinstance(row, list) or not all(_is_int(x) for x in row):
+            raise MalformedInput("target and every vector must be lists of integers")
     return MdkInstance(
         d=doc["d"],
         k=doc["k"],

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from caphs import approx
 from caphs.approx import (
     ENUMERATE,
     GUIDED,
@@ -12,7 +14,6 @@ from caphs.approx import (
     AnnotatedTuple,
     ExtendedTuple,
     SolverConfig,
-    _Budget,
     bucket_value,
     bucket_value_next,
     bucket_values_upto,
@@ -26,7 +27,12 @@ from caphs.approx import (
     solve_extended,
 )
 from caphs.core import Assignment, Element, Instance, Solution, generate_instance
-from caphs.errors import BudgetExceeded, NoColoringSeparates, PreconditionViolated
+from caphs.errors import (
+    BudgetExceeded,
+    InvariantViolated,
+    NoColoringSeparates,
+    PreconditionViolated,
+)
 from caphs.exact import solve_exact, solve_exact_weighted
 from caphs.feasibility import assignment_ok, check_feasible
 
@@ -98,6 +104,8 @@ def test_config_resolution_validation():
         SolverConfig(k=1, bucket_base=Fraction(1)).resolved(d=1)
     with pytest.raises(ValueError):
         SolverConfig(k=1, tuple_budget=-1).resolved(d=1)
+    with pytest.raises(ValueError):
+        SolverConfig(k=1, epsilon=Fraction(-1, 2)).resolved(d=1)
 
 
 def test_annotated_tuple_validation():
@@ -239,18 +247,18 @@ def test_solve_extended_base_case():
 def test_enumerate_tuples_counts_and_budget():
     inst = _hand_instance()
     cfg = SolverConfig(k=2)
-    got = list(enumerate_tuples((3,), ((1, 4),), inst, cfg, _Budget(10**6, 10**6)))
+    got = list(enumerate_tuples((3,), ((1, 4),), inst, cfg))
     # One pi choice, gamma over {0} + rungs {1, 2, 3, 4} for the single class.
     assert len(got) == 5
     gammas = sorted(t.gamma_of_part(0, (3,)) for t in got)
     assert gammas == [0, 1, 2, 3, 4]
     with pytest.raises(BudgetExceeded):
-        list(enumerate_tuples((3,), ((1, 4),), inst, cfg, _Budget(3, 10**6)))
+        list(enumerate_tuples((3,), ((1, 4),), inst, replace(cfg, tuple_budget=3)))
 
 
 def test_enumerate_tuples_base_case_is_canonical():
     inst = _hand_instance()
-    got = list(enumerate_tuples((1, 3), (), inst, SolverConfig(k=2), _Budget(10, 10)))
+    got = list(enumerate_tuples((1, 3), (), inst, SolverConfig(k=2)))
     assert len(got) == 1
     t = got[0]
     assert t.S == (1, 3)
@@ -355,6 +363,28 @@ def test_enumerate_mode_budget_dichotomy():
     dense = generate_instance(GEN_UNW, seed=0)
     with pytest.raises(BudgetExceeded):
         solve_approx(dense, 2, mode=ENUMERATE)
+
+
+def test_enumerate_budget_fires_at_pinned_charge_counts():
+    # Seed 4 at k=2 spends exactly 586 tuple and 381 recursion charges, so one
+    # fewer of either exhausts that budget.
+    inst = generate_instance(GEN_UNW, seed=4)
+
+    def run(tuples, recursions):
+        cfg = SolverConfig(k=2, tuple_budget=tuples, recursion_budget=recursions)
+        return solve_approx(inst, 2, cfg=cfg, mode=ENUMERATE)
+
+    assert run(586, 381) is not None
+    with pytest.raises(BudgetExceeded, match="annotated-tuple"):
+        run(585, 381)
+    with pytest.raises(BudgetExceeded, match="recursion"):
+        run(586, 380)
+
+
+def test_solve_approx_raises_when_postcondition_fails(monkeypatch):
+    monkeypatch.setattr(approx, "_map_back", lambda inst, sol2, back: Solution({}))
+    with pytest.raises(InvariantViolated):
+        solve_approx(_hand_instance(), 2, mode=GUIDED)
 
 
 def test_solve_approx_validates_arguments():

@@ -96,7 +96,9 @@ def test_solve_approx_weighted_and_overrides(tmp_path, capsys):
         "--override-const", "max_coloring_trials=5000",
     )
     assert code == 0
-    assert json.loads(out)["found"] is True
+    doc = json.loads(out)
+    assert doc["found"] is True
+    assert doc["ratio_bound"] == pytest.approx(2.5)
     code, out, _ = run(
         capsys,
         "solve-approx", str(path), "--k", "4",
@@ -191,6 +193,21 @@ def test_errors_surface_as_json(tmp_path, capsys):
     code, out, _ = run(capsys, "solve-exact", str(tmp_path / "missing.json"), "--k", "1")
     assert code == 2
     assert json.loads(out)["error"]["type"] == "FileNotFoundError"
+    # Nesting too deep for the decoder is malformed input, not a crash.
+    bad.write_text("[" * 100_000)
+    code, out, _ = run(capsys, "check", str(bad), str(bad))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "MalformedInput"
+    bad.write_text(json.dumps({"format": 1, "d": True, "k": 1, "target": [1], "vectors": [[1]]}))
+    code, out, _ = run(capsys, "reduce", "mdk-cvc", str(bad))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "MalformedInput"
+    # A negative k is a usage error in every subcommand.
+    inst = gen_instance_file(tmp_path, capsys, seed=7)
+    for cmd in ("solve-exact", "certify"):
+        code, out, _ = run(capsys, cmd, str(inst), "--k", "-1")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ValueError"
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):

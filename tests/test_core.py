@@ -1,9 +1,12 @@
+import ast
 import hashlib
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
+import caphs
 from caphs.core import (
     UNBOUNDED,
     Assignment,
@@ -150,6 +153,24 @@ def test_parse_rejects_malformed_documents():
     for bad in ('{"copies": {"0": true}}', '{"copies": {"0": 1}, "assignment": {"0": false}}'):
         with pytest.raises(MalformedInput):
             parse_solution(bad)
+    # Nesting past the decoder's recursion limit, and integers past the
+    # interpreter's digit limit, are malformed input as well.
+    for parse in (parse_instance, parse_solution):
+        with pytest.raises(MalformedInput):
+            parse("[" * 100_000)
+        with pytest.raises(MalformedInput):
+            parse("9" * 5000)
+
+
+def test_source_has_no_assert_statements():
+    # python -O strips assert, so invariants must raise CaphsError subclasses.
+    offenders = []
+    for path in sorted(Path(caphs.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
+        ]
+    assert offenders == []
 
 
 def test_solution_and_assignment_basics():

@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,16 @@ def test_csp_round_trip():
     assert parse_csp(serialize_csp(csp)) == csp
     with pytest.raises(MalformedInput):
         parse_csp("[]")
+    with pytest.raises(MalformedInput):
+        parse_csp("[" * 100_000)
+    doc = json.loads(serialize_csp(csp))
+    for bad in (
+        {**doc, "k": True},
+        {**doc, "constraints": [{**doc["constraints"][0], "u": False}]},
+        {**doc, "constraints": [{**doc["constraints"][0], "allowed": [[True, 1]]}]},
+    ):
+        with pytest.raises(MalformedInput):
+            parse_csp(json.dumps(bad))
     with pytest.raises(ValidationError):
         parse_csp(serialize_csp(csp).replace('"format": 1', '"format": 3'))
 
@@ -104,6 +115,17 @@ def test_mdk_validation_and_round_trip():
         MdkInstance(d=1, k=1, target=(1,), vectors=((-1,),))
     with pytest.raises(MalformedInput):
         parse_mdk('{"format": 1, "d": 1, "k": 1, "target": [1]}')
+    with pytest.raises(MalformedInput):
+        parse_mdk("{" * 100_000)
+    doc = json.loads(serialize_mdk(mdk))
+    for bad in (
+        {**doc, "d": True},
+        {**doc, "k": False},
+        {**doc, "target": [True, 2]},
+        {**doc, "vectors": [1, 2]},
+    ):
+        with pytest.raises(MalformedInput):
+            parse_mdk(json.dumps(bad))
 
 
 def test_verify_mdk():
