@@ -9,6 +9,7 @@ from .approx import (
     ExtendedTuple,
     Guided,
     InfoTuple,
+    Search,
     SolverConfig,
     bucket_value,
     bucket_value_next,

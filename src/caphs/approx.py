@@ -8,6 +8,11 @@ or through a red-blue dominating set plus a quota-respecting independent set
 over the candidate parts.  Two drivers share the machinery: a full enumeration
 (budgeted) and a guided descent that follows an exact solution and checks the
 approximation guarantee on the way down.
+
+Every layer function (info_tuple, candidate_set, solve_extended,
+enumerate_tuples, good_tuple_from_opt, solve_annotated) takes one Search as
+its last argument: the instance, the resolved config, both budgets and the
+per-S memos of one search.  A direct call builds it with Search(inst, cfg).
 """
 
 from __future__ import annotations
@@ -159,18 +164,17 @@ def bucket_values_upto(limit: int, base) -> list[int]:
 
 @dataclass(frozen=True)
 class AnnotatedTuple:
-    """(S, X_1..X_r, pi, gamma) with sparse gamma rows.
+    """(S, X_1..X_r, pi, gamma) with a sparse gamma.
 
-    gamma_part is keyed by (part index, class); gamma_s by (s, class).  Keys
-    absent from the dicts mean zero demand.  pi maps each realized class of S
-    to an element of S, including the empty class when S is nonempty.
+    gamma_part is keyed by (part index, class); absent keys mean zero demand.
+    pi maps each realized class of S to an element of S, including the empty
+    class when S is nonempty.
     """
 
     S: tuple[int, ...]
     parts: tuple[tuple[int, ...], ...]
     pi: dict
     gamma_part: dict
-    gamma_s: dict
 
     def __post_init__(self):
         object.__setattr__(self, "S", tuple(sorted(self.S)))
@@ -193,9 +197,6 @@ class AnnotatedTuple:
 
     def gamma_of_part(self, i: int, cls: tuple[int, ...]) -> int:
         return self.gamma_part.get((i, tuple(cls)), 0)
-
-    def gamma_of_s(self, s: int, cls: tuple[int, ...]) -> int:
-        return self.gamma_s.get((s, tuple(cls)), 0)
 
     def star_demand(self, i: int, s: int) -> int:
         """gamma(i, s): summed demand of part i over the classes pi sends to s."""
@@ -252,15 +253,19 @@ class Expansion:
     copy_ids: dict
 
 
-class _Search:
-    """State shared by one solve's call tree on one instance.
+class Search:
+    """The context every annotated-tuple layer takes: one search on one instance.
 
-    Holds the two budgets and memoizes what depends only on S (its classes,
-    sorted realized classes and class incidence) or on a class size and the
-    bucket base (the gamma values enumerate_tuples ranges over).
+    Search(inst, cfg) resolves cfg for inst.d and takes its two budgets.  It
+    memoizes what depends only on S (its classes, sorted realized classes and
+    class incidence) or on a class size and the bucket base (the gamma values
+    enumerate_tuples ranges over).  solve_approx builds one per call and
+    re-resolves cfg for each target size; budgets and memos carry across sizes.
     """
 
-    def __init__(self, cfg: SolverConfig):
+    def __init__(self, inst: Instance, cfg: SolverConfig):
+        self.inst = inst
+        self.cfg = cfg.resolved(inst.d)
         self.tuples = cfg.tuple_budget
         self.recursions = cfg.recursion_budget
         self._frames: dict = {}
@@ -276,46 +281,35 @@ class _Search:
             raise BudgetExceeded("recursion budget exhausted")
         self.recursions -= 1
 
-    def frame(self, inst: Instance, S: tuple[int, ...]):
+    def frame(self, S: tuple[int, ...]):
         """(classes, sorted realized classes, incidence) for a sorted S.
 
         incidence[(v, cls)] counts the sets of class cls that contain v.
         """
         got = self._frames.get(S)
         if got is None:
-            classes = equivalence_classes(inst, S)
+            classes = equivalence_classes(self.inst, S)
             inc: dict = {}
             for cls, idxs in classes.by_class.items():
                 for j in idxs:
-                    for v in inst.family[j]:
+                    for v in self.inst.family[j]:
                         inc[(v, cls)] = inc.get((v, cls), 0) + 1
             got = self._frames[S] = (classes, sorted(classes.by_class), inc)
         return got
 
-    def gamma_values(self, size: int, base: Fraction) -> list[int]:
+    def gamma_values(self, size: int) -> list[int]:
         """0 plus the bucket rungs up to size: the demands on a class that big."""
-        key = (size, base)
+        key = (size, self.cfg.bucket_base)
         if key not in self._gammas:
-            self._gammas[key] = [0] + bucket_values_upto(size, base)
+            self._gammas[key] = [0] + bucket_values_upto(size, self.cfg.bucket_base)
         return self._gammas[key]
 
 
-def _enter(cfg: SolverConfig, d: int, ctx: _Search | None):
-    """A direct call resolves cfg and starts a fresh search; a nested call
-    already carries the resolved cfg and its solve's search."""
-    if ctx is None:
-        cfg = cfg.resolved(d)
-        ctx = _Search(cfg)
-    return cfg, ctx
-
-
-def info_tuple(
-    t: AnnotatedTuple, inst: Instance, cfg: SolverConfig, *, _ctx: _Search | None = None
-) -> InfoTuple:
+def info_tuple(t: AnnotatedTuple, ctx: Search) -> InfoTuple:
     """Filter each part by capacity and incidence; compute n(v, cls) and scores."""
-    cfg, ctx = _enter(cfg, inst.d, _ctx)
-    _, realized, inc = ctx.frame(inst, t.S)
-    base = cfg.bucket_base
+    inst = ctx.inst
+    _, realized, inc = ctx.frame(t.S)
+    base = ctx.cfg.bucket_base
     xprime: list[tuple[int, ...]] = []
     n_of: dict = {}
     score: dict = {}
@@ -333,6 +327,7 @@ def info_tuple(
             kept.append(v)
         kept = tuple(sorted(kept))
         xprime.append(kept)
+        other = {s: demand - t.star_demand(i, s) for s in t.S}
         for v in kept:
             el = inst.element(v)
             for cls in realized:
@@ -342,21 +337,15 @@ def info_tuple(
                 n_vs = sum(
                     n_of[(v, cls)] for cls in realized if t.pi.get(cls) == s
                 )
-                other = demand - t.star_demand(i, s)
-                score[(v, s)] = max(0, min(n_vs, el.cap - other))
+                score[(v, s)] = max(0, min(n_vs, el.cap - other[s]))
     return InfoTuple(xprime=tuple(xprime), n_of=n_of, score=score)
 
 
 def candidate_set(
-    e: ExtendedTuple,
-    it: InfoTuple,
-    cfg: SolverConfig,
-    d: int,
-    *,
-    _ctx: _Search | None = None,
+    e: ExtendedTuple, it: InfoTuple, ctx: Search
 ) -> tuple[tuple[int, ...], ...]:
     """X''_i: the whole filtered part when small, else top scorers per tau1 star."""
-    cfg, _ = _enter(cfg, d, _ctx)
+    cfg = ctx.cfg
     t = e.base
     out = []
     for i, xp in enumerate(it.xprime):
@@ -374,14 +363,15 @@ def candidate_set(
 
 
 def solve_extended(
-    e: ExtendedTuple, inst: Instance, cfg: SolverConfig, *, _ctx: _Search | None = None
+    e: ExtendedTuple, xpp: tuple[tuple[int, ...], ...], ctx: Search
 ) -> ExtendedResult:
     """Close an extended tuple: dominate the stars, pick an independent set.
 
-    Returns a solution only when the combined pick passes check_feasible and
-    stays within ceil(4k/3).
+    xpp is the tuple's candidate set, candidate_set(e, info_tuple(e.base, ctx),
+    ctx), which every caller already holds.  Returns a solution only when the
+    combined pick passes check_feasible and stays within ceil(4k/3).
     """
-    cfg, ctx = _enter(cfg, inst.d, _ctx)
+    inst, cfg = ctx.inst, ctx.cfg
     t = e.base
     if len(t.S) + t.r != cfg.k:
         raise ValueError("tuple arity does not match k")
@@ -397,7 +387,7 @@ def solve_extended(
         if t.r >= 2 and e.tau1[s] == e.tau2[s]:
             return ExtendedResult(solution=None, reason=TAU_CLASH)
 
-    st = stars(ctx.frame(inst, t.S)[0], t.pi)
+    st = stars(ctx.frame(t.S)[0], t.pi)
     graph = BipartiteGraph(
         reds=tuple(range(t.r)),
         blues=tuple(sorted(t.S)),
@@ -410,8 +400,6 @@ def solve_extended(
     if dom is None:
         return ExtendedResult(solution=None, reason=NO_DOMINATOR)
 
-    it = info_tuple(t, inst, cfg, _ctx=ctx)
-    xpp = candidate_set(e, it, cfg, inst.d, _ctx=ctx)
     ind = IndependenceContext(S=frozenset(t.S), stars=st, rho=cfg.rho)
     quotas = tuple(2 if i in dom else 1 for i in range(t.r))
     picked = find_independent_set(ind, xpp, quotas, inst)
@@ -426,24 +414,20 @@ def solve_extended(
     return ExtendedResult(solution=sol)
 
 
-def enumerate_tuples(
-    S, parts, inst: Instance, cfg: SolverConfig, *, _ctx: _Search | None = None
-):
+def enumerate_tuples(S, parts, ctx: Search):
     """Yield every annotated tuple on (S, parts): all pi maps, all gamma rows.
 
-    gamma rows range over {0} plus the bucket rungs up to the class size; the
-    s rows stay zero (they are bookkeeping the closing step never reads).
-    Each yielded tuple is charged against the search's tuple budget, which a
-    direct call takes from cfg.
+    gamma rows range over {0} plus the bucket rungs up to the class size.
+    Each yielded tuple is charged against the search's tuple budget.
     """
-    cfg, ctx = _enter(cfg, inst.d, _ctx)
+    cfg = ctx.cfg
     S = tuple(sorted(S))
     parts = tuple(tuple(sorted(p)) for p in parts)
-    classes, realized, _ = ctx.frame(inst, S)
+    classes, realized, _ = ctx.frame(S)
     if len(S) == cfg.k:
         pi = {cls: min(S) for cls in realized} if S else {}
         ctx.charge_tuple()
-        yield AnnotatedTuple(S=S, parts=parts, pi=pi, gamma_part={}, gamma_s={})
+        yield AnnotatedTuple(S=S, parts=parts, pi=pi, gamma_part={})
         return
     nonempty = [cls for cls in realized if cls]
     if S:
@@ -451,10 +435,7 @@ def enumerate_tuples(
     else:
         pi_choices = iter([()])
     keys = [(i, cls) for i in range(len(parts)) for cls in realized]
-    value_lists = [
-        ctx.gamma_values(len(classes.by_class[cls]), cfg.bucket_base)
-        for (_, cls) in keys
-    ]
+    value_lists = [ctx.gamma_values(len(classes.by_class[cls])) for (_, cls) in keys]
     for choice in pi_choices:
         pi = dict(zip(nonempty, choice))
         if S and () in classes.by_class:
@@ -462,27 +443,17 @@ def enumerate_tuples(
         for combo in itertools.product(*value_lists):
             gamma = {k: v for k, v in zip(keys, combo) if v}
             ctx.charge_tuple()
-            yield AnnotatedTuple(
-                S=S, parts=parts, pi=pi, gamma_part=gamma, gamma_s={}
-            )
+            yield AnnotatedTuple(S=S, parts=parts, pi=pi, gamma_part=gamma)
 
 
 def good_tuple_from_opt(
-    S,
-    parts,
-    opt: Solution,
-    asg: Assignment,
-    inst: Instance,
-    cfg: SolverConfig,
-    *,
-    _ctx: _Search | None = None,
+    S, parts, opt: Solution, asg: Assignment, ctx: Search
 ) -> AnnotatedTuple:
     """The annotated tuple an optimal pair (opt, asg) induces on (S, parts).
 
     pi follows the majority coverage, gamma buckets the actual coverage of the
-    representative opt element in each part (and of each s in S).
+    representative opt element in each part.
     """
-    cfg, ctx = _enter(cfg, inst.d, _ctx)
     S = tuple(sorted(S))
     parts = tuple(tuple(sorted(p)) for p in parts)
     opt_ids = set(opt.copies)
@@ -496,8 +467,7 @@ def good_tuple_from_opt(
                 "each part must contain exactly one oracle element"
             )
         rep.append(inside[0])
-    classes, realized, _ = ctx.frame(inst, S)
-    base = cfg.bucket_base
+    classes, realized, _ = ctx.frame(S)
     pi: dict = {}
     for cls in realized:
         if not S:
@@ -517,38 +487,24 @@ def good_tuple_from_opt(
         for cls, idxs in classes.by_class.items():
             c = coverage(asg, v, idxs)
             if c >= 1:
-                gamma_part[(i, cls)] = bucket_value(c, base)
-    gamma_s: dict = {}
-    for s in S:
-        for cls, idxs in classes.by_class.items():
-            c = coverage(asg, s, idxs)
-            if c >= 1:
-                gamma_s[(s, cls)] = bucket_value(c, base)
-    return AnnotatedTuple(S=S, parts=parts, pi=pi, gamma_part=gamma_part, gamma_s=gamma_s)
+                gamma_part[(i, cls)] = bucket_value(c, ctx.cfg.bucket_base)
+    return AnnotatedTuple(S=S, parts=parts, pi=pi, gamma_part=gamma_part)
 
 
-def solve_annotated(
-    t: AnnotatedTuple,
-    inst: Instance,
-    cfg: SolverConfig,
-    mode,
-    *,
-    _ctx: _Search | None = None,
-) -> Solution | None:
+def solve_annotated(t: AnnotatedTuple, mode, ctx: Search) -> Solution | None:
     """Search below one annotated tuple, in enumerate or guided mode."""
-    cfg, ctx = _enter(cfg, inst.d, _ctx)
-    if len(t.S) + t.r != cfg.k:
+    if len(t.S) + t.r != ctx.cfg.k:
         raise ValueError("tuple arity does not match k")
     if t.r == 0:
         sol = Solution({s: 1 for s in t.S})
-        return sol if check_feasible(inst, sol) is not None else None
+        return sol if check_feasible(ctx.inst, sol) is not None else None
 
     if isinstance(mode, Guided):
-        return _solve_guided(t, inst, cfg, mode, ctx)
+        return _solve_guided(t, mode, ctx)
     if mode != ENUMERATE:
         raise ValueError("mode must be ENUMERATE or a Guided value")
 
-    it = info_tuple(t, inst, cfg, _ctx=ctx)
+    it = info_tuple(t, ctx)
     r = t.r
     order = sorted(t.S)
     for m1 in itertools.product(range(r), repeat=len(order)):
@@ -557,29 +513,23 @@ def solve_annotated(
             tau1 = dict(zip(order, m1))
             tau2 = dict(zip(order, m2))
             e = ExtendedTuple(base=t, tau1=tau1, tau2=tau2)
-            xpp = candidate_set(e, it, cfg, inst.d, _ctx=ctx)
+            xpp = candidate_set(e, it, ctx)
             for i in range(r):
                 for v in xpp[i]:
                     s2 = t.S + (v,)
                     parts2 = t.parts[:i] + t.parts[i + 1 :]
-                    for child in enumerate_tuples(s2, parts2, inst, cfg, _ctx=ctx):
+                    for child in enumerate_tuples(s2, parts2, ctx):
                         ctx.charge_recursion()
-                        got = solve_annotated(child, inst, cfg, ENUMERATE, _ctx=ctx)
+                        got = solve_annotated(child, ENUMERATE, ctx)
                         if got is not None:
                             return got
-            res = solve_extended(e, inst, cfg, _ctx=ctx)
+            res = solve_extended(e, xpp, ctx)
             if res.solution is not None:
                 return res.solution
     return None
 
 
-def _solve_guided(
-    t: AnnotatedTuple,
-    inst: Instance,
-    cfg: SolverConfig,
-    mode: Guided,
-    ctx: _Search,
-) -> Solution | None:
+def _solve_guided(t: AnnotatedTuple, mode: Guided, ctx: Search) -> Solution | None:
     opt_ids = set(mode.opt.copies)
     if not set(t.S) <= opt_ids:
         raise OracleInconsistent("committed picks left the oracle solution")
@@ -589,7 +539,7 @@ def _solve_guided(
         if len(inside) != 1:
             raise OracleInconsistent("a part lost its oracle representative")
         rep.append(inside[0])
-    st = stars(ctx.frame(inst, t.S)[0], t.pi)
+    st = stars(ctx.frame(t.S)[0], t.pi)
     r = t.r
     tau1: dict = {}
     tau2: dict = {}
@@ -603,18 +553,14 @@ def _solve_guided(
             rest = [i for i in range(r) if i != best]
             tau2[s] = max(rest, key=lambda i: (idxs_per_i[i], -i))
     e = ExtendedTuple(base=t, tau1=tau1, tau2=tau2)
-    it = info_tuple(t, inst, cfg, _ctx=ctx)
-    xpp = candidate_set(e, it, cfg, inst.d, _ctx=ctx)
+    xpp = candidate_set(e, info_tuple(t, ctx), ctx)
     hit = next((i for i in range(r) if rep[i] in xpp[i]), None)
     if hit is not None:
         s2 = t.S + (rep[hit],)
         parts2 = t.parts[:hit] + t.parts[hit + 1 :]
-        child = good_tuple_from_opt(
-            s2, parts2, mode.opt, mode.asg, inst, cfg, _ctx=ctx
-        )
-        return solve_annotated(child, inst, cfg, mode, _ctx=ctx)
-    res = solve_extended(e, inst, cfg, _ctx=ctx)
-    return res.solution
+        child = good_tuple_from_opt(s2, parts2, mode.opt, mode.asg, ctx)
+        return solve_annotated(child, mode, ctx)
+    return solve_extended(e, xpp, ctx).solution
 
 
 def expand_multiplicities(inst: Instance, k: int) -> Expansion:
@@ -704,7 +650,7 @@ def solve_approx(
     exp = expand_multiplicities(inst, k)
     inst2 = exp.instance
     ids2 = [e.id for e in inst2.elements]
-    ctx = _Search(cfg)
+    ctx = Search(inst2, cfg)
 
     if mode == GUIDED:
         if cfg.epsilon is not None:
@@ -717,7 +663,7 @@ def solve_approx(
         if ell == 0:
             return _finish(inst, Solution({}), exp.back)
         opt2, asg2 = _lift_oracle(inst2, exp.copy_ids, got.solution, got.assignment)
-        cfg2 = cfg.resolved(inst2.d, k=ell)
+        ctx.cfg = cfg.resolved(inst2.d, k=ell)
         trials = min(default_trials(inst2.n, ell), cfg.max_coloring_trials)
         parts = None
         for cand in random_colorings(ids2, ell, trials, cfg.seed):
@@ -737,12 +683,12 @@ def solve_approx(
             reps = [next(v for v in p if v in opt2.copies) for p in parts]
             bvec = [inst2.element(v).weight // delta for v in reps]
             parts = _weight_windows(inst2, parts, bvec, delta)
-        root = good_tuple_from_opt((), parts, opt2, asg2, inst2, cfg2, _ctx=ctx)
-        sol2 = solve_annotated(root, inst2, cfg2, Guided(opt2, asg2), _ctx=ctx)
+        root = good_tuple_from_opt((), parts, opt2, asg2, ctx)
+        sol2 = solve_annotated(root, Guided(opt2, asg2), ctx)
         return None if sol2 is None else _finish(inst, sol2, exp.back)
 
     for ell in range(1, k + 1):
-        cfg2 = cfg.resolved(inst2.d, k=ell)
+        ctx.cfg = cfg.resolved(inst2.d, k=ell)
         trials = min(default_trials(inst2.n, ell), cfg.max_coloring_trials)
         for cand in random_colorings(ids2, ell, trials, cfg.seed):
             parts0 = tuple(tuple(sorted(p)) for p in cand)
@@ -751,7 +697,7 @@ def solve_approx(
             for parts in _all_windows(inst2, parts0, ell, cfg.epsilon):
                 if any(not p for p in parts):
                     continue
-                got = _enumerate_from_root(parts, inst2, cfg2, ctx)
+                got = _enumerate_from_root(parts, ctx)
                 if got is not None:
                     return _finish(inst, got, exp.back)
     return None
@@ -783,10 +729,10 @@ def _all_windows(inst2: Instance, parts0, ell: int, epsilon):
             yield _weight_windows(inst2, parts0, bvec, delta)
 
 
-def _enumerate_from_root(parts, inst2, cfg2, ctx: _Search) -> Solution | None:
-    for root in enumerate_tuples((), parts, inst2, cfg2, _ctx=ctx):
+def _enumerate_from_root(parts, ctx: Search) -> Solution | None:
+    for root in enumerate_tuples((), parts, ctx):
         ctx.charge_recursion()
-        got = solve_annotated(root, inst2, cfg2, ENUMERATE, _ctx=ctx)
+        got = solve_annotated(root, ENUMERATE, ctx)
         if got is not None:
             return got
     return None

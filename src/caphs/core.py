@@ -130,12 +130,6 @@ class EquivalenceClasses:
 
     by_class: dict[tuple[int, ...], tuple[int, ...]]
 
-    def classes(self) -> list[tuple[int, ...]]:
-        return sorted(self.by_class)
-
-    def nonempty_classes(self) -> list[tuple[int, ...]]:
-        return [E for E in sorted(self.by_class) if E]
-
 
 def equivalence_classes(inst: Instance, S) -> EquivalenceClasses:
     """Group family indices by A ∩ S.
@@ -311,6 +305,12 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _check_format(value) -> None:
+    """Accept only the integer FORMAT_VERSION (true == 1, so the type is checked)."""
+    if not (_is_int(value) and value == FORMAT_VERSION):
+        raise ValidationError(f"unsupported format {value!r}")
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the instance JSON format.
 
@@ -319,8 +319,8 @@ def parse_instance(text: str) -> Instance:
     (oversized or empty sets, unknown ids, negative capacities, ...).
     """
     obj = _load_object(text, "instance document")
-    if "format" in obj and obj["format"] != FORMAT_VERSION:
-        raise ValidationError(f"unsupported format {obj['format']!r}")
+    if "format" in obj:
+        _check_format(obj["format"])
     for key in ("d", "elements", "family"):
         _expect(key in obj, f"missing key {key!r}")
     _expect(_is_int(obj["d"]), "d must be an integer")

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import FORMAT_VERSION, Element, Instance, _is_int, _load_object
+from .core import FORMAT_VERSION, Element, Instance, _check_format, _is_int, _load_object
 from .errors import (
     BudgetExceeded,
     EnumerationBudgetExceeded,
@@ -116,8 +116,7 @@ def serialize_csp(csp: CspInstance) -> str:
 
 def parse_csp(text: str) -> CspInstance:
     doc = _load_object(text, "csp document")
-    if doc.get("format") != FORMAT_VERSION:
-        raise ValidationError(f"unsupported format {doc.get('format')!r}")
+    _check_format(doc.get("format"))
     for key in ("k", "n", "constraints"):
         if key not in doc:
             raise MalformedInput(f"csp document misses key {key!r}")
@@ -191,8 +190,7 @@ def serialize_mdk(mdk: MdkInstance) -> str:
 
 def parse_mdk(text: str) -> MdkInstance:
     doc = _load_object(text, "mdk document")
-    if doc.get("format") != FORMAT_VERSION:
-        raise ValidationError(f"unsupported format {doc.get('format')!r}")
+    _check_format(doc.get("format"))
     for key in ("d", "k", "target", "vectors"):
         if key not in doc:
             raise MalformedInput(f"mdk document misses key {key!r}")

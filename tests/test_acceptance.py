@@ -15,11 +15,14 @@ from caphs.approx import (
     GUIDED,
     AnnotatedTuple,
     ExtendedTuple,
+    Search,
     SolverConfig,
     bucket_value,
     bucket_value_next,
+    candidate_set,
     ceil43,
     good_tuple_from_opt,
+    info_tuple,
     solve_annotated,
     solve_approx,
     solve_extended,
@@ -166,7 +169,7 @@ def _random_annotated_tuple(inst, k, rng):
         if rng.random() < 0.6:
             cls = list(classes.by_class)[int(rng.integers(0, len(classes.by_class)))]
             gamma[(i, cls)] = int(rng.integers(1, 3))
-    return AnnotatedTuple(S=S, parts=tuple(parts), pi=pi, gamma_part=gamma, gamma_s={})
+    return AnnotatedTuple(S=S, parts=tuple(parts), pi=pi, gamma_part=gamma)
 
 
 def _optimum_seeded_tuple(inst, k, cfg, rng):
@@ -186,14 +189,12 @@ def _optimum_seeded_tuple(inst, k, cfg, rng):
         extra = int(rng.integers(0, 3))
         parts.append(tuple(sorted([rep] + others[at : at + extra])))
         at += extra
-    t = good_tuple_from_opt(S, tuple(parts), opt.solution, asg, inst, cfg)
+    t = good_tuple_from_opt(S, tuple(parts), opt.solution, asg, Search(inst, cfg))
     if t.gamma_part and rng.random() < 0.5:
         key = list(t.gamma_part)[int(rng.integers(0, len(t.gamma_part)))]
         gp = dict(t.gamma_part)
         del gp[key]
-        t = AnnotatedTuple(
-            S=t.S, parts=t.parts, pi=t.pi, gamma_part=gp, gamma_s=t.gamma_s
-        )
+        t = AnnotatedTuple(S=t.S, parts=t.parts, pi=t.pi, gamma_part=gp)
     return t
 
 
@@ -238,11 +239,12 @@ def test_criterion_04_stress_soundness():
         e = ExtendedTuple(base=t, tau1=tau1, tau2=tau2)
 
         sols = []
-        res = solve_extended(e, inst, cfg)
+        ctx = Search(inst, cfg)
+        res = solve_extended(e, candidate_set(e, info_tuple(t, ctx), ctx), ctx)
         if res.solution is not None:
             sols.append(res.solution)
         try:
-            got = solve_annotated(t, inst, cfg, ENUMERATE)
+            got = solve_annotated(t, ENUMERATE, ctx)
             if got is not None:
                 sols.append(got)
         except BudgetExceeded:

@@ -13,6 +13,7 @@ from caphs.approx import (
     TAU_CLASH,
     AnnotatedTuple,
     ExtendedTuple,
+    Search,
     SolverConfig,
     bucket_value,
     bucket_value_next,
@@ -109,13 +110,13 @@ def test_config_resolution_validation():
 
 
 def test_annotated_tuple_validation():
-    AnnotatedTuple(S=(3, 1), parts=((2,), (4,)), pi={(): 1}, gamma_part={}, gamma_s={})
+    AnnotatedTuple(S=(3, 1), parts=((2,), (4,)), pi={(): 1}, gamma_part={})
     with pytest.raises(ValueError):
-        AnnotatedTuple(S=(1,), parts=((1,),), pi={}, gamma_part={}, gamma_s={})
+        AnnotatedTuple(S=(1,), parts=((1,),), pi={}, gamma_part={})
     with pytest.raises(ValueError):
-        AnnotatedTuple(S=(1,), parts=((2,), (2,)), pi={}, gamma_part={}, gamma_s={})
+        AnnotatedTuple(S=(1,), parts=((2,), (2,)), pi={}, gamma_part={})
     with pytest.raises(ValueError):
-        AnnotatedTuple(S=(1,), parts=(), pi={(): 9}, gamma_part={}, gamma_s={})
+        AnnotatedTuple(S=(1,), parts=(), pi={(): 9}, gamma_part={})
 
 
 def test_annotated_tuple_demand_accounting():
@@ -124,7 +125,6 @@ def test_annotated_tuple_demand_accounting():
         parts=((1, 2), (3, 4)),
         pi={(7,): 7, (): 7},
         gamma_part={(0, (7,)): 2, (0, ()): 1, (1, (7,)): 3},
-        gamma_s={},
     )
     assert t.r == 2
     assert t.total_demand(0) == 3
@@ -164,10 +164,8 @@ def test_info_tuple_filters_and_scores():
         parts=((0, 1, 2),),
         pi={(3,): 3, (): 3},
         gamma_part={(0, (3,)): 1, (0, ()): 1},
-        gamma_s={},
     )
-    cfg = SolverConfig(k=2)
-    it = info_tuple(t, inst, cfg)
+    it = info_tuple(t, Search(inst, SolverConfig(k=2)))
     # cap filter drops 0 (cap 1 < demand 2); incidence drops 2 (no (3,) sets).
     assert it.xprime == ((1,),)
     assert it.n_of[(1, (3,))] == 1
@@ -182,22 +180,25 @@ def test_candidate_set_threshold_branches():
         parts=((1, 4),),
         pi={(3,): 3},
         gamma_part={(0, (3,)): 1},
-        gamma_s={},
     )
     e = ExtendedTuple(base=t, tau1={3: 0}, tau2={3: 0})
-    it = info_tuple(t, inst, SolverConfig(k=2))
-    whole = candidate_set(e, it, SolverConfig(k=2), inst.d)
+    ctx = Search(inst, SolverConfig(k=2))
+    it = info_tuple(t, ctx)
+    whole = candidate_set(e, it, ctx)
     assert whole == ((1, 4),)
-    top1 = candidate_set(
-        e, it, SolverConfig(k=2, top_t=1, small_class_threshold=0), inst.d
-    )
+    narrow = Search(inst, SolverConfig(k=2, top_t=1, small_class_threshold=0))
+    top1 = candidate_set(e, it, narrow)
     assert len(top1[0]) == 1
     # A star pointed elsewhere contributes nothing when the part is large.
     e2 = ExtendedTuple(base=t, tau1={3: 1}, tau2={3: 0})
-    none_taken = candidate_set(
-        e2, it, SolverConfig(k=2, top_t=1, small_class_threshold=0), inst.d
-    )
+    none_taken = candidate_set(e2, it, narrow)
     assert none_taken == ((),)
+
+
+def _close(e, inst, cfg):
+    """solve_extended on e with the candidate set its callers hand it."""
+    ctx = Search(inst, cfg)
+    return solve_extended(e, candidate_set(e, info_tuple(e.base, ctx), ctx), ctx)
 
 
 def test_solve_extended_success():
@@ -207,10 +208,9 @@ def test_solve_extended_success():
         parts=((1, 4),),
         pi={(3,): 3},
         gamma_part={(0, (3,)): 1},
-        gamma_s={},
     )
     e = ExtendedTuple(base=t, tau1={3: 0}, tau2={3: 0})
-    res = solve_extended(e, inst, SolverConfig(k=2))
+    res = _close(e, inst, SolverConfig(k=2))
     assert res.solution is not None
     assert res.solution.copies == {1: 1, 3: 1, 4: 1}
     assert res.reason is None
@@ -219,27 +219,27 @@ def test_solve_extended_success():
 
 def test_solve_extended_failure_reasons():
     inst = _hand_instance()
-    base = dict(pi={(3,): 3}, gamma_part={(0, (3,)): 1}, gamma_s={})
+    base = dict(pi={(3,): 3}, gamma_part={(0, (3,)): 1})
     # Quota two from a one-candidate part cannot be met.
     t_small = AnnotatedTuple(S=(3,), parts=((1,),), **base)
     e_small = ExtendedTuple(base=t_small, tau1={3: 0}, tau2={3: 0})
-    assert solve_extended(e_small, inst, SolverConfig(k=2)).reason == INDEPENDENCE_FAIL
+    assert _close(e_small, inst, SolverConfig(k=2)).reason == INDEPENDENCE_FAIL
     # r >= 2 with tau1 = tau2 on some s is rejected outright.
     t_two = AnnotatedTuple(S=(3,), parts=((1,), (4,)), **base)
     e_two = ExtendedTuple(base=t_two, tau1={3: 1}, tau2={3: 1})
-    assert solve_extended(e_two, inst, SolverConfig(k=3)).reason == TAU_CLASH
+    assert _close(e_two, inst, SolverConfig(k=3)).reason == TAU_CLASH
     # Arity mismatch is a usage error, not a reason.
     with pytest.raises(ValueError):
-        solve_extended(e_small, inst, SolverConfig(k=5))
+        _close(e_small, inst, SolverConfig(k=5))
 
 
 def test_solve_extended_base_case():
     inst = _hand_instance()
-    ok = AnnotatedTuple(S=(1, 3), parts=(), pi={}, gamma_part={}, gamma_s={})
-    res = solve_extended(ExtendedTuple(base=ok, tau1={}, tau2={}), inst, SolverConfig(k=2))
+    ok = AnnotatedTuple(S=(1, 3), parts=(), pi={}, gamma_part={})
+    res = _close(ExtendedTuple(base=ok, tau1={}, tau2={}), inst, SolverConfig(k=2))
     assert res.solution.copies == {1: 1, 3: 1}
-    bad = AnnotatedTuple(S=(1, 5), parts=(), pi={}, gamma_part={}, gamma_s={})
-    res2 = solve_extended(ExtendedTuple(base=bad, tau1={}, tau2={}), inst, SolverConfig(k=2))
+    bad = AnnotatedTuple(S=(1, 5), parts=(), pi={}, gamma_part={})
+    res2 = _close(ExtendedTuple(base=bad, tau1={}, tau2={}), inst, SolverConfig(k=2))
     assert res2.solution is None
     assert res2.reason == INFEASIBLE_OR_TOO_BIG
 
@@ -247,18 +247,18 @@ def test_solve_extended_base_case():
 def test_enumerate_tuples_counts_and_budget():
     inst = _hand_instance()
     cfg = SolverConfig(k=2)
-    got = list(enumerate_tuples((3,), ((1, 4),), inst, cfg))
+    got = list(enumerate_tuples((3,), ((1, 4),), Search(inst, cfg)))
     # One pi choice, gamma over {0} + rungs {1, 2, 3, 4} for the single class.
     assert len(got) == 5
     gammas = sorted(t.gamma_of_part(0, (3,)) for t in got)
     assert gammas == [0, 1, 2, 3, 4]
     with pytest.raises(BudgetExceeded):
-        list(enumerate_tuples((3,), ((1, 4),), inst, replace(cfg, tuple_budget=3)))
+        list(enumerate_tuples((3,), ((1, 4),), Search(inst, replace(cfg, tuple_budget=3))))
 
 
 def test_enumerate_tuples_base_case_is_canonical():
     inst = _hand_instance()
-    got = list(enumerate_tuples((1, 3), (), inst, SolverConfig(k=2)))
+    got = list(enumerate_tuples((1, 3), (), Search(inst, SolverConfig(k=2))))
     assert len(got) == 1
     t = got[0]
     assert t.S == (1, 3)
@@ -270,14 +270,14 @@ def test_good_tuple_from_opt():
     inst = _hand_instance()
     opt = Solution({1: 1, 3: 1, 4: 1})
     asg = Assignment({0: 1, 1: 1, 2: 4, 3: 4})
-    t = good_tuple_from_opt((3,), ((1,), (4,)), opt, asg, inst, SolverConfig(k=3))
+    ctx = Search(inst, SolverConfig(k=3))
+    t = good_tuple_from_opt((3,), ((1,), (4,)), opt, asg, ctx)
     assert t.pi == {(3,): 3}
     assert t.gamma_part == {(0, (3,)): 2, (1, (3,)): 2}
-    assert t.gamma_s == {}
     with pytest.raises(PreconditionViolated):
-        good_tuple_from_opt((5,), ((1,), (4,)), opt, asg, inst, SolverConfig(k=3))
+        good_tuple_from_opt((5,), ((1,), (4,)), opt, asg, ctx)
     with pytest.raises(PreconditionViolated):
-        good_tuple_from_opt((3,), ((1, 4), ()), opt, asg, inst, SolverConfig(k=3))
+        good_tuple_from_opt((3,), ((1, 4), ()), opt, asg, ctx)
 
 
 def test_expand_multiplicities():

@@ -127,8 +127,9 @@ def test_parse_rejects_malformed_documents():
     with pytest.raises(MalformedInput):
         parse_instance('{"d": 1, "family": []}')
     good = serialize_instance(generate_instance(GEN_PARAMS, seed=0))
-    with pytest.raises(ValidationError):
-        parse_instance(good.replace('"format": 1', '"format": 2'))
+    for fmt in ('"format": 2', '"format": true'):
+        with pytest.raises(ValidationError):
+            parse_instance(good.replace('"format": 1', fmt))
     # weight is mandatory per element
     with pytest.raises(MalformedInput):
         parse_instance(

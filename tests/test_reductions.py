@@ -100,8 +100,9 @@ def test_csp_round_trip():
     ):
         with pytest.raises(MalformedInput):
             parse_csp(json.dumps(bad))
-    with pytest.raises(ValidationError):
-        parse_csp(serialize_csp(csp).replace('"format": 1', '"format": 3'))
+    for fmt in ('"format": 3', '"format": true'):
+        with pytest.raises(ValidationError):
+            parse_csp(serialize_csp(csp).replace('"format": 1', fmt))
 
 
 def test_mdk_validation_and_round_trip():
@@ -126,6 +127,8 @@ def test_mdk_validation_and_round_trip():
     ):
         with pytest.raises(MalformedInput):
             parse_mdk(json.dumps(bad))
+    with pytest.raises(ValidationError):
+        parse_mdk(json.dumps({**doc, "format": True}))
 
 
 def test_verify_mdk():
