@@ -9,6 +9,7 @@ are reported as an {"error": {...}} object on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -275,7 +276,9 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parse_args keeps no state)."""
     p = argparse.ArgumentParser(
         prog="caphs",
         description="capacitated d-hitting set: solvers, certification, reductions",

@@ -21,12 +21,12 @@ def random_colorings(ids, k: int, trials: int, seed: int) -> list[list[list[int]
         raise ValueError("k must be at least 1")
     ids = list(ids)
     rng = np.random.default_rng(int(seed))
-    colors = rng.integers(0, k, size=(trials, len(ids)))
+    colors = rng.integers(0, k, size=(trials, len(ids))).tolist()
     out = []
-    for t in range(trials):
+    for row in colors:
         parts: list[list[int]] = [[] for _ in range(k)]
-        for pos, x in enumerate(ids):
-            parts[int(colors[t, pos])].append(x)
+        for x, c in zip(ids, row):
+            parts[c].append(x)
         out.append(parts)
     return out
 

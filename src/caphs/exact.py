@@ -1,4 +1,14 @@
-"""Brute-force exact solvers: ground truth for certification and tests."""
+"""Exact solvers by deficit branching: ground truth for certification and tests.
+
+The search walks copy vectors (copies per element, ascending id) level by
+level from the all-zero vector, one copy more per step.  An infeasible
+vector is extended only at elements that can fix its deficit: the members of
+a set nothing can serve yet, or else the members of the sets a failed
+matching round scanned (a Hall violator).  Any feasible vector above an
+infeasible one buys more of some such element, so every feasible vector
+that is minimal under the componentwise order is reached, and with
+nonnegative weights every optimum below is such a vector.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +16,7 @@ from dataclasses import dataclass
 
 from .core import Assignment, Instance, Solution
 from .errors import BudgetExceeded
-from .feasibility import check_feasible
+from .feasibility import _augment, check_feasible
 
 DEFAULT_CANDIDATE_BUDGET = 10**6
 
@@ -46,51 +56,64 @@ def _count_vectors(limits, k: int) -> int:
     return sum(ways)
 
 
-def _iter_vectors(limits, total: int):
-    """All copies vectors summing to exactly total, lexicographically ascending."""
-    n = len(limits)
-    suffix_max = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_max[i] = suffix_max[i + 1] + limits[i][1]
-    vec = [0] * n
+def _search(inst: Instance, k: int, budget: int, weighted: bool):
+    """The feasible copy vector of size at most k with the smallest key, as
+    (Solution, weight) or None.
 
-    def rec(i: int, rem: int):
-        if i == n:
-            if rem == 0:
-                yield tuple(vec)
-            return
-        if rem > suffix_max[i]:
-            return
-        for c in range(0, min(limits[i][1], rem) + 1):
-            vec[i] = c
-            yield from rec(i + 1, rem - c)
-        vec[i] = 0
-
-    yield from rec(0, total)
-
-
-def _vector_solution(limits, vec) -> Solution:
-    return Solution(copies={x: c for (x, _), c in zip(limits, vec) if c > 0})
-
-
-def _enumerate_feasible(inst: Instance, k: int, budget: int):
-    """Yield (size, vec, sol, asg) for every feasible candidate, ordered by
-    size then lexicographic copies vector."""
+    The key is (size, vector) or, when weighted, (weight, size, vector).
+    Vectors run over the _limits order and never exceed its limits, so the
+    search visits at most the _count_vectors candidates the budget is
+    checked against.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
     limits = _limits(inst, k)
     count = _count_vectors(limits, k)
     if count > budget:
         raise BudgetExceeded(f"{count} candidate multisets exceed the budget of {budget}")
-    caps = {e.id: e.cap for e in inst.elements}
+    pos = {x: p for p, (x, _) in enumerate(limits)}
+    lims = [lim for _, lim in limits]
+    caps = [inst.element(x).cap for x, _ in limits]
+    weights = [inst.element(x).weight for x, _ in limits]
+    # Per set, the positions of its members that can take it at all.
+    rows = [[pos[x] for x in s if caps[pos[x]] > 0] for s in inst.family]
+
+    def deficit(vec):
+        """None when vec is feasible, else the positions to branch on."""
+        for row in rows:
+            if not any(vec[p] for p in row):
+                return [p for p in row if vec[p] < lims[p]]
+        room = {p: caps[p] * c for p, c in enumerate(vec) if c}
+        _, scanned = _augment([[p for p in row if vec[p]] for row in rows], room)
+        if scanned is None:
+            return None
+        return {p for j in scanned for p in rows[j] if vec[p] < lims[p]}
+
+    best = None  # the smallest (weight, size, vector) found; weight 0 for size
+    level = {(0,) * len(limits)}
     for t in range(k + 1):
-        for vec in _iter_vectors(limits, t):
-            if sum(caps[x] * c for (x, _), c in zip(limits, vec)) < inst.m:
+        nxt = set()
+        for vec in sorted(level):
+            w = sum(wt * c for wt, c in zip(weights, vec)) if weighted else 0
+            key = (w, t, vec)
+            if best is not None and key >= best:
                 continue
-            sol = _vector_solution(limits, vec)
-            asg = check_feasible(inst, sol)
-            if asg is not None:
-                yield t, vec, sol, asg
+            branch = deficit(vec)
+            if branch is None:
+                best = key
+                if not weighted:
+                    break  # the first feasible vector of the lowest level wins
+                continue
+            if t < k and (best is None or w < best[0]):
+                for p in branch:
+                    nxt.add(vec[:p] + (vec[p] + 1,) + vec[p + 1:])
+        if best is not None and not weighted:
+            break
+        level = nxt
+    if best is None:
+        return None
+    w, _, vec = best
+    return Solution(copies={x: c for (x, _), c in zip(limits, vec) if c > 0}), w
 
 
 def solve_exact(inst: Instance, k: int, budget: int = DEFAULT_CANDIDATE_BUDGET) -> ExactResult | None:
@@ -98,12 +121,16 @@ def solve_exact(inst: Instance, k: int, budget: int = DEFAULT_CANDIDATE_BUDGET) 
 
     Candidates are multisets with copies(x) <= min(k, mult(x)); ties are
     broken by the lexicographically smallest copies vector (ascending id
-    order).  Raises ValueError for k < 0, and BudgetExceeded when the
-    candidate space is too large, never conflating that with infeasibility.
+    order).  The search visits only copy vectors that fix a deficit, but the
+    budget counts every candidate vector: raises BudgetExceeded when there
+    are more than budget of them, never conflating that with infeasibility,
+    and ValueError for k < 0.
     """
-    for _, _, sol, asg in _enumerate_feasible(inst, k, budget):
-        return ExactResult(solution=sol, assignment=asg)
-    return None
+    found = _search(inst, k, budget, weighted=False)
+    if found is None:
+        return None
+    sol, _ = found
+    return ExactResult(solution=sol, assignment=check_feasible(inst, sol))
 
 
 def solve_exact_weighted(inst: Instance, k: int,
@@ -113,11 +140,8 @@ def solve_exact_weighted(inst: Instance, k: int,
     Ties go to the smaller size, then the lexicographically smallest copies
     vector.  Same budget behavior as solve_exact.
     """
-    best = None
-    best_w = None
-    for t, vec, sol, asg in _enumerate_feasible(inst, k, budget):
-        w = sol.weight(inst)
-        if best is None or w < best_w:
-            best = WeightedResult(solution=sol, assignment=asg, weight=w)
-            best_w = w
-    return best
+    found = _search(inst, k, budget, weighted=True)
+    if found is None:
+        return None
+    sol, w = found
+    return WeightedResult(solution=sol, assignment=check_feasible(inst, sol), weight=w)

@@ -45,31 +45,23 @@ def assignment_ok(inst: Instance, sol: Solution, asg: Assignment) -> bool:
     return True
 
 
-def check_feasible(inst: Instance, sol: Solution) -> Assignment | None:
-    """Return a valid Assignment for sol, or None when none exists.
+def _augment(members: list[list[int]], room: dict[int, int]):
+    """Assign every set by breadth-first augmenting paths.
 
-    Each round runs one breadth-first search that starts from the unassigned
-    sets in ascending index, goes from a set to its bought members in
-    ascending id and from an element to the sets assigned to it in ascending
-    index, and ends at the first element reached with spare room; the sets
-    along that path are then re-assigned one step forward.  This is the path
-    a dense shortest-augmenting-path max flow with ascending node order would
-    push, so the result is deterministic for a fixed (inst, sol).
+    Each round searches from the unassigned sets in ascending index, going
+    from a set to its members in the given order and from an element to the
+    sets it holds in ascending index, and shifts the sets on the path to the
+    first element reached with spare room one step forward.  Every member of
+    a set must be a key of room.
 
-    Args:
-        inst: the instance.
-        sol: candidate solution; copy counts must respect multiplicities.
-
-    Returns:
-        An Assignment covering every set occurrence, or None iff no
-        b-matching saturates all m sets.
+    Returns (target, None) with an element per set index, or (None, scanned)
+    when a round finds no path.  Then every member of a scanned set is full
+    and held only by scanned sets, so the scanned sets outnumber their
+    members' room: a Hall violator.
     """
-    members, room = build_network(inst, sol)
-    if sum(room.values()) < inst.m or not all(members):
-        return None
     target: dict[int, int] = {}
     holders: dict[int, list[int]] = {x: [] for x in room}  # ascending set indices
-    free = list(range(inst.m))
+    free = list(range(len(members)))
     while free:
         # reached[x] is the set x was first reached from.  An assigned set is
         # reached only from its own element, so that element is never revisited.
@@ -90,7 +82,7 @@ def check_feasible(inst: Instance, sol: Solution) -> Assignment | None:
             if end is not None:
                 break
         if end is None:
-            return None
+            return None, queue
         x = end
         while True:
             j = reached[x]
@@ -102,6 +94,31 @@ def check_feasible(inst: Instance, sol: Solution) -> Assignment | None:
                 break
             holders[prev].remove(j)
             x = prev
+    return target, None
+
+
+def check_feasible(inst: Instance, sol: Solution) -> Assignment | None:
+    """Return a valid Assignment for sol, or None when none exists.
+
+    The matching is _augment's over each set's bought members in ascending
+    id.  Each of its augmenting paths is the one a dense
+    shortest-augmenting-path max flow with ascending node order would push,
+    so the result is deterministic for a fixed (inst, sol).
+
+    Args:
+        inst: the instance.
+        sol: candidate solution; copy counts must respect multiplicities.
+
+    Returns:
+        An Assignment covering every set occurrence, or None iff no
+        b-matching saturates all m sets.
+    """
+    members, room = build_network(inst, sol)
+    if sum(room.values()) < inst.m or not all(members):
+        return None
+    target, _ = _augment(members, room)
+    if target is None:
+        return None
     asg = Assignment(target=dict(sorted(target.items())))
     if not assignment_ok(inst, sol, asg):
         raise InvariantViolated("matching produced an invalid assignment")

@@ -11,8 +11,9 @@ import itertools
 import numpy as np
 
 from caphs.core import Assignment, Instance, Solution
-from caphs.errors import OracleTooLarge
-from caphs.feasibility import _bought, assignment_ok
+from caphs.errors import BudgetExceeded, OracleTooLarge
+from caphs.exact import ExactResult, WeightedResult, _count_vectors, _limits
+from caphs.feasibility import _bought, assignment_ok, check_feasible
 
 
 def ford_fulkerson_value(cap, source: int, sink: int) -> int:
@@ -218,6 +219,68 @@ def min_weight_bruteforce(inst: Instance, k: int):
             w = sum(inst.element(x).weight * c for x, c in copies.items())
             if best is None or w < best[1]:
                 best = (copies, w)
+    return best
+
+
+def _iter_vectors(limits, total: int):
+    """All copies vectors summing to exactly total, lexicographically ascending."""
+    n = len(limits)
+    suffix_max = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix_max[i] = suffix_max[i + 1] + limits[i][1]
+    vec = [0] * n
+
+    def rec(i: int, rem: int):
+        if i == n:
+            if rem == 0:
+                yield tuple(vec)
+            return
+        if rem > suffix_max[i]:
+            return
+        for c in range(0, min(limits[i][1], rem) + 1):
+            vec[i] = c
+            yield from rec(i + 1, rem - c)
+        vec[i] = 0
+
+    yield from rec(0, total)
+
+
+def _enumerate_feasible(inst: Instance, k: int, budget: int):
+    """Yield (size, vec, sol, asg) for every feasible candidate, ordered by
+    size then lexicographic copies vector."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    limits = _limits(inst, k)
+    count = _count_vectors(limits, k)
+    if count > budget:
+        raise BudgetExceeded(f"{count} candidate multisets exceed the budget of {budget}")
+    caps = {e.id: e.cap for e in inst.elements}
+    for t in range(k + 1):
+        for vec in _iter_vectors(limits, t):
+            if sum(caps[x] * c for (x, _), c in zip(limits, vec)) < inst.m:
+                continue
+            sol = Solution(copies={x: c for (x, _), c in zip(limits, vec) if c > 0})
+            asg = check_feasible(inst, sol)
+            if asg is not None:
+                yield t, vec, sol, asg
+
+
+def enumerate_exact(inst: Instance, k: int, budget: int) -> ExactResult | None:
+    """The exact solver that checks every copy vector of size at most k in
+    (size, lexicographic) order and returns the first feasible one."""
+    for _, _, sol, asg in _enumerate_feasible(inst, k, budget):
+        return ExactResult(solution=sol, assignment=asg)
+    return None
+
+
+def enumerate_exact_weighted(inst: Instance, k: int, budget: int) -> WeightedResult | None:
+    """The same enumeration keeping the first vector of each strictly
+    smaller weight."""
+    best = None
+    for _, _, sol, asg in _enumerate_feasible(inst, k, budget):
+        w = sol.weight(inst)
+        if best is None or w < best.weight:
+            best = WeightedResult(solution=sol, assignment=asg, weight=w)
     return best
 
 

@@ -1,0 +1,63 @@
+"""Differential property: the deficit-branching search returns exactly what
+checking every copy vector in (size, lexicographic) order returns."""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from caphs.core import Element, Instance
+from caphs.errors import BudgetExceeded
+from caphs.exact import solve_exact, solve_exact_weighted
+
+from _oracles import enumerate_exact, enumerate_exact_weighted
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(min_value=1, max_value=10))
+    d = draw(st.integers(min_value=1, max_value=3))
+    elements = tuple(
+        Element(
+            id=x,
+            cap=draw(st.integers(min_value=0, max_value=4)),
+            mult=draw(st.none() | st.integers(min_value=1, max_value=3)),
+            weight=draw(st.integers(min_value=0, max_value=9)),
+        )
+        for x in range(n)
+    )
+    member_sets = st.lists(st.integers(min_value=0, max_value=n - 1),
+                           min_size=1, max_size=min(d, n), unique=True)
+    family = tuple(tuple(s) for s in draw(st.lists(member_sets, max_size=10)))
+    return Instance(elements=elements, family=family, d=d)
+
+
+def _outcome(solver, inst, k, budget):
+    try:
+        return solver(inst, k, budget)
+    except BudgetExceeded:
+        return BudgetExceeded
+
+
+# The heavy element 2 alone is the first feasible vector reached; the lighter
+# {0, 1} is found only by extending vectors visited after it.
+LIGHTER_PAIR = Instance(
+    elements=(Element(id=0, cap=1, weight=2), Element(id=1, cap=1, weight=3),
+              Element(id=2, cap=2, weight=10)),
+    family=((0, 2), (1, 2)),
+    d=2,
+)
+
+
+@settings(max_examples=150)
+@example(LIGHTER_PAIR, 2, None)
+@given(
+    instances(),
+    st.integers(min_value=0, max_value=4),
+    st.none() | st.integers(min_value=1, max_value=1100),
+)
+def test_search_matches_enumeration(inst, k, budget):
+    budget = 10**6 if budget is None else budget
+    for solver, reference in ((solve_exact, enumerate_exact),
+                              (solve_exact_weighted, enumerate_exact_weighted)):
+        # Results are frozen dataclasses: solution, assignment and weight
+        # must all be equal, or both calls must exceed the budget.
+        assert _outcome(solver, inst, k, budget) == _outcome(reference, inst, k, budget)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import caphs.feasibility as feasibility
 from caphs.core import Assignment, Element, Instance, Solution, ValidationError, generate_instance
 from caphs.errors import CaphsError, OracleTooLarge
-from caphs.feasibility import assignment_ok, build_network, check_feasible, coverage
+from caphs.feasibility import _augment, assignment_ok, build_network, check_feasible, coverage
 
 from _oracles import (
     assign_backtracking,
@@ -53,6 +55,52 @@ def test_flow_kernel_matches_reference_search():
         assert (got is not None) == (ford_fulkerson_value(cap, 0, sink) == inst.m)
         feasible += got is not None
     assert 40 < feasible < 160  # sanity: both verdicts are exercised
+
+
+@st.composite
+def instances_with_solutions(draw, max_cap=4):
+    """(inst, sol) with n <= 7, m <= 10, caps 0..max_cap, mults None/1..3."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    d = draw(st.integers(min_value=1, max_value=3))
+    elements = tuple(
+        Element(id=x, cap=draw(st.integers(min_value=0, max_value=max_cap)),
+                mult=draw(st.none() | st.integers(min_value=1, max_value=3)))
+        for x in range(n)
+    )
+    member_sets = st.lists(st.integers(min_value=0, max_value=n - 1),
+                           min_size=1, max_size=min(d, n), unique=True)
+    family = tuple(tuple(s) for s in draw(st.lists(member_sets, max_size=10)))
+    copies = {}
+    for e in elements:
+        c = draw(st.integers(min_value=0, max_value=3 if e.mult is None else e.mult))
+        if c:
+            copies[e.id] = c
+    return Instance(elements=elements, family=family, d=d), Solution(copies=copies)
+
+
+@given(instances_with_solutions())
+def test_verdict_matches_max_flow_references(case):
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    sparse = pytest.importorskip("scipy.sparse")
+    inst, sol = case
+    cap, _ = dense_network(inst, sol)
+    sink = cap.shape[0] - 1
+    feasible = check_feasible(inst, sol) is not None
+    assert feasible == (ford_fulkerson_value(cap, 0, sink) == inst.m)
+    flow = csgraph.maximum_flow(sparse.csr_matrix(cap.astype(np.int32)), 0, sink)
+    assert feasible == (flow.flow_value == inst.m)
+
+
+@given(instances_with_solutions(max_cap=1))
+def test_failed_search_reports_a_hall_violator(case):
+    inst, sol = case
+    members, room = build_network(inst, sol)
+    assume(all(members) and check_feasible(inst, sol) is None)
+    target, scanned = _augment(members, room)
+    assert target is None
+    assert len(set(scanned)) == len(scanned)
+    reached = {x for j in scanned for x in members[j]}
+    assert len(scanned) > sum(room[x] for x in reached)
 
 
 def test_matcher_keeps_dense_bfs_tie_breaks():
