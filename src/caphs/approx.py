@@ -47,7 +47,6 @@ GUIDED = "guided"
 
 # Reasons a closing attempt on an extended tuple can give up.
 TAU_CLASH = "tau-clash"
-NO_DOMINATOR = "no-dominator"
 INDEPENDENCE_FAIL = "independence-fail"
 INFEASIBLE_OR_TOO_BIG = "infeasible-or-too-big"
 
@@ -108,6 +107,8 @@ class SolverConfig:
             raise ValueError("budgets must be nonnegative")
         if self.epsilon is not None and self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        if self.max_coloring_trials < 1:
+            raise ValueError("max_coloring_trials must be at least 1")
         return replace(
             self,
             k=kk,
@@ -387,6 +388,10 @@ def solve_extended(
         if t.r >= 2 and e.tau1[s] == e.tau2[s]:
             return ExtendedResult(solution=None, reason=TAU_CLASH)
 
+    if not all(xpp):
+        # An empty X''_i leaves part i without a pick whatever the quotas.
+        return ExtendedResult(solution=None, reason=INDEPENDENCE_FAIL)
+
     st = stars(ctx.frame(t.S)[0], t.pi)
     graph = BipartiteGraph(
         reds=tuple(range(t.r)),
@@ -398,7 +403,9 @@ def solve_extended(
     )
     dom = min_dominator_forced(graph, forced)
     if dom is None:
-        return ExtendedResult(solution=None, reason=NO_DOMINATOR)
+        # tau1/tau2 are total, so every blue has a red neighbour and the
+        # full red set dominates.
+        raise InvariantViolated("the red parts do not dominate S")
 
     ind = IndependenceContext(S=frozenset(t.S), stars=st, rho=cfg.rho)
     quotas = tuple(2 if i in dom else 1 for i in range(t.r))
@@ -487,7 +494,8 @@ def good_tuple_from_opt(
         for cls, idxs in classes.by_class.items():
             c = coverage(asg, v, idxs)
             if c >= 1:
-                gamma_part[(i, cls)] = bucket_value(c, ctx.cfg.bucket_base)
+                # The top rung up to c, bucket_value(c, base), from the memo.
+                gamma_part[(i, cls)] = ctx.gamma_values(c)[-1]
     return AnnotatedTuple(S=S, parts=parts, pi=pi, gamma_part=gamma_part)
 
 

@@ -22,7 +22,7 @@ from .core import (
     parse_solution,
     serialize_instance,
 )
-from .errors import CaphsError, InvariantViolated, ValidationError
+from .errors import CaphsError, InvariantViolated, UsageError, ValidationError
 from .exact import solve_exact, solve_exact_weighted
 from .feasibility import assignment_ok, check_feasible
 from .reductions import (
@@ -276,10 +276,21 @@ def cmd_bench(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise UsageError instead of exiting.
+
+    Subparsers inherit the class, so main reports every usage error as JSON.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parse_args keeps no state)."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="caphs",
         description="capacitated d-hitting set: solvers, certification, reductions",
     )
@@ -349,9 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CaphsError as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})

@@ -9,26 +9,53 @@ import numpy as np
 from .core import Instance
 
 
-def random_colorings(ids, k: int, trials: int, seed: int) -> list[list[list[int]]]:
-    """trials independent colorings of ids into k ordered parts.
+class Colorings:
+    """The colorings random_colorings returns, drawn as they are iterated.
 
-    Every id gets a uniform color in [k]; parts may be empty.  Deterministic
-    for a fixed (ids, k, trials, seed).
+    Each iteration reseeds and draws the color table in blocks of 1, 2, 4, ...
+    rows: O(log trials) numpy calls, and at most twice the rows a caller that
+    stops early uses.  Cutting the table into blocks leaves the generator's
+    stream, and so every row, unchanged.
+    """
+
+    def __init__(self, ids, k: int, trials: int, seed: int):
+        self.ids = list(ids)
+        self.k = k
+        self.trials = trials
+        self.seed = int(seed)
+
+    def __len__(self) -> int:
+        return self.trials
+
+    def __iter__(self):
+        k, ids = self.k, self.ids
+        rng = np.random.default_rng(self.seed)
+        left, block = self.trials, 1
+        while left:
+            block = min(block, left)
+            for row in rng.integers(0, k, size=(block, len(ids))).tolist():
+                parts: list[list[int]] = [[] for _ in range(k)]
+                for x, c in zip(ids, row):
+                    parts[c].append(x)
+                yield parts
+            left -= block
+            block *= 2
+
+
+def random_colorings(ids, k: int, trials: int, seed: int) -> Colorings:
+    """trials independent colorings of ids into k ordered parts, drawn lazily.
+
+    Every id gets a uniform color in [k]; parts may be empty.  The result is a
+    sized iterable (len() is trials) that draws colorings as it is iterated;
+    they are the same colorings, in the same order, as the rows of one
+    (trials, len(ids)) table from np.random.default_rng(seed).  Deterministic
+    for a fixed (ids, k, trials, seed), and every iteration repeats them.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if k < 1:
         raise ValueError("k must be at least 1")
-    ids = list(ids)
-    rng = np.random.default_rng(int(seed))
-    colors = rng.integers(0, k, size=(trials, len(ids))).tolist()
-    out = []
-    for row in colors:
-        parts: list[list[int]] = [[] for _ in range(k)]
-        for x, c in zip(ids, row):
-            parts[c].append(x)
-        out.append(parts)
-    return out
+    return Colorings(ids, k, trials, seed)
 
 
 def default_trials(n: int, k: int) -> int:

@@ -5,6 +5,10 @@ class CaphsError(Exception):
     """Base class for all library errors."""
 
 
+class UsageError(CaphsError):
+    """The command line does not parse: a missing or malformed option or subcommand."""
+
+
 class MalformedInput(CaphsError):
     """Input text is not structurally valid (syntax, missing keys, wrong types)."""
 

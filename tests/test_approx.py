@@ -62,8 +62,10 @@ def test_ceil43_values():
 
 def test_bucket_value_matches_naive_scan():
     for base in (Fraction(4, 3), Fraction(10, 9), Fraction(7, 6)):
+        # The guided descent reads the same value off the memoized ladder.
+        ctx = Search(_hand_instance(), SolverConfig(k=2, bucket_base=base))
         for c in range(1, 300):
-            assert bucket_value(c, base) == naive_bucket(c, base)
+            assert bucket_value(c, base) == naive_bucket(c, base) == ctx.gamma_values(c)[-1]
 
 
 def test_bucket_next_is_the_following_rung():
@@ -107,6 +109,8 @@ def test_config_resolution_validation():
         SolverConfig(k=1, tuple_budget=-1).resolved(d=1)
     with pytest.raises(ValueError):
         SolverConfig(k=1, epsilon=Fraction(-1, 2)).resolved(d=1)
+    with pytest.raises(ValueError):
+        SolverConfig(k=1, max_coloring_trials=0).resolved(d=1)
 
 
 def test_annotated_tuple_validation():
@@ -224,6 +228,9 @@ def test_solve_extended_failure_reasons():
     t_small = AnnotatedTuple(S=(3,), parts=((1,),), **base)
     e_small = ExtendedTuple(base=t_small, tau1={3: 0}, tau2={3: 0})
     assert _close(e_small, inst, SolverConfig(k=2)).reason == INDEPENDENCE_FAIL
+    # An empty candidate list fails before the dominator is built.
+    ctx = Search(inst, SolverConfig(k=2))
+    assert solve_extended(e_small, ((),), ctx).reason == INDEPENDENCE_FAIL
     # r >= 2 with tau1 = tau2 on some s is rejected outright.
     t_two = AnnotatedTuple(S=(3,), parts=((1,), (4,)), **base)
     e_two = ExtendedTuple(base=t_two, tau1={3: 1}, tau2={3: 1})

@@ -108,6 +108,19 @@ def test_solve_approx_weighted_and_overrides(tmp_path, capsys):
     assert json.loads(out)["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("mode", ["guided", "enumerate"])
+def test_solve_approx_rejects_zero_coloring_trials(tmp_path, capsys, mode):
+    # k=2 has no solution on this instance; the bad constant is still an error.
+    path = gen_instance_file(tmp_path, capsys, seed=7)
+    code, out, _ = run(
+        capsys,
+        "solve-approx", str(path), "--k", "2", "--mode", mode,
+        "--override-const", "max_coloring_trials=0",
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ValueError"
+
+
 def test_certify_row_shape(tmp_path, capsys):
     path = gen_instance_file(tmp_path, capsys, seed=7)
     code, out, _ = run(capsys, "certify", str(path), "--k", "4")
@@ -208,6 +221,22 @@ def test_errors_surface_as_json(tmp_path, capsys):
         code, out, _ = run(capsys, cmd, str(inst), "--k", "-1")
         assert code == 2
         assert json.loads(out)["error"]["type"] == "ValueError"
+    # So are arguments that do not parse: a missing or malformed --k, an
+    # unknown subcommand, no subcommand at all.
+    for argv in (
+        ("solve-exact", str(inst)),
+        ("solve-approx", str(inst), "--k", "x"),
+        ("frobnicate",),
+        (),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "UsageError"
+        assert "usage:" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "solve-approx" in capsys.readouterr().out
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from caphs.colorweights import default_trials, random_colorings, weight_estimates
@@ -8,14 +9,14 @@ from caphs.core import Element, Instance, generate_instance
 
 def test_colorings_shape_and_determinism():
     ids = list(range(10))
-    runs = random_colorings(ids, k=3, trials=20, seed=4)
+    runs = list(random_colorings(ids, k=3, trials=20, seed=4))
     assert len(runs) == 20
     for parts in runs:
         assert len(parts) == 3
         flat = sorted(x for part in parts for x in part)
         assert flat == ids
-    assert random_colorings(ids, 3, 20, seed=4) == runs
-    assert random_colorings(ids, 3, 20, seed=5) != runs
+    assert list(random_colorings(ids, 3, 20, seed=4)) == runs
+    assert list(random_colorings(ids, 3, 20, seed=5)) != runs
 
 
 def test_colorings_reject_bad_args():
@@ -26,8 +27,26 @@ def test_colorings_reject_bad_args():
 
 
 def test_single_class_coloring_is_trivial():
-    runs = random_colorings([3, 1, 2], k=1, trials=2, seed=0)
+    runs = list(random_colorings([3, 1, 2], k=1, trials=2, seed=0))
     assert runs == [[[3, 1, 2]], [[3, 1, 2]]]
+
+
+@pytest.mark.parametrize("n,k,trials,seed", [(1, 1, 3, 0), (7, 3, 5, 2), (12, 4, 13, 9), (29, 7, 100, 5)])
+def test_lazy_colorings_equal_one_table(n, k, trials, seed):
+    # Drawn in doubling blocks, the rows still equal one (trials, n) draw.
+    ids = [10 * i + 3 for i in range(n)]
+    table = np.random.default_rng(seed).integers(0, k, (trials, n)).tolist()
+    expected = [[[x for x, c in zip(ids, row) if c == part] for part in range(k)] for row in table]
+    colorings = random_colorings(ids, k, trials, seed)
+    assert len(colorings) == trials
+    assert list(colorings) == expected
+    assert list(colorings) == expected  # every iteration starts from the seed
+
+
+def test_lazy_colorings_draw_only_what_is_used():
+    # A one-shot (10**12, 50) table could not be allocated.
+    first = next(iter(random_colorings(range(50), 3, 10**12, 0)))
+    assert sorted(x for part in first for x in part) == list(range(50))
 
 
 def test_default_trials_formula():

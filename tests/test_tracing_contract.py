@@ -1,11 +1,12 @@
 """perfbench/tracing.py wraps caphs functions by attribute name; keep them reachable."""
 
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import caphs.cli  # noqa: F401  (Tracer.install looks every traced module up)
 from caphs import approx
-from caphs.approx import ENUMERATE, GUIDED
+from caphs.approx import ENUMERATE, GUIDED, SolverConfig
 from caphs.core import Element, Instance
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -38,10 +39,15 @@ def test_tracer_sees_every_approx_layer():
         # Called through the module, where the tracer rebinds it.
         assert approx.solve_approx(inst, 2, mode=ENUMERATE) is not None
         assert approx.solve_approx(inst, 2, mode=GUIDED) is not None
+        # The weighted variant is the one that reaches weight_estimates.
+        weighted = SolverConfig(k=2, epsilon=Fraction(1, 2))
+        assert approx.solve_approx(inst, 2, weighted, mode=GUIDED) is not None
     finally:
         tracer.uninstall()
-    approx_targets = [f"{mod}.{path}" for mod, path, _ in tracing.TARGETS if mod == "approx"]
-    assert approx_targets
-    missing = [name for name in approx_targets if tracer.calls.get(name, 0) < 1]
+    targets = [
+        f"{mod}.{path}" for mod, path, _ in tracing.TARGETS if mod in ("approx", "colorweights")
+    ]
+    assert {name.split(".")[0] for name in targets} == {"approx", "colorweights"}
+    missing = [name for name in targets if tracer.calls.get(name, 0) < 1]
     assert missing == []
     assert approx.info_tuple is original
