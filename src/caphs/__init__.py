@@ -8,7 +8,6 @@ from .approx import (
     ExtendedResult,
     ExtendedTuple,
     Guided,
-    InfoTuple,
     Search,
     SolverConfig,
     bucket_value,
@@ -29,7 +28,6 @@ from .core import (
     UNBOUNDED,
     Assignment,
     Element,
-    EquivalenceClasses,
     Instance,
     Solution,
     equivalence_classes,
@@ -40,15 +38,10 @@ from .core import (
     serialize_solution,
     stars,
 )
-from .domset import BipartiteGraph, construct_small_dominator, min_dominator_forced
+from .domset import BipartiteGraph, min_dominator_forced
 from .exact import ExactResult, WeightedResult, solve_exact, solve_exact_weighted
 from .feasibility import assignment_ok, build_network, check_feasible, coverage
-from .independence import (
-    IndependenceContext,
-    count_conflicting_pairs,
-    find_independent_set,
-    is_conflicting,
-)
+from .independence import IndependenceContext, find_independent_set, is_conflicting
 from .reductions import (
     Constraint,
     CspInstance,

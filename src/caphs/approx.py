@@ -9,6 +9,12 @@ over the candidate parts.  Two drivers share the machinery: a full enumeration
 (budgeted) and a guided descent that follows an exact solution and checks the
 approximation guarantee on the way down.
 
+The closing step works on X'_i, each part filtered by capacity and class
+incidence (info_tuple), and X''_i, the candidates it may pick from
+(candidate_set).  X''_i is the whole of X'_i for a small part; only a part
+above small_class_threshold is ranked, so element scores are computed in
+candidate_set, for those parts alone.
+
 Every layer function (info_tuple, candidate_set, solve_extended,
 enumerate_tuples, good_tuple_from_opt, solve_annotated) takes one Search as
 its last argument: the instance, the resolved config, both budgets and the
@@ -124,10 +130,6 @@ def ceil43(k: int) -> int:
     return (4 * k + 2) // 3
 
 
-def _ceil(fr: Fraction) -> int:
-    return -((-fr.numerator) // fr.denominator)
-
-
 def _rung(c: int, base) -> tuple[Fraction, int]:
     """(base, largest p with base^p <= c)."""
     if c < 1:
@@ -146,13 +148,13 @@ def _rung(c: int, base) -> tuple[Fraction, int]:
 def bucket_value(c: int, base) -> int:
     """ceil(base^p) for the largest p with base^p <= c.  Exact arithmetic."""
     base, p = _rung(c, base)
-    return _ceil(base ** p)
+    return math.ceil(base ** p)
 
 
 def bucket_value_next(c: int, base) -> int:
     """ceil(base^(p+1)) for the same p as bucket_value: the next rung up."""
     base, p = _rung(c, base)
-    return _ceil(base ** (p + 1))
+    return math.ceil(base ** (p + 1))
 
 
 def bucket_values_upto(limit: int, base) -> list[int]:
@@ -160,7 +162,7 @@ def bucket_values_upto(limit: int, base) -> list[int]:
     if limit < 1:
         return []
     base, p = _rung(limit, base)
-    return sorted({_ceil(base ** q) for q in range(p + 1)})
+    return sorted({math.ceil(base ** q) for q in range(p + 1)})
 
 
 @dataclass(frozen=True)
@@ -207,20 +209,6 @@ class AnnotatedTuple:
 
     def total_demand(self, i: int) -> int:
         return sum(g for (j, _), g in self.gamma_part.items() if j == i)
-
-
-@dataclass(frozen=True)
-class InfoTuple:
-    """Filtered parts with per-class counts and per-star scores.
-
-    xprime[i] keeps the part-i candidates whose capacity and class incidence
-    meet the gamma demands; n_of[(v, cls)] caps the useful incidence and
-    score[(v, s)] is the residual value of v toward star s.
-    """
-
-    xprime: tuple[tuple[int, ...], ...]
-    n_of: dict
-    score: dict
 
 
 @dataclass(frozen=True)
@@ -291,11 +279,11 @@ class Search:
         if got is None:
             classes = equivalence_classes(self.inst, S)
             inc: dict = {}
-            for cls, idxs in classes.by_class.items():
+            for cls, idxs in classes.items():
                 for j in idxs:
                     for v in self.inst.family[j]:
                         inc[(v, cls)] = inc.get((v, cls), 0) + 1
-            got = self._frames[S] = (classes, sorted(classes.by_class), inc)
+            got = self._frames[S] = (classes, sorted(classes), inc)
         return got
 
     def gamma_values(self, size: int) -> list[int]:
@@ -306,59 +294,70 @@ class Search:
         return self._gammas[key]
 
 
-def info_tuple(t: AnnotatedTuple, ctx: Search) -> InfoTuple:
-    """Filter each part by capacity and incidence; compute n(v, cls) and scores."""
+def info_tuple(t: AnnotatedTuple, ctx: Search) -> tuple[tuple[int, ...], ...]:
+    """X': each part cut to the elements that can meet its gamma demands.
+
+    v stays in part i when its capacity covers the part's total demand and it
+    lies in at least gamma(i, cls) sets of every realized class cls.
+    """
     inst = ctx.inst
     _, realized, inc = ctx.frame(t.S)
-    base = ctx.cfg.bucket_base
-    xprime: list[tuple[int, ...]] = []
-    n_of: dict = {}
-    score: dict = {}
+    xprime = []
     for i, part in enumerate(t.parts):
         demand = t.total_demand(i)
-        kept = []
-        for v in part:
-            el = inst.element(v)
-            if el.cap < demand:
-                continue
-            if any(
-                inc.get((v, cls), 0) < t.gamma_of_part(i, cls) for cls in realized
-            ):
-                continue
-            kept.append(v)
-        kept = tuple(sorted(kept))
-        xprime.append(kept)
-        other = {s: demand - t.star_demand(i, s) for s in t.S}
-        for v in kept:
-            el = inst.element(v)
-            for cls in realized:
-                g = t.gamma_of_part(i, cls)
-                n_of[(v, cls)] = min(_ceil(base * g), inc.get((v, cls), 0))
-            for s in t.S:
-                n_vs = sum(
-                    n_of[(v, cls)] for cls in realized if t.pi.get(cls) == s
-                )
-                score[(v, s)] = max(0, min(n_vs, el.cap - other[s]))
-    return InfoTuple(xprime=tuple(xprime), n_of=n_of, score=score)
+        need = [(cls, g) for cls in realized if (g := t.gamma_of_part(i, cls))]
+        xprime.append(
+            tuple(
+                v
+                for v in part
+                if inst.element(v).cap >= demand
+                and all(inc.get((v, cls), 0) >= g for cls, g in need)
+            )
+        )
+    return tuple(xprime)
 
 
 def candidate_set(
-    e: ExtendedTuple, it: InfoTuple, ctx: Search
+    e: ExtendedTuple, xprime: tuple[tuple[int, ...], ...], ctx: Search
 ) -> tuple[tuple[int, ...], ...]:
-    """X''_i: the whole filtered part when small, else top scorers per tau1 star."""
-    cfg = ctx.cfg
+    """X''_i: the whole of X'_i when small, else its top scorers per tau1 star.
+
+    A part with at most small_class_threshold elements is taken whole and no
+    score is computed.  A larger part keeps, for each s in S with tau1(s) = i,
+    the top_t elements by (-score(v, s), v), where
+
+        score(v, s) = max(0, min(n(v, s), cap(v) - (demand_i - gamma(i, s))))
+
+    and n(v, s) sums min(ceil(base * gamma(i, cls)), inc(v, cls)) over the
+    classes pi sends to s.  Scores are computed here, for those parts and
+    stars only.
+    """
+    inst, cfg = ctx.inst, ctx.cfg
     t = e.base
+    _, realized, inc = ctx.frame(t.S)
     out = []
-    for i, xp in enumerate(it.xprime):
+    for i, xp in enumerate(xprime):
         if len(xp) <= cfg.small_class_threshold:
             out.append(xp)
             continue
+        demand = t.total_demand(i)
         chosen: set[int] = set()
-        for s in sorted(t.S):
+        for s in t.S:
             if e.tau1.get(s) != i:
                 continue
-            ranked = sorted(xp, key=lambda v: (-it.score.get((v, s), 0), v))
-            chosen.update(ranked[: cfg.top_t])
+            # Per class of star s, the incidence that counts toward n(v, s).
+            useful = [
+                (cls, math.ceil(cfg.bucket_base * g))
+                for cls in realized
+                if t.pi.get(cls) == s and (g := t.gamma_of_part(i, cls))
+            ]
+            other = demand - t.star_demand(i, s)
+
+            def score(v: int) -> int:
+                n_vs = sum(min(c, inc.get((v, cls), 0)) for cls, c in useful)
+                return max(0, min(n_vs, inst.element(v).cap - other))
+
+            chosen.update(sorted(xp, key=lambda v: (-score(v), v))[: cfg.top_t])
         out.append(tuple(sorted(chosen)))
     return tuple(out)
 
@@ -442,10 +441,10 @@ def enumerate_tuples(S, parts, ctx: Search):
     else:
         pi_choices = iter([()])
     keys = [(i, cls) for i in range(len(parts)) for cls in realized]
-    value_lists = [ctx.gamma_values(len(classes.by_class[cls])) for (_, cls) in keys]
+    value_lists = [ctx.gamma_values(len(classes[cls])) for (_, cls) in keys]
     for choice in pi_choices:
         pi = dict(zip(nonempty, choice))
-        if S and () in classes.by_class:
+        if S and () in classes:
             pi[()] = min(S)
         for combo in itertools.product(*value_lists):
             gamma = {k: v for k, v in zip(keys, combo) if v}
@@ -482,7 +481,7 @@ def good_tuple_from_opt(
         if cls == ():
             pi[cls] = min(S)
             continue
-        idxs = classes.by_class[cls]
+        idxs = classes[cls]
         best_s, best_c = None, -1
         for s in S:
             c = coverage(asg, s, idxs)
@@ -491,7 +490,7 @@ def good_tuple_from_opt(
         pi[cls] = best_s if best_c > 0 else min(S)
     gamma_part: dict = {}
     for i, v in enumerate(rep):
-        for cls, idxs in classes.by_class.items():
+        for cls, idxs in classes.items():
             c = coverage(asg, v, idxs)
             if c >= 1:
                 # The top rung up to c, bucket_value(c, base), from the memo.
@@ -512,7 +511,7 @@ def solve_annotated(t: AnnotatedTuple, mode, ctx: Search) -> Solution | None:
     if mode != ENUMERATE:
         raise ValueError("mode must be ENUMERATE or a Guided value")
 
-    it = info_tuple(t, ctx)
+    xprime = info_tuple(t, ctx)
     r = t.r
     order = sorted(t.S)
     for m1 in itertools.product(range(r), repeat=len(order)):
@@ -521,7 +520,7 @@ def solve_annotated(t: AnnotatedTuple, mode, ctx: Search) -> Solution | None:
             tau1 = dict(zip(order, m1))
             tau2 = dict(zip(order, m2))
             e = ExtendedTuple(base=t, tau1=tau1, tau2=tau2)
-            xpp = candidate_set(e, it, ctx)
+            xpp = candidate_set(e, xprime, ctx)
             for i in range(r):
                 for v in xpp[i]:
                     s2 = t.S + (v,)
@@ -714,7 +713,7 @@ def solve_approx(
 def _window_width(epsilon, W: int, ell: int, n: int) -> int:
     """delta = ceil(epsilon * W / (ell * log n)), at least 1."""
     log_n = max(1, (n - 1).bit_length())
-    return max(1, _ceil(Fraction(epsilon) * W / (ell * log_n)))
+    return max(1, math.ceil(Fraction(epsilon) * W / (ell * log_n)))
 
 
 def _weight_windows(inst2: Instance, parts, bvec, delta: int):

@@ -109,6 +109,18 @@ def cmd_solve_exact(args) -> int:
     return 0
 
 
+def fraction(text: str) -> Fraction:
+    """Parse a fraction-valued option such as 1/2 or 0.25.
+
+    Raises ValueError for text that is not a fraction, 1/0 included, so a bad
+    value is reported like any other bad option value.
+    """
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
+
+
 _OVERRIDE_FRACTIONS = {"rho", "bucket_base"}
 _OVERRIDE_INTS = {"top_t", "small_class_threshold", "max_coloring_trials"}
 
@@ -117,14 +129,14 @@ def _config_from(args) -> SolverConfig:
     cfg = SolverConfig(
         k=args.k,
         seed=args.seed,
-        epsilon=Fraction(args.epsilon) if args.epsilon else None,
+        epsilon=args.epsilon,
     )
     if args.budget is not None:
         cfg = replace(cfg, tuple_budget=args.budget, recursion_budget=args.budget)
     for kv in args.override_const or []:
         key, _, val = kv.partition("=")
         if key in _OVERRIDE_FRACTIONS:
-            cfg = replace(cfg, **{key: Fraction(val)})
+            cfg = replace(cfg, **{key: fraction(val)})
         elif key in _OVERRIDE_INTS:
             cfg = replace(cfg, **{key: int(val)})
         else:
@@ -229,8 +241,8 @@ def cmd_reduce(args) -> int:
         csp = parse_csp(_read(args.input))
         family = build_covering_family(
             csp.k,
-            Fraction(args.alpha),
-            Fraction(args.beta),
+            args.alpha,
+            args.beta,
             args.r,
             seed=args.seed,
             trials=args.trials,
@@ -312,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--mode", choices=[GUIDED, ENUMERATE], default=GUIDED)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--epsilon", default=None, help="weighted variant, e.g. 1/2")
+    c.add_argument("--epsilon", type=fraction, default=None, help="weighted variant, e.g. 1/2")
     c.add_argument("--budget", type=int, default=None, help="tuple and recursion budgets")
     c.add_argument(
         "--override-const",
@@ -343,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c.add_argument("input")
     c.add_argument("--Q", type=int, default=None, help="separation constant")
-    c.add_argument("--alpha", default="1/2")
-    c.add_argument("--beta", default="1/2")
+    c.add_argument("--alpha", type=fraction, default="1/2")
+    c.add_argument("--beta", type=fraction, default="1/2")
     c.add_argument("--r", type=int, default=4)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--trials", type=int, default=200)

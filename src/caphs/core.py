@@ -120,18 +120,7 @@ class Assignment:
         return sum(1 for v in self.target.values() if v == x)
 
 
-@dataclass(frozen=True)
-class EquivalenceClasses:
-    """Partition of family indices by their intersection with a fixed S.
-
-    Keys are sorted id tuples; the empty tuple collects every set disjoint
-    from S.  Only realized classes are present.
-    """
-
-    by_class: dict[tuple[int, ...], tuple[int, ...]]
-
-
-def equivalence_classes(inst: Instance, S) -> EquivalenceClasses:
+def equivalence_classes(inst: Instance, S) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Group family indices by A ∩ S.
 
     Args:
@@ -139,7 +128,9 @@ def equivalence_classes(inst: Instance, S) -> EquivalenceClasses:
         S: iterable of element ids; must all exist in inst.
 
     Returns:
-        EquivalenceClasses whose classes partition range(inst.m).
+        A dict from each realized class, the sorted tuple A ∩ S, to its family
+        indices; the empty tuple collects every set disjoint from S.  The
+        classes partition range(inst.m).
     """
     s_set = set(S)
     for x in s_set:
@@ -149,20 +140,21 @@ def equivalence_classes(inst: Instance, S) -> EquivalenceClasses:
     for idx, members in enumerate(inst.family):
         E = tuple(x for x in members if x in s_set)
         buckets.setdefault(E, []).append(idx)
-    return EquivalenceClasses({E: tuple(v) for E, v in buckets.items()})
+    return {E: tuple(v) for E, v in buckets.items()}
 
 
-def stars(classes: EquivalenceClasses, pi: dict[tuple[int, ...], int]) -> dict[int, tuple[int, ...]]:
+def stars(classes: dict, pi: dict[tuple[int, ...], int]) -> dict[int, tuple[int, ...]]:
     """Union the classes along a plurality map: A_s = U {A_E : pi(E) = s}.
 
-    pi must cover every nonempty realized class; it may additionally map the
-    empty class.  Raises PartialPlurality when a required class is missing.
+    classes is the dict equivalence_classes returns.  pi must cover every
+    nonempty realized class; it may additionally map the empty class.  Raises
+    PartialPlurality when a required class is missing.
     """
-    for E in classes.by_class:
+    for E in classes:
         if E and E not in pi:
             raise PartialPlurality(f"plurality map misses class {E}")
     out: dict[int, list[int]] = {}
-    for E, idxs in classes.by_class.items():
+    for E, idxs in classes.items():
         if E not in pi:
             continue
         out.setdefault(pi[E], []).extend(idxs)

@@ -1,17 +1,14 @@
 """Red-blue dominating sets on bipartite graphs.
 
-construct_small_dominator realizes the constructive (b+r)/3 bound: repeatedly
-grab a red with two or more undominated blue neighbors, then finish with one
-neighbor per leftover blue.  min_dominator_forced is the exact enumerator the
-extended-tuple solver actually uses (the red side there has at most k nodes).
+min_dominator_forced is the exact enumerator the extended-tuple solver uses
+to pick the parts that take two elements (the red side there has at most k
+nodes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-
-from .errors import InvariantViolated, PreconditionViolated
 
 
 @dataclass(frozen=True)
@@ -37,42 +34,6 @@ class BipartiteGraph:
             for r in nbrs:
                 inv[r].add(v)
         return inv
-
-
-def construct_small_dominator(g: BipartiteGraph):
-    """Dominating red set of size at most floor((b+r)/3).
-
-    Preconditions (checked): every blue has degree at least 2 and r < 2b.
-    Deterministic: every pick takes the smallest eligible id.
-    """
-    b, r = len(g.blues), len(g.reds)
-    for v in g.blues:
-        if len(g.adj[v]) < 2:
-            raise PreconditionViolated(f"blue {v} has degree {len(g.adj[v])} < 2")
-    if not r < 2 * b:
-        raise PreconditionViolated(f"need r < 2b, got r={r}, b={b}")
-    inv = g.red_neighbors()
-    undominated = set(g.blues)
-    D: list = []
-    while True:
-        eligible = [red for red in g.reds
-                    if red not in D and len(inv[red] & undominated) >= 2]
-        if not eligible:
-            break
-        pick = min(eligible)
-        D.append(pick)
-        undominated -= inv[pick]
-    for v in sorted(undominated):
-        if v not in undominated:
-            continue
-        pick = min(g.adj[v])
-        D.append(pick)
-        undominated -= inv[pick]
-    if undominated:
-        raise InvariantViolated("construction left a blue undominated")
-    if len(D) > (b + r) // 3:
-        raise InvariantViolated(f"|D|={len(D)} beats the (b+r)/3 bound")
-    return tuple(sorted(D))
 
 
 def min_dominator_forced(g: BipartiteGraph, forced):

@@ -25,10 +25,6 @@ class PartialPlurality(CaphsError):
     """A plurality map is missing a class it is required to cover."""
 
 
-class OracleTooLarge(CaphsError):
-    """A brute-force oracle was asked to enumerate beyond its configured cap."""
-
-
 class BudgetExceeded(CaphsError):
     """An enumeration budget ran out before the search space was exhausted."""
 

@@ -1,4 +1,4 @@
-"""(S, pi, rho)-independence: conflict predicate, counting, greedy selection.
+"""(S, pi, rho)-independence: the conflict predicate and greedy selection.
 
 Two elements conflict when, in some star A_s, the sets containing both make up
 more than a rho fraction of the smaller of their incidence counts.  rho is a
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Instance
-from .errors import InvariantViolated, QuotaInvalid
+from .errors import QuotaInvalid
 
 
 @dataclass(frozen=True)
@@ -45,25 +45,6 @@ def is_conflicting(ctx: IndependenceContext, x: int, y: int, inst: Instance) -> 
         if Fraction(both) > ctx.rho * min(len(ax), len(ay)):
             return True
     return False
-
-
-def count_conflicting_pairs(ctx: IndependenceContext, X, inst: Instance, k: int | None = None) -> int:
-    """Number of unordered conflicting pairs within X.
-
-    When k is given, the |X| * d * k / rho upper bound is enforced: beating
-    it raises InvariantViolated.
-    """
-    xs = sorted(set(X))
-    count = 0
-    for a in range(len(xs)):
-        for b in range(a + 1, len(xs)):
-            if is_conflicting(ctx, xs[a], xs[b], inst):
-                count += 1
-    if k is not None:
-        bound = Fraction(len(xs) * inst.d * k) / ctx.rho
-        if count > bound:
-            raise InvariantViolated(f"conflict count {count} beats the {bound} bound")
-    return count
 
 
 def find_independent_set(ctx: IndependenceContext, parts, quotas, inst: Instance):

@@ -31,10 +31,6 @@ from .errors import (
 )
 
 
-def _ceil(fr: Fraction) -> int:
-    return -((-fr.numerator) // fr.denominator)
-
-
 @dataclass(frozen=True)
 class Constraint:
     """One binary constraint: (value(u), value(v)) must be an allowed pair."""
@@ -342,7 +338,15 @@ def solve_mdk_exact(
     return None
 
 
-def _cvc_skeleton(mdk: MdkInstance):
+def _cvc_instance(mdk: MdkInstance, weighted: bool) -> Instance:
+    """The degree-2 cover instance behind mdk_to_cvc and mdk_to_wcvc.
+
+    Elements: one vertex per vector (capacity m, effectively unbounded), then
+    one forced vertex per dimension i (capacity cols[i] - target[i] + 1), then
+    its zero-capacity twin.  Sets: one (forced, twin) pair per dimension, then
+    vectors[v][i] copies of (v, forced i).  Every vertex weighs 1, or, when
+    weighted, 1 / 0 / heavier than any feasible budget for the three kinds.
+    """
     nvec = len(mdk.vectors)
     cols = [sum(v[i] for v in mdk.vectors) for i in range(mdk.d)]
     for i in range(mdk.d):
@@ -358,7 +362,19 @@ def _cvc_skeleton(mdk: MdkInstance):
         for i in range(mdk.d):
             for _ in range(mdk.vectors[v][i]):
                 family.append((v, nvec + i))
-    return nvec, cols, m_cvc, family
+    if weighted:
+        w_vec, w_forced, w_twin = 1, 0, (nvec + 2 * mdk.d) * m_cvc + 1
+    else:
+        w_vec = w_forced = w_twin = 1
+    elements = (
+        [Element(id=v, cap=m_cvc, mult=1, weight=w_vec) for v in range(nvec)]
+        + [
+            Element(id=nvec + i, cap=cols[i] - mdk.target[i] + 1, mult=1, weight=w_forced)
+            for i in range(mdk.d)
+        ]
+        + [Element(id=nvec + mdk.d + i, cap=0, mult=1, weight=w_twin) for i in range(mdk.d)]
+    )
+    return Instance(elements=tuple(elements), family=tuple(family), d=2)
 
 
 def mdk_to_cvc(mdk: MdkInstance) -> Instance:
@@ -369,16 +385,7 @@ def mdk_to_cvc(mdk: MdkInstance) -> Instance:
     with a zero-capacity twin, so the forced vertex can absorb exactly the
     copies the picked vectors may leave uncovered.
     """
-    nvec, cols, m_cvc, family = _cvc_skeleton(mdk)
-    elements = (
-        [Element(id=v, cap=m_cvc, mult=1, weight=1) for v in range(nvec)]
-        + [
-            Element(id=nvec + i, cap=cols[i] - mdk.target[i] + 1, mult=1, weight=1)
-            for i in range(mdk.d)
-        ]
-        + [Element(id=nvec + mdk.d + i, cap=0, mult=1, weight=1) for i in range(mdk.d)]
-    )
-    return Instance(elements=tuple(elements), family=tuple(family), d=2)
+    return _cvc_instance(mdk, weighted=False)
 
 
 def mdk_to_wcvc(mdk: MdkInstance) -> Instance:
@@ -388,26 +395,7 @@ def mdk_to_wcvc(mdk: MdkInstance) -> Instance:
     zero-capacity twins are priced above any feasible budget so no solution
     ever buys one.
     """
-    nvec, cols, m_cvc, family = _cvc_skeleton(mdk)
-    n_cvc = nvec + 2 * mdk.d
-    heavy = n_cvc * m_cvc + 1
-    elements = (
-        [Element(id=v, cap=m_cvc, mult=1, weight=1) for v in range(nvec)]
-        + [
-            Element(
-                id=nvec + i,
-                cap=cols[i] - mdk.target[i] + 1,
-                mult=1,
-                weight=0,
-            )
-            for i in range(mdk.d)
-        ]
-        + [
-            Element(id=nvec + mdk.d + i, cap=0, mult=1, weight=heavy)
-            for i in range(mdk.d)
-        ]
-    )
-    return Instance(elements=tuple(elements), family=tuple(family), d=2)
+    return _cvc_instance(mdk, weighted=True)
 
 
 def verify_covering_family(
@@ -432,7 +420,7 @@ def verify_covering_family(
     for s in fam:
         if any(not (0 <= x < n) for x in s):
             raise ValidationError("family member outside ground set")
-    s_min = _ceil(Fraction(alpha) * len(fam))
+    s_min = math.ceil(Fraction(alpha) * len(fam))
     need = (1 - Fraction(beta)) * n
 
     def ok(idxs) -> bool:
@@ -475,7 +463,7 @@ def build_covering_family(
         raise ParameterViolation(f"r={r} must exceed {thr:.3f}")
     if r > n:
         raise ParameterViolation(f"r={r} exceeds the ground set size {n}")
-    size = _ceil(Fraction(n) / alpha)
+    size = math.ceil(Fraction(n) / alpha)
     rng = np.random.default_rng(int(seed))
     for _ in range(trials):
         fam = [

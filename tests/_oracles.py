@@ -2,18 +2,28 @@
 
 Everything here is deliberately naive: straight-line enumeration, DFS and
 dense BFS with none of the package's pruning, bucketing, or matching machinery.
+It also holds the paper-lemma witnesses that no solver path calls (the (b+r)/3
+dominator construction and the conflict-pair count) and the eager per-star
+scores that candidate_set computes lazily.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
 from caphs.core import Assignment, Instance, Solution
-from caphs.errors import BudgetExceeded, OracleTooLarge
+from caphs.errors import BudgetExceeded, CaphsError, InvariantViolated, PreconditionViolated
 from caphs.exact import ExactResult, WeightedResult, _count_vectors, _limits
 from caphs.feasibility import _bought, assignment_ok, check_feasible
+from caphs.independence import is_conflicting
+
+
+class OracleTooLarge(CaphsError):
+    """A brute-force oracle was asked to enumerate beyond its configured cap."""
 
 
 def ford_fulkerson_value(cap, source: int, sink: int) -> int:
@@ -282,6 +292,118 @@ def enumerate_exact_weighted(inst: Instance, k: int, budget: int) -> WeightedRes
         if best is None or w < best.weight:
             best = WeightedResult(solution=sol, assignment=asg, weight=w)
     return best
+
+
+def construct_small_dominator(g):
+    """Dominating red set of size at most floor((b+r)/3) on a BipartiteGraph.
+
+    The constructive (b+r)/3 bound: repeatedly grab a red with two or more
+    undominated blue neighbors, then finish with one neighbor per leftover
+    blue.  Preconditions (checked): every blue has degree at least 2 and
+    r < 2b.  Deterministic: every pick takes the smallest eligible id.
+    """
+    b, r = len(g.blues), len(g.reds)
+    for v in g.blues:
+        if len(g.adj[v]) < 2:
+            raise PreconditionViolated(f"blue {v} has degree {len(g.adj[v])} < 2")
+    if not r < 2 * b:
+        raise PreconditionViolated(f"need r < 2b, got r={r}, b={b}")
+    inv = g.red_neighbors()
+    undominated = set(g.blues)
+    D: list = []
+    while True:
+        eligible = [red for red in g.reds
+                    if red not in D and len(inv[red] & undominated) >= 2]
+        if not eligible:
+            break
+        pick = min(eligible)
+        D.append(pick)
+        undominated -= inv[pick]
+    for v in sorted(undominated):
+        if v not in undominated:
+            continue
+        pick = min(g.adj[v])
+        D.append(pick)
+        undominated -= inv[pick]
+    if undominated:
+        raise InvariantViolated("construction left a blue undominated")
+    if len(D) > (b + r) // 3:
+        raise InvariantViolated(f"|D|={len(D)} beats the (b+r)/3 bound")
+    return tuple(sorted(D))
+
+
+def count_conflicting_pairs(ctx, X, inst: Instance, k: int | None = None) -> int:
+    """Number of unordered conflicting pairs within X under an IndependenceContext.
+
+    When k is given, the |X| * d * k / rho upper bound is enforced: beating
+    it raises InvariantViolated.
+    """
+    xs = sorted(set(X))
+    count = 0
+    for a in range(len(xs)):
+        for b in range(a + 1, len(xs)):
+            if is_conflicting(ctx, xs[a], xs[b], inst):
+                count += 1
+    if k is not None:
+        bound = Fraction(len(xs) * inst.d * k) / ctx.rho
+        if count > bound:
+            raise InvariantViolated(f"conflict count {count} beats the {bound} bound")
+    return count
+
+
+def eager_info_tuple(t, ctx):
+    """(xprime, n_of, score) for an AnnotatedTuple, every score computed up front.
+
+    xprime[i] keeps the part-i candidates whose capacity and class incidence
+    meet the gamma demands; n_of[(v, cls)] caps the useful incidence and
+    score[(v, s)] is the residual value of v toward star s, for every kept v
+    and every s in S.
+    """
+    inst = ctx.inst
+    _, realized, inc = ctx.frame(t.S)
+    base = ctx.cfg.bucket_base
+    xprime = []
+    n_of: dict = {}
+    score: dict = {}
+    for i, part in enumerate(t.parts):
+        demand = t.total_demand(i)
+        kept = []
+        for v in part:
+            if inst.element(v).cap < demand:
+                continue
+            if any(inc.get((v, cls), 0) < t.gamma_of_part(i, cls) for cls in realized):
+                continue
+            kept.append(v)
+        kept = tuple(sorted(kept))
+        xprime.append(kept)
+        other = {s: demand - t.star_demand(i, s) for s in t.S}
+        for v in kept:
+            cap = inst.element(v).cap
+            for cls in realized:
+                g = t.gamma_of_part(i, cls)
+                n_of[(v, cls)] = min(math.ceil(base * g), inc.get((v, cls), 0))
+            for s in t.S:
+                n_vs = sum(n_of[(v, cls)] for cls in realized if t.pi.get(cls) == s)
+                score[(v, s)] = max(0, min(n_vs, cap - other[s]))
+    return tuple(xprime), n_of, score
+
+
+def ranked_candidate_set(e, ctx):
+    """X''_i from the eager scores: the whole of X'_i when small, else the
+    top_t elements by (-score, id) for each star s with tau1(s) = i."""
+    xprime, _, score = eager_info_tuple(e.base, ctx)
+    out = []
+    for i, xp in enumerate(xprime):
+        if len(xp) <= ctx.cfg.small_class_threshold:
+            out.append(xp)
+            continue
+        chosen = set()
+        for s in sorted(e.base.S):
+            if e.tau1.get(s) == i:
+                ranked = sorted(xp, key=lambda v: (-score[(v, s)], v))
+                chosen.update(ranked[: ctx.cfg.top_t])
+        out.append(tuple(sorted(chosen)))
+    return tuple(out)
 
 
 def min_dominator_bruteforce(reds, blues, adj, forced=frozenset()):

@@ -28,11 +28,11 @@ from caphs.approx import (
     solve_extended,
 )
 from caphs.core import Solution, equivalence_classes, generate_instance, stars
-from caphs.domset import BipartiteGraph, construct_small_dominator, min_dominator_forced
+from caphs.domset import BipartiteGraph, min_dominator_forced
 from caphs.errors import BudgetExceeded
 from caphs.exact import solve_exact, solve_exact_weighted
 from caphs.feasibility import assignment_ok, check_feasible
-from caphs.independence import IndependenceContext, count_conflicting_pairs
+from caphs.independence import IndependenceContext
 from caphs.reductions import (
     MdkInstance,
     build_covering_family,
@@ -45,6 +45,8 @@ from caphs.reductions import (
 
 from _oracles import (
     brute_force_assignment,
+    construct_small_dominator,
+    count_conflicting_pairs,
     min_dominator_bruteforce,
     mdk_min_bruteforce,
     random_bipartite_mindeg2,
@@ -162,12 +164,12 @@ def _random_annotated_tuple(inst, k, rng):
     classes = equivalence_classes(inst, S)
     pi = {}
     if S:
-        for cls in classes.by_class:
+        for cls in classes:
             pi[cls] = min(S) if cls == () else int(rng.choice(sorted(S)))
     gamma = {}
     for i in range(len(parts)):
         if rng.random() < 0.6:
-            cls = list(classes.by_class)[int(rng.integers(0, len(classes.by_class)))]
+            cls = list(classes)[int(rng.integers(0, len(classes)))]
             gamma[(i, cls)] = int(rng.integers(1, 3))
     return AnnotatedTuple(S=S, parts=tuple(parts), pi=pi, gamma_part=gamma)
 
@@ -302,7 +304,7 @@ def test_criterion_06_conflict_count_bound():
         xsize = 10 + trial % 31
         X = ids[k : k + xsize]
         classes = equivalence_classes(inst, S)
-        pi = {cls: int(rng.choice(S)) for cls in classes.by_class if cls}
+        pi = {cls: int(rng.choice(S)) for cls in classes if cls}
         star_map = stars(classes, pi)
         ctx = IndependenceContext(S=frozenset(S), stars=star_map, rho=rho)
         count = count_conflicting_pairs(ctx, X, inst, k=k)

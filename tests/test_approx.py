@@ -3,6 +3,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from caphs import approx
 from caphs.approx import (
@@ -27,7 +29,14 @@ from caphs.approx import (
     solve_approx,
     solve_extended,
 )
-from caphs.core import Assignment, Element, Instance, Solution, generate_instance
+from caphs.core import (
+    Assignment,
+    Element,
+    Instance,
+    Solution,
+    equivalence_classes,
+    generate_instance,
+)
 from caphs.errors import (
     BudgetExceeded,
     InvariantViolated,
@@ -36,6 +45,8 @@ from caphs.errors import (
 )
 from caphs.exact import solve_exact, solve_exact_weighted
 from caphs.feasibility import assignment_ok, check_feasible
+
+from _oracles import eager_info_tuple, ranked_candidate_set
 
 GEN = {
     "n": 6,
@@ -169,12 +180,14 @@ def test_info_tuple_filters_and_scores():
         pi={(3,): 3, (): 3},
         gamma_part={(0, (3,)): 1, (0, ()): 1},
     )
-    it = info_tuple(t, Search(inst, SolverConfig(k=2)))
+    ctx = Search(inst, SolverConfig(k=2))
     # cap filter drops 0 (cap 1 < demand 2); incidence drops 2 (no (3,) sets).
-    assert it.xprime == ((1,),)
-    assert it.n_of[(1, (3,))] == 1
-    assert it.n_of[(1, ())] == 2
-    assert it.score[(1, 3)] == 2
+    assert info_tuple(t, ctx) == ((1,),)
+    xprime, n_of, score = eager_info_tuple(t, ctx)
+    assert xprime == ((1,),)
+    assert n_of[(1, (3,))] == 1
+    assert n_of[(1, ())] == 2
+    assert score[(1, 3)] == 2
 
 
 def test_candidate_set_threshold_branches():
@@ -187,16 +200,67 @@ def test_candidate_set_threshold_branches():
     )
     e = ExtendedTuple(base=t, tau1={3: 0}, tau2={3: 0})
     ctx = Search(inst, SolverConfig(k=2))
-    it = info_tuple(t, ctx)
-    whole = candidate_set(e, it, ctx)
+    xprime = info_tuple(t, ctx)
+    whole = candidate_set(e, xprime, ctx)
     assert whole == ((1, 4),)
     narrow = Search(inst, SolverConfig(k=2, top_t=1, small_class_threshold=0))
-    top1 = candidate_set(e, it, narrow)
+    top1 = candidate_set(e, xprime, narrow)
     assert len(top1[0]) == 1
     # A star pointed elsewhere contributes nothing when the part is large.
     e2 = ExtendedTuple(base=t, tau1={3: 1}, tau2={3: 0})
-    none_taken = candidate_set(e2, it, narrow)
+    none_taken = candidate_set(e2, xprime, narrow)
     assert none_taken == ((),)
+
+
+@st.composite
+def scored_tuples(draw):
+    """(extended tuple, search) on a small random instance with hostile constants.
+
+    Dense families, low capacities and unit demands make the capacity term of
+    the score bind for some candidates and not for others.
+    """
+    n = draw(st.integers(5, 10))
+    params = {
+        "n": n,
+        "m": draw(st.integers(8, 20)),
+        "d": 3,
+        "cap_range": (1, 3),
+        "weight_range": (1, 1),
+        "mult_range": (1, 1),
+    }
+    inst = generate_instance(params, seed=draw(st.integers(0, 10_000)))
+    ids = draw(st.permutations(range(n)))
+    S = tuple(sorted(ids[: draw(st.integers(1, 2))]))
+    rest = ids[len(S) :]
+    r = draw(st.integers(1, 2))
+    cuts = []
+    if r > 1:
+        cuts = sorted(draw(st.sets(st.integers(1, len(rest) - 1), min_size=r - 1, max_size=r - 1)))
+    parts = [rest[a:b] for a, b in zip([0] + cuts, cuts + [len(rest)])]
+    realized = sorted(equivalence_classes(inst, S))
+    pi = {cls: min(S) if cls == () else draw(st.sampled_from(S)) for cls in realized}
+    gamma = {}
+    for i in range(r):
+        for cls in realized:
+            g = draw(st.integers(0, 1))
+            if g:
+                gamma[(i, cls)] = g
+    t = AnnotatedTuple(S=S, parts=tuple(parts), pi=pi, gamma_part=gamma)
+    tau1 = {s: draw(st.integers(0, r - 1)) for s in S}
+    cfg = SolverConfig(
+        k=len(S) + r,
+        small_class_threshold=draw(st.integers(0, 2)),
+        top_t=draw(st.integers(1, 3)),
+    )
+    return ExtendedTuple(base=t, tau1=tau1, tau2=dict(tau1)), Search(inst, cfg)
+
+
+@given(scored_tuples())
+def test_lazy_scores_match_eager_ranking(case):
+    e, ctx = case
+    xprime = info_tuple(e.base, ctx)
+    assert xprime == eager_info_tuple(e.base, ctx)[0]
+    assert candidate_set(e, xprime, ctx) == ranked_candidate_set(e, ctx)
 
 
 def _close(e, inst, cfg):

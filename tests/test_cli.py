@@ -233,6 +233,24 @@ def test_errors_surface_as_json(tmp_path, capsys):
         assert code == 2
         assert json.loads(out)["error"]["type"] == "UsageError"
         assert "usage:" in err
+    # A fraction with a zero denominator is bad input, not a crash.
+    for argv in (
+        ("solve-approx", str(inst), "--k", "2", "--epsilon", "1/0"),
+        ("reduce", "csp-mdk-cov", str(inst), "--alpha", "1/0"),
+        ("reduce", "csp-mdk-cov", str(inst), "--beta", "0/0"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "UsageError"
+        assert "usage:" in err
+    for override in ("rho=1/0", "bucket_base=1/0"):
+        code, out, _ = run(capsys, "solve-approx", str(inst), "--k", "2", "--override-const", override)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ValueError"
+    # epsilon 0 is refused, not read as "no epsilon".
+    code, out, _ = run(capsys, "solve-approx", str(inst), "--k", "2", "--epsilon", "0")
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "ValueError", "message": "epsilon must be positive"}
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0

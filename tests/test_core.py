@@ -209,7 +209,7 @@ def test_equivalence_classes_partition_the_family():
         S = [e.id for e in inst.elements[:3]]
         classes = equivalence_classes(inst, S)
         seen = []
-        for key, idxs in classes.by_class.items():
+        for key, idxs in classes.items():
             assert key == tuple(sorted(key))
             for j in idxs:
                 assert tuple(sorted(set(inst.family[j]) & set(S))) == key
@@ -220,7 +220,7 @@ def test_equivalence_classes_partition_the_family():
 def test_stars_requires_total_plurality():
     inst = generate_instance(GEN_PARAMS, seed=7)
     classes = equivalence_classes(inst, [1, 5])
-    keys = [k for k in classes.by_class if k]
+    keys = [k for k in classes if k]
     pi = {k: k[0] for k in keys}
     grouped = stars(classes, pi)
     assert set(itertools.chain.from_iterable(grouped.values())) <= set(

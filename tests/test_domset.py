@@ -1,9 +1,13 @@
 import pytest
 
-from caphs.domset import BipartiteGraph, construct_small_dominator, min_dominator_forced
+from caphs.domset import BipartiteGraph, min_dominator_forced
 from caphs.errors import PreconditionViolated
 
-from _oracles import min_dominator_bruteforce, random_bipartite_mindeg2
+from _oracles import (
+    construct_small_dominator,
+    min_dominator_bruteforce,
+    random_bipartite_mindeg2,
+)
 
 
 def test_graph_normalizes_adjacency():

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 import caphs.feasibility as feasibility
 from caphs.core import Assignment, Element, Instance, Solution, ValidationError, generate_instance
-from caphs.errors import CaphsError, OracleTooLarge
+from caphs.errors import CaphsError
 from caphs.feasibility import _augment, assignment_ok, build_network, check_feasible, coverage
 
 from _oracles import (
+    OracleTooLarge,
     assign_backtracking,
     brute_force_assignment,
     dense_network,
