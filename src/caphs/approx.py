@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -462,17 +463,7 @@ def good_tuple_from_opt(
     """
     S = tuple(sorted(S))
     parts = tuple(tuple(sorted(p)) for p in parts)
-    opt_ids = set(opt.copies)
-    if not set(S) <= opt_ids:
-        raise PreconditionViolated("S must be contained in the oracle solution")
-    rep = []
-    for p in parts:
-        inside = [v for v in p if v in opt_ids]
-        if len(inside) != 1:
-            raise PreconditionViolated(
-                "each part must contain exactly one oracle element"
-            )
-        rep.append(inside[0])
+    rep = _oracle_reps(S, parts, opt, PreconditionViolated)
     classes, realized, _ = ctx.frame(S)
     pi: dict = {}
     for cls in realized:
@@ -523,29 +514,41 @@ def solve_annotated(t: AnnotatedTuple, mode, ctx: Search) -> Solution | None:
             xpp = candidate_set(e, xprime, ctx)
             for i in range(r):
                 for v in xpp[i]:
-                    s2 = t.S + (v,)
-                    parts2 = t.parts[:i] + t.parts[i + 1 :]
-                    for child in enumerate_tuples(s2, parts2, ctx):
-                        ctx.charge_recursion()
-                        got = solve_annotated(child, ENUMERATE, ctx)
-                        if got is not None:
-                            return got
+                    got = _search_below(t.S + (v,), t.parts[:i] + t.parts[i + 1 :], ctx)
+                    if got is not None:
+                        return got
             res = solve_extended(e, xpp, ctx)
             if res.solution is not None:
                 return res.solution
     return None
 
 
-def _solve_guided(t: AnnotatedTuple, mode: Guided, ctx: Search) -> Solution | None:
-    opt_ids = set(mode.opt.copies)
-    if not set(t.S) <= opt_ids:
-        raise OracleInconsistent("committed picks left the oracle solution")
+def _search_below(S, parts, ctx: Search) -> Solution | None:
+    """Enumerate mode: charge a recursion, then solve, per annotated tuple on (S, parts)."""
+    for child in enumerate_tuples(S, parts, ctx):
+        ctx.charge_recursion()
+        got = solve_annotated(child, ENUMERATE, ctx)
+        if got is not None:
+            return got
+    return None
+
+
+def _oracle_reps(S, parts, opt: Solution, error) -> list[int]:
+    """The oracle element of each part; raises error unless S lies in opt and
+    each part holds exactly one element of opt."""
+    if not set(S) <= opt.copies.keys():
+        raise error("S is not contained in the oracle solution")
     rep = []
-    for p in t.parts:
-        inside = [v for v in p if v in opt_ids]
+    for p in parts:
+        inside = [v for v in p if v in opt.copies]
         if len(inside) != 1:
-            raise OracleInconsistent("a part lost its oracle representative")
+            raise error("a part does not hold exactly one oracle element")
         rep.append(inside[0])
+    return rep
+
+
+def _solve_guided(t: AnnotatedTuple, mode: Guided, ctx: Search) -> Solution | None:
+    rep = _oracle_reps(t.S, t.parts, mode.opt, OracleInconsistent)
     st = stars(ctx.frame(t.S)[0], t.pi)
     r = t.r
     tau1: dict = {}
@@ -606,11 +609,7 @@ def expand_multiplicities(inst: Instance, k: int) -> Expansion:
 
 
 def _map_back(inst: Instance, sol2: Solution, back: dict) -> Solution:
-    counts: dict = {}
-    for x in sol2.copies:
-        orig = back[x]
-        counts[orig] = counts.get(orig, 0) + 1
-    return Solution(counts)
+    return Solution(dict(Counter(back[x] for x in sol2.copies)))
 
 
 def _lift_oracle(
@@ -656,31 +655,26 @@ def solve_approx(
         raise ValueError("mode must be GUIDED or ENUMERATE")
     exp = expand_multiplicities(inst, k)
     inst2 = exp.instance
-    ids2 = [e.id for e in inst2.elements]
     ctx = Search(inst2, cfg)
 
     if mode == GUIDED:
-        if cfg.epsilon is not None:
-            got = solve_exact_weighted(inst, k)
-        else:
-            got = solve_exact(inst, k)
+        got = (solve_exact if cfg.epsilon is None else solve_exact_weighted)(inst, k)
         if got is None:
             return None
         ell = got.solution.size()
         if ell == 0:
             return _finish(inst, Solution({}), exp.back)
         opt2, asg2 = _lift_oracle(inst2, exp.copy_ids, got.solution, got.assignment)
-        ctx.cfg = cfg.resolved(inst2.d, k=ell)
-        trials = min(default_trials(inst2.n, ell), cfg.max_coloring_trials)
+        colorings = _colorings(ctx, cfg, ell)
         parts = None
-        for cand in random_colorings(ids2, ell, trials, cfg.seed):
+        for cand in colorings:
             hit = {i for i, part in enumerate(cand) for v in part if v in opt2.copies}
             if len(hit) == ell:
                 parts = tuple(tuple(sorted(p)) for p in cand)
                 break
         if parts is None:
             raise NoColoringSeparates(
-                f"no coloring among {trials} separated the oracle solution"
+                f"no coloring among {len(colorings)} separated the oracle solution"
             )
         if cfg.epsilon is not None:
             # Each part keeps the weight window of its oracle element.
@@ -695,19 +689,24 @@ def solve_approx(
         return None if sol2 is None else _finish(inst, sol2, exp.back)
 
     for ell in range(1, k + 1):
-        ctx.cfg = cfg.resolved(inst2.d, k=ell)
-        trials = min(default_trials(inst2.n, ell), cfg.max_coloring_trials)
-        for cand in random_colorings(ids2, ell, trials, cfg.seed):
+        for cand in _colorings(ctx, cfg, ell):
             parts0 = tuple(tuple(sorted(p)) for p in cand)
             if any(not p for p in parts0):
                 continue
             for parts in _all_windows(inst2, parts0, ell, cfg.epsilon):
                 if any(not p for p in parts):
                     continue
-                got = _enumerate_from_root(parts, ctx)
+                got = _search_below((), parts, ctx)
                 if got is not None:
                     return _finish(inst, got, exp.back)
     return None
+
+
+def _colorings(ctx: Search, cfg: SolverConfig, ell: int):
+    """Re-resolve ctx.cfg for size ell; the colorings to try, at most max_coloring_trials."""
+    ctx.cfg = cfg.resolved(ctx.inst.d, k=ell)
+    trials = min(default_trials(ctx.inst.n, ell), cfg.max_coloring_trials)
+    return random_colorings([e.id for e in ctx.inst.elements], ell, trials, cfg.seed)
 
 
 def _window_width(epsilon, W: int, ell: int, n: int) -> int:
@@ -734,15 +733,6 @@ def _all_windows(inst2: Instance, parts0, ell: int, epsilon):
         delta = _window_width(epsilon, W, ell, inst2.n)
         for bvec in itertools.product(range(max_w // delta + 1), repeat=ell):
             yield _weight_windows(inst2, parts0, bvec, delta)
-
-
-def _enumerate_from_root(parts, ctx: Search) -> Solution | None:
-    for root in enumerate_tuples((), parts, ctx):
-        ctx.charge_recursion()
-        got = solve_annotated(root, ENUMERATE, ctx)
-        if got is not None:
-            return got
-    return None
 
 
 def _finish(inst: Instance, sol2: Solution, back: dict) -> ApproxResult:

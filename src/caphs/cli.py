@@ -21,6 +21,7 @@ from .core import (
     parse_instance,
     parse_solution,
     serialize_instance,
+    solution_document,
 )
 from .errors import CaphsError, InvariantViolated, UsageError, ValidationError
 from .exact import solve_exact, solve_exact_weighted
@@ -53,14 +54,6 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, ensure_ascii=False))
 
 
-def _copies_json(sol) -> dict:
-    return {str(x): c for x, c in sorted(sol.copies.items())}
-
-
-def _assignment_json(asg) -> dict:
-    return {str(j): x for j, x in sorted(asg.target.items())}
-
-
 def _ratio(a: int, b: int) -> float:
     if b == 0:
         return 1.0 if a == 0 else float("inf")
@@ -81,7 +74,7 @@ def cmd_check(args) -> int:
         "weight": sol.weight(inst),
     }
     if asg is not None:
-        out["assignment"] = _assignment_json(asg)
+        out["assignment"] = solution_document(sol, asg)["assignment"]
     if stored is not None:
         out["stored_assignment_valid"] = assignment_ok(inst, sol, stored)
     _emit(out)
@@ -90,22 +83,19 @@ def cmd_check(args) -> int:
 
 def cmd_solve_exact(args) -> int:
     inst = parse_instance(_read(args.instance))
-    if args.weighted:
-        res = solve_exact_weighted(inst, args.k)
-    else:
-        res = solve_exact(inst, args.k)
+    res = (solve_exact_weighted if args.weighted else solve_exact)(inst, args.k)
+    return _emit_result(inst, res)
+
+
+def _emit_result(inst, res, **bounds) -> int:
+    """Print a solve result and return its exit code: {"found": false} and 1
+    for None, else found, size, weight, the bounds, copies and assignment, 0."""
     if res is None:
         _emit({"found": False})
         return 1
-    _emit(
-        {
-            "found": True,
-            "size": res.solution.size(),
-            "weight": res.solution.weight(inst),
-            "copies": _copies_json(res.solution),
-            "assignment": _assignment_json(res.assignment),
-        }
-    )
+    sol = res.solution
+    head = {"found": True, "size": sol.size(), "weight": sol.weight(inst), **bounds}
+    _emit({**head, **solution_document(sol, res.assignment)})
     return 0
 
 
@@ -148,21 +138,8 @@ def cmd_solve_approx(args) -> int:
     inst = parse_instance(_read(args.instance))
     cfg = _config_from(args)
     res = solve_approx(inst, args.k, cfg, mode=args.mode)
-    if res is None:
-        _emit({"found": False})
-        return 1
-    _emit(
-        {
-            "found": True,
-            "size": res.solution.size(),
-            "weight": res.weight,
-            "ratio_bound": 4 / 3 if cfg.epsilon is None else float(2 + cfg.epsilon),
-            "size_bound": ceil43(args.k),
-            "copies": _copies_json(res.solution),
-            "assignment": _assignment_json(res.assignment),
-        }
-    )
-    return 0
+    bound = 4 / 3 if cfg.epsilon is None else float(2 + cfg.epsilon)
+    return _emit_result(inst, res, ratio_bound=bound, size_bound=ceil43(args.k))
 
 
 def _certify_row(path: str, inst, k: int, seed: int) -> str | None:
@@ -375,10 +352,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except CaphsError as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
-        return 2
-    except (ValueError, OSError) as exc:
+    except (CaphsError, ValueError, OSError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 2
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -59,8 +60,16 @@ def random_colorings(ids, k: int, trials: int, seed: int) -> Colorings:
 
 
 def default_trials(n: int, k: int) -> int:
-    """ceil(e^k * k * ln(n+1)): enough trials to separate a hidden k-subset whp."""
-    return max(1, math.ceil(math.exp(k) * k * math.log(n + 1)))
+    """ceil(e^k * k * ln(n+1)): enough trials to separate a hidden k-subset whp.
+
+    Clamped to [1, sys.maxsize], also past the float range (from k = 703 at n = 12).
+    """
+    if n < 1:
+        return 1  # ln(1) = 0
+    try:
+        return min(sys.maxsize, max(1, math.ceil(math.exp(k) * k * math.log(n + 1))))
+    except OverflowError:
+        return sys.maxsize
 
 
 def weight_estimates(inst: Instance, k: int) -> list[int]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -105,19 +105,12 @@ class Solution:
     def weight(self, inst: Instance) -> int:
         return sum(inst.element(x).weight * c for x, c in self.copies.items())
 
-    def vector(self, inst: Instance) -> tuple[int, ...]:
-        """Copy counts in ascending element-id order, for lexicographic ties."""
-        return tuple(self.copies.get(e.id, 0) for e in sorted(inst.elements, key=lambda e: e.id))
-
 
 @dataclass(frozen=True)
 class Assignment:
     """Covering map: family index -> the element id the set occurrence is charged to."""
 
     target: dict[int, int]
-
-    def load(self, x: int) -> int:
-        return sum(1 for v in self.target.values() if v == x)
 
 
 def equivalence_classes(inst: Instance, S) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -239,38 +232,47 @@ def serialize_instance(inst: Instance) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
-def serialize_solution(sol: Solution, asg: Assignment | None = None) -> str:
-    """Solution JSON: copies keyed by element id, optional assignment by set index."""
+def solution_document(sol: Solution, asg: Assignment | None = None) -> dict:
+    """{"copies": ..., "assignment": ...}, keyed by element id and set index
+    as strings in ascending order; the assignment only when asg is given."""
     obj: dict = {"copies": {str(x): c for x, c in sorted(sol.copies.items())}}
     if asg is not None:
         obj["assignment"] = {str(j): x for j, x in sorted(asg.target.items())}
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    return obj
+
+
+def serialize_solution(sol: Solution, asg: Assignment | None = None) -> str:
+    """Solution JSON: the solution_document, newline-terminated."""
+    return json.dumps(solution_document(sol, asg), indent=2, ensure_ascii=False) + "\n"
 
 
 def parse_solution(text: str) -> tuple[Solution, Assignment | None]:
     obj = _load_object(text, "solution document")
     _expect("copies" in obj and isinstance(obj["copies"], dict), "missing copies object")
-    copies = {}
-    for key, c in obj["copies"].items():
-        try:
-            x = int(key)
-        except ValueError:
-            raise MalformedInput(f"copies key {key!r} is not an element id") from None
-        _expect(_is_int(c), "copy counts must be integers")
-        copies[x] = c
+    copies = _id_keyed(obj["copies"], "copies key {!r} is not an element id",
+                       "copy counts must be integers")
     asg = None
     if obj.get("assignment") is not None:
         _expect(isinstance(obj["assignment"], dict), "assignment must be an object")
-        target = {}
-        for key, x in obj["assignment"].items():
-            try:
-                j = int(key)
-            except ValueError:
-                raise MalformedInput(f"assignment key {key!r} is not a set index") from None
-            _expect(_is_int(x), "assignment values must be element ids")
-            target[j] = x
-        asg = Assignment(target)
+        asg = Assignment(_id_keyed(obj["assignment"], "assignment key {!r} is not a set index",
+                                   "assignment values must be element ids"))
     return Solution(copies), asg
+
+
+def _id_keyed(obj: dict, key_error: str, value_error: str) -> dict[int, int]:
+    """obj with int keys.  Each key must be an integer in canonical form
+    (str(int(key)) == key, so "01" and "1_0" are refused and no two keys name
+    one id) and each value a JSON integer; MalformedInput otherwise."""
+    out = {}
+    for key, v in obj.items():
+        try:
+            canonical = str(int(key)) == key
+        except ValueError:
+            canonical = False
+        _expect(canonical, key_error.format(key))
+        _expect(_is_int(v), value_error)
+        out[int(key)] = v
+    return out
 
 
 def _expect(cond: bool, msg: str):
@@ -282,13 +284,21 @@ def _load_object(text: str, what: str) -> dict:
     """Decode a JSON document whose top level must be an object.
 
     Every decoding failure is MalformedInput, including nesting too deep for
-    the decoder and integers past the interpreter's digit limit.
+    the decoder, integers past the interpreter's digit limit and an object
+    that repeats a key.
     """
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise MalformedInput(f"not valid JSON: {exc}") from None
     _expect(isinstance(obj, dict), f"{what} must be a JSON object")
+    return obj
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A decoded JSON object; a key it repeats is MalformedInput, not last-wins."""
+    obj = dict(pairs)
+    _expect(len(obj) == len(pairs), "a JSON object repeats a key")
     return obj
 
 

@@ -277,17 +277,13 @@ def csp_to_mdk(csp: CspInstance, Q: int | None = None) -> MdkInstance:
     )
 
 
-def solve_mdk_exact(
-    mdk: MdkInstance, kmax: int | None = None, node_budget: int = 2_000_000
-):
-    """Smallest vector subset covering the target, or None.
+def solve_mdk_exact(mdk: MdkInstance, node_budget: int = 2_000_000):
+    """Smallest vector subset of size at most mdk.k covering the target, or None.
 
     Iterative deepening over the solution size with branching on the unmet
     dimension that has fewest remaining candidates, plus a disjoint-support
     lower bound.  Deterministic; raises BudgetExceeded past node_budget.
     """
-    if kmax is None:
-        kmax = mdk.k
     nvec = len(mdk.vectors)
     cols = [sum(v[i] for v in mdk.vectors) for i in range(mdk.d)]
     if any(cols[i] < mdk.target[i] for i in range(mdk.d)):
@@ -331,7 +327,7 @@ def solve_mdk_exact(
             used.pop()
         return None
 
-    for s in range(0, kmax + 1):
+    for s in range(mdk.k + 1):
         got = dfs([], [0] * mdk.d, s)
         if got is not None:
             return tuple(sorted(got))
@@ -398,21 +394,11 @@ def mdk_to_wcvc(mdk: MdkInstance) -> Instance:
     return _cvc_instance(mdk, weighted=True)
 
 
-def verify_covering_family(
-    family,
-    n: int,
-    alpha,
-    beta,
-    mode: str = "exhaustive",
-    samples: int = 1000,
-    seed: int = 0,
-    budget: int = 10 ** 6,
-) -> bool:
+def verify_covering_family(family, n: int, alpha, beta, budget: int = 10 ** 6) -> bool:
     """Check that every ceil(alpha*|F|)-subfamily covers (1-beta)n ground elements.
 
-    Exhaustive mode walks all subfamilies of exactly that size (BudgetExceeded
-    when there are more than budget); sampled mode draws uniformly and can
-    only refute.
+    Walks all subfamilies of exactly that size; BudgetExceeded when there are
+    more than budget.
     """
     fam = [frozenset(s) for s in family]
     if not fam:
@@ -429,21 +415,10 @@ def verify_covering_family(
             union |= fam[j]
         return Fraction(len(union)) >= need
 
-    if mode == "exhaustive":
-        total = math.comb(len(fam), s_min)
-        if total > budget:
-            raise BudgetExceeded(
-                f"{total} subfamilies of size {s_min} exceed budget {budget}"
-            )
-        return all(ok(idxs) for idxs in itertools.combinations(range(len(fam)), s_min))
-    if mode == "sampled":
-        rng = np.random.default_rng(int(seed))
-        for _ in range(samples):
-            idxs = rng.choice(len(fam), size=s_min, replace=False)
-            if not ok(idxs.tolist()):
-                return False
-        return True
-    raise ValueError("mode must be 'exhaustive' or 'sampled'")
+    total = math.comb(len(fam), s_min)
+    if total > budget:
+        raise BudgetExceeded(f"{total} subfamilies of size {s_min} exceed budget {budget}")
+    return all(ok(idxs) for idxs in itertools.combinations(range(len(fam)), s_min))
 
 
 def build_covering_family(
@@ -470,7 +445,7 @@ def build_covering_family(
             tuple(sorted(int(x) for x in rng.choice(n, size=r, replace=False)))
             for _ in range(size)
         ]
-        if verify_covering_family(fam, n, alpha, beta, mode="exhaustive"):
+        if verify_covering_family(fam, n, alpha, beta):
             return tuple(fam)
     return None
 
@@ -511,11 +486,7 @@ def csp_to_mdk_covering(
         for j in range(i + 1, kstar):
             for u in sorted(set(hoods[i]) & set(hoods[j])):
                 shared.append((i, j, u))
-    shared.sort()
-    dim_of: dict[tuple[int, int, int, str], int] = {}
-    for idx, (i, j, u) in enumerate(shared):
-        dim_of[(i, j, u, "+")] = kstar + 2 * idx
-        dim_of[(i, j, u, "-")] = kstar + 2 * idx + 1
+    shared.sort()  # shared pair idx owns dimensions kstar + 2 idx and the one after
     d = kstar + 2 * len(shared)
 
     vectors: list[tuple[int, ...]] = []
@@ -537,15 +508,12 @@ def csp_to_mdk_covering(
                 continue
             vec = [0] * d
             vec[i] = 1
-            for (a, b, u) in shared:
-                if u not in gamma:
+            for idx, (a, b, u) in enumerate(shared):
+                if u not in gamma or i not in (a, b):
                     continue
-                if a == i:
-                    vec[dim_of[(a, b, u, "+")]] = Q - gamma[u]
-                    vec[dim_of[(a, b, u, "-")]] = Q + gamma[u]
-                elif b == i:
-                    vec[dim_of[(a, b, u, "+")]] = Q + gamma[u]
-                    vec[dim_of[(a, b, u, "-")]] = Q - gamma[u]
+                sign = 1 if a == i else -1
+                vec[kstar + 2 * idx] = Q - sign * gamma[u]
+                vec[kstar + 2 * idx + 1] = Q + sign * gamma[u]
             vectors.append(tuple(vec))
             labels.append(
                 "cov:%d:%s" % (i, ",".join(f"{u}={gamma[u]}" for u in hood))

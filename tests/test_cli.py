@@ -215,8 +215,21 @@ def test_errors_surface_as_json(tmp_path, capsys):
     code, out, _ = run(capsys, "reduce", "mdk-cvc", str(bad))
     assert code == 2
     assert json.loads(out)["error"]["type"] == "MalformedInput"
-    # A negative k is a usage error in every subcommand.
+    # A solution file whose keys are not canonical ids, or repeat one, is
+    # ambiguous: check refuses it instead of picking one reading.
     inst = gen_instance_file(tmp_path, capsys, seed=7)
+    for text in (
+        '{"copies": {"1": 1, "01": 1}}',
+        '{"copies": {" 3 ": 1}}',
+        '{"copies": {"1_0": 1}}',
+        '{"copies": {"1": 1, "1": 2}}',
+        '{"copies": {"1": 1}, "assignment": {"00": 1}}',
+    ):
+        bad.write_text(text)
+        code, out, _ = run(capsys, "check", str(inst), str(bad))
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "MalformedInput"
+    # A negative k is a usage error in every subcommand.
     for cmd in ("solve-exact", "certify"):
         code, out, _ = run(capsys, cmd, str(inst), "--k", "-1")
         assert code == 2
@@ -255,6 +268,21 @@ def test_errors_surface_as_json(tmp_path, capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "solve-approx" in capsys.readouterr().out
+
+
+def test_enumerate_survives_a_trial_count_past_the_float_range(tmp_path, capsys):
+    # default_trials(n, k) overflows a float at k = 720; the cap still applies.
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({
+        "format": 1, "d": 1, "elements": [{"id": 0, "cap": 0, "mult": 1, "weight": 1}],
+        "family": [[0]],
+    }))
+    code, out, _ = run(
+        capsys, "solve-approx", str(path), "--mode", "enumerate", "--k", "720",
+        "--override-const", "max_coloring_trials=1",
+    )
+    assert code == 1
+    assert json.loads(out) == {"found": False}
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):

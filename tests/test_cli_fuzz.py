@@ -1,0 +1,159 @@
+"""Arbitrary and near-valid JSON into every subcommand: an exit code, never a traceback.
+
+Each run must exit 0, 1 or 2.  Exit 2 prints an {"error": ...} document; any
+other non-empty stdout is the command's JSON document, or for certify its CSV
+row.  certify and csp-mdk-cov report "nothing found" (exit 1) on stderr only.
+Inputs are valid documents, valid documents with one key or value broken,
+documents of another kind, any JSON, and text that is not JSON.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from caphs.cli import CSV_COLUMNS, main
+
+from _oracles import THREE_REGULAR_EDGES
+
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats(-2, 6) | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=6,
+)
+BAD_KEYS = st.sampled_from(["01", " 1", "1_0", "-0", "x", ""])
+
+
+@st.composite
+def instances(draw):
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    sets = st.sets(st.integers(0, n - 1), min_size=1, max_size=d).map(sorted)
+    return {
+        "format": 1,
+        "d": d,
+        "elements": [
+            {"id": i, "cap": draw(st.integers(0, 3)), "mult": draw(st.none() | st.integers(1, 3)),
+             "weight": draw(st.integers(0, 5))}
+            for i in range(n)
+        ],
+        "family": draw(st.lists(sets, min_size=1, max_size=4)),
+    }
+
+
+def id_map(values):
+    return st.dictionaries(st.integers(0, 4).map(str), values, max_size=4)
+
+
+SOLUTIONS = st.fixed_dictionaries(
+    {"copies": id_map(st.integers(1, 3))}, optional={"assignment": id_map(st.integers(0, 4))}
+)
+
+
+@st.composite
+def csps(draw):
+    n = draw(st.integers(1, 2))
+    pairs = st.lists(st.lists(st.integers(1, n), min_size=2, max_size=2), max_size=4)
+    if draw(st.booleans()):
+        k = draw(st.sampled_from(sorted(THREE_REGULAR_EDGES)))
+        edges = THREE_REGULAR_EDGES[k]
+    else:
+        k = draw(st.integers(2, 5))
+        edge = st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True)
+        edges = draw(st.lists(edge, max_size=8))
+    cons = [{"u": u, "v": v, "allowed": draw(pairs)} for u, v in edges]
+    return {"format": 1, "k": k, "n": n, "constraints": cons}
+
+
+@st.composite
+def mdks(draw):
+    d = draw(st.integers(1, 3))
+    row = st.lists(st.integers(0, 3), min_size=d, max_size=d)
+    return {"format": 1, "d": d, "k": draw(st.integers(0, 3)), "target": draw(row),
+            "vectors": draw(st.lists(row, max_size=4))}
+
+
+SHAPED = {"instance": instances(), "solution": SOLUTIONS, "csp": csps(), "mdk": mdks()}
+
+
+@st.composite
+def broken(draw, docs):
+    """A document with one value replaced by any JSON, one entry dropped, or
+    one object key renamed, somewhere down a random path."""
+    doc = draw(docs)
+    node = doc
+    while isinstance(node, (dict, list)) and node:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+            continue
+        how = draw(st.sampled_from(["replace", "drop", "rekey"]))
+        if how == "replace":
+            node[key] = draw(ANY_JSON)
+        else:
+            del node[key]
+            if how == "rekey" and isinstance(node, dict):
+                node[draw(BAD_KEYS)] = child
+        break
+    return doc
+
+
+def document(kind):
+    good = SHAPED[kind]
+    others = st.one_of(*SHAPED.values())
+    docs = st.one_of(good, good, good, good, broken(good), broken(good), others, ANY_JSON)
+    return st.one_of(*[docs.map(json.dumps)] * 7, st.text(max_size=6))
+
+
+# argv before the input paths ("K" stands for a drawn --k), and the input kinds.
+COMMANDS = [
+    (["check"], ("instance", "solution")),
+    (["solve-exact", "--k", "K"], ("instance",)),
+    (["solve-exact", "--weighted", "--k", "K"], ("instance",)),
+    (["solve-approx", "--k", "K"], ("instance",)),
+    (["solve-approx", "--epsilon", "1/2", "--k", "K"], ("instance",)),
+    (["solve-approx", "--mode", "enumerate", "--budget", "40", "--k", "K"], ("instance",)),
+    (["certify", "--k", "K"], ("instance",)),
+    (["reduce", "csp-mdk"], ("csp",)),
+    (["reduce", "csp-mdk-cov"], ("csp",)),
+    (["reduce", "mdk-cvc"], ("mdk",)),
+    (["reduce", "mdk-wcvc"], ("mdk",)),
+]
+
+
+@st.composite
+def runs(draw):
+    argv, kinds = draw(st.sampled_from(COMMANDS))
+    k = str(draw(st.integers(-1, 3)))
+    return [k if a == "K" else a for a in argv], [draw(document(kind)) for kind in kinds]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300)
+@given(run=runs())
+def test_any_document_ends_in_an_exit_code(workdir, run):
+    argv, texts = run
+    paths = []
+    for i, text in enumerate(texts):
+        path = workdir / f"in{i}.json"
+        path.write_text(text, encoding="utf-8")
+        paths.append(str(path))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + paths)
+    out = out.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert set(json.loads(out)) == {"error"}
+    elif argv[0] == "certify" and code == 0:
+        assert len(out.strip().split(",")) == len(CSV_COLUMNS.split(","))
+    elif out or argv[0] not in ("certify", "reduce"):
+        assert isinstance(json.loads(out), dict)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -53,6 +54,15 @@ def test_default_trials_formula():
     assert default_trials(30, 3) == math.ceil(math.e ** 3 * 3 * math.log(31))
     assert default_trials(0, 1) >= 1
     assert default_trials(10, 1) == math.ceil(math.e * math.log(11))
+
+
+def test_default_trials_saturates():
+    # The count passes sys.maxsize at k = 40 (n = 12), and the float product
+    # overflows from k = 703 (n = 12) or k = 704 (n = 1).
+    for n, k in ((12, 40), (12, 702), (12, 703), (1, 704), (5, 10**6)):
+        assert default_trials(n, k) == sys.maxsize
+    # With n = 0 the product is 0, also where e^k * k alone is inf (k = 709).
+    assert default_trials(0, 709) == default_trials(0, 720) == 1
 
 
 def test_planted_subset_is_separated():

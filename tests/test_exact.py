@@ -1,6 +1,6 @@
 import pytest
 
-from caphs.core import Element, Instance, Solution, generate_instance
+from caphs.core import Element, Instance, generate_instance
 from caphs.errors import BudgetExceeded
 from caphs.exact import solve_exact, solve_exact_weighted
 from caphs.feasibility import assignment_ok

@@ -14,7 +14,7 @@ from caphs.errors import (
     TargetExceedsColumnSum,
     ValidationError,
 )
-from caphs.exact import solve_exact, solve_exact_weighted
+from caphs.exact import solve_exact_weighted
 from caphs.feasibility import check_feasible
 from caphs.reductions import (
     Constraint,
@@ -308,11 +308,6 @@ def test_covering_family_gate_and_build():
 def test_verify_covering_family_modes():
     bad = tuple((0,) for _ in range(12))
     assert not verify_covering_family(bad, 6, Fraction(1, 2), Fraction(1, 2))
-    assert not verify_covering_family(
-        bad, 6, Fraction(1, 2), Fraction(1, 2), mode="sampled", samples=5
-    )
-    with pytest.raises(ValueError):
-        verify_covering_family(bad, 6, Fraction(1, 2), Fraction(1, 2), mode="quick")
     singles = tuple((i % 6,) for i in range(30))
     with pytest.raises(BudgetExceeded):
         verify_covering_family(singles, 6, Fraction(1, 2), Fraction(1, 2), budget=100)
