@@ -9,6 +9,12 @@ over the candidate parts.  Two drivers share the machinery: a full enumeration
 (budgeted) and a guided descent that follows an exact solution and checks the
 approximation guarantee on the way down.
 
+The enumeration remembers, per target size, every (S, parts) whose subtree
+failed, with the tuple and recursion charges that subtree made.  Meeting it
+again subtracts those charges when both budgets cover them and otherwise
+searches it again, so BudgetExceeded fires at the same charge, with the same
+message, as a search without the memo.
+
 The closing step works on X'_i, each part filtered by capacity and class
 incidence (info_tuple), and X''_i, the candidates it may pick from
 (candidate_set).  X''_i is the whole of X'_i for a small part; only a part
@@ -251,6 +257,11 @@ class Search:
     class incidence) or on a class size and the bucket base (the gamma values
     enumerate_tuples ranges over).  solve_approx builds one per call and
     re-resolves cfg for each target size; budgets and memos carry across sizes.
+
+    _failed maps (size, sorted S, parts) to the (tuple, recursion) charges of
+    an enumerate-mode subtree that found nothing; _search_below replays them.
+    Every entry charged at least one recursion, so there are at most
+    recursion_budget of them.
     """
 
     def __init__(self, inst: Instance, cfg: SolverConfig):
@@ -260,6 +271,7 @@ class Search:
         self.recursions = cfg.recursion_budget
         self._frames: dict = {}
         self._gammas: dict = {}
+        self._failed: dict = {}
 
     def charge_tuple(self):
         if self.tuples <= 0:
@@ -524,12 +536,25 @@ def solve_annotated(t: AnnotatedTuple, mode, ctx: Search) -> Solution | None:
 
 
 def _search_below(S, parts, ctx: Search) -> Solution | None:
-    """Enumerate mode: charge a recursion, then solve, per annotated tuple on (S, parts)."""
+    """Enumerate mode: charge a recursion, then solve, per annotated tuple on (S, parts).
+
+    A subtree that failed before at this size is not searched again: its
+    charges are subtracted when both budgets cover them.  When one does not,
+    the subtree is searched for real, so the budget runs out where it would.
+    """
+    key = (ctx.cfg.k, tuple(sorted(S)), parts)
+    spent = ctx._failed.get(key)
+    if spent is not None and ctx.tuples >= spent[0] and ctx.recursions >= spent[1]:
+        ctx.tuples -= spent[0]
+        ctx.recursions -= spent[1]
+        return None
+    tuples, recursions = ctx.tuples, ctx.recursions
     for child in enumerate_tuples(S, parts, ctx):
         ctx.charge_recursion()
         got = solve_annotated(child, ENUMERATE, ctx)
         if got is not None:
             return got
+    ctx._failed[key] = (tuples - ctx.tuples, recursions - ctx.recursions)
     return None
 
 
@@ -688,7 +713,8 @@ def solve_approx(
         sol2 = solve_annotated(root, Guided(opt2, asg2), ctx)
         return None if sol2 is None else _finish(inst, sol2, exp.back)
 
-    for ell in range(1, k + 1):
+    # A size above the clone count leaves a part of every coloring empty.
+    for ell in range(1, min(k, inst2.n) + 1):
         for cand in _colorings(ctx, cfg, ell):
             parts0 = tuple(tuple(sorted(p)) for p in cand)
             if any(not p for p in parts0):

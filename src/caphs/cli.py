@@ -1,9 +1,10 @@
 """caphs command line: check, solve, certify, generate, reduce, bench.
 
-Results go to stdout as JSON (or CSV for certify/bench), diagnostics to
-stderr.  Exit codes: 0 when something was found or the input is feasible,
+Results go to stdout as JSON (or a CSV row for certify/bench), diagnostics
+to stderr.  Exit codes: 0 when something was found or the input is feasible,
 1 when nothing was found or the input is infeasible, 2 on any error; errors
-are reported as an {"error": {...}} object on stdout.
+are reported as an {"error": {...}} object on stdout, and a solve, certify or
+covering reduction that finds nothing prints {"found": false}.
 """
 
 from __future__ import annotations
@@ -170,6 +171,7 @@ def cmd_certify(args) -> int:
     row = _certify_row(args.instance, inst, args.k, args.seed)
     if row is None:
         print(f"no solution of size at most {args.k} exists", file=sys.stderr)
+        _emit({"found": False})
         return 1
     print(row)
     return 0
@@ -226,6 +228,7 @@ def cmd_reduce(args) -> int:
         )
         if family is None:
             print("no covering family found within the trial budget", file=sys.stderr)
+            _emit({"found": False})
             return 1
         mdk = csp_to_mdk_covering(csp, family, Q=args.Q)
         sys.stdout.write(serialize_mdk(mdk))

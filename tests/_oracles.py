@@ -3,8 +3,9 @@
 Everything here is deliberately naive: straight-line enumeration, DFS and
 dense BFS with none of the package's pruning, bucketing, or matching machinery.
 It also holds the paper-lemma witnesses that no solver path calls (the (b+r)/3
-dominator construction and the conflict-pair count) and the eager per-star
-scores that candidate_set computes lazily.
+dominator construction and the conflict-pair count), the eager per-star
+scores that candidate_set computes lazily, and the enumerate-mode recursion
+without its failed-subtree memo.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from caphs import approx
 from caphs.core import Assignment, Instance, Solution
 from caphs.errors import BudgetExceeded, CaphsError, InvariantViolated, PreconditionViolated
 from caphs.exact import ExactResult, WeightedResult, _count_vectors, _limits
@@ -404,6 +406,18 @@ def ranked_candidate_set(e, ctx):
                 chosen.update(ranked[: ctx.cfg.top_t])
         out.append(tuple(sorted(chosen)))
     return tuple(out)
+
+
+def plain_search_below(S, parts, ctx):
+    """approx._search_below without its memo: every (S, parts) is searched
+    each time it is met.  Patched over approx._search_below, it is also what
+    solve_annotated recurses into."""
+    for child in approx.enumerate_tuples(S, parts, ctx):
+        ctx.charge_recursion()
+        got = approx.solve_annotated(child, approx.ENUMERATE, ctx)
+        if got is not None:
+            return got
+    return None
 
 
 def min_dominator_bruteforce(reds, blues, adj, forced=frozenset()):

@@ -1,9 +1,10 @@
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caphs import approx
@@ -46,7 +47,7 @@ from caphs.errors import (
 from caphs.exact import solve_exact, solve_exact_weighted
 from caphs.feasibility import assignment_ok, check_feasible
 
-from _oracles import eager_info_tuple, ranked_candidate_set
+from _oracles import eager_info_tuple, plain_search_below, ranked_candidate_set
 
 GEN = {
     "n": 6,
@@ -450,6 +451,104 @@ def test_enumerate_budget_fires_at_pinned_charge_counts():
         run(585, 381)
     with pytest.raises(BudgetExceeded, match="recursion"):
         run(586, 380)
+
+
+def _enumerate_outcome(inst, k, cfg):
+    """(solution copies, or the BudgetExceeded message; both budgets left) of
+    an enumerate-mode solve_approx."""
+    made = []
+
+    class Recording(Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(approx, "Search", Recording)
+        try:
+            res = solve_approx(inst, k, cfg=cfg, mode=ENUMERATE)
+            got = None if res is None else res.solution.copies
+        except BudgetExceeded as exc:
+            got = str(exc)
+    (ctx,) = made
+    return got, (ctx.tuples, ctx.recursions)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(1, 8),
+    seed=st.integers(0, 10_000),
+    k=st.integers(1, 3),
+    epsilon=st.sampled_from([None, Fraction(1, 2)]),
+    tuples=st.integers(0, 600),
+    recursions=st.integers(0, 600),
+)
+def test_failed_subtree_memo_matches_plain_search(n, m, seed, k, epsilon, tuples, recursions):
+    # The memo may only save work: the same answer or the same exhausted
+    # budget, and the same charges left on both budgets.
+    inst = generate_instance({**GEN, "n": n, "m": m}, seed)
+    cfg = SolverConfig(k=k, tuple_budget=tuples, recursion_budget=recursions, epsilon=epsilon)
+    got = _enumerate_outcome(inst, k, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(approx, "_search_below", plain_search_below)
+        assert got == _enumerate_outcome(inst, k, cfg)
+
+
+def _count_entries(monkeypatch) -> Counter:
+    """Counts enumerate_tuples entries by (size, sorted S, parts) from now on."""
+    entered = Counter()
+    real = approx.enumerate_tuples
+
+    def counting(S, parts, ctx):
+        entered[(ctx.cfg.k, tuple(sorted(S)), parts)] += 1
+        return real(S, parts, ctx)
+
+    monkeypatch.setattr(approx, "enumerate_tuples", counting)
+    return entered
+
+
+def test_enumerate_enters_each_subtree_once(monkeypatch):
+    # Every size-1 coloring is the same single part, so the plain recursion
+    # searched the size-1 root once per coloring trial; with the memo every
+    # (size, S, parts) is entered once.
+    inst = generate_instance(GEN_UNW, seed=4)
+    entered = _count_entries(monkeypatch)
+    assert solve_approx(inst, 2, mode=ENUMERATE) is not None
+    assert set(entered.values()) == {1}
+    # Size 1 drew several colorings and failed on all of them, yet its one
+    # root was entered once.
+    n2 = expand_multiplicities(inst, 2).instance.n
+    assert approx.default_trials(n2, 1) > 1 and any(key[0] == 2 for key in entered)
+    assert [key for key in entered if key[0] == 1 and not key[1]] == [(1, (), (tuple(range(n2)),))]
+
+
+def test_failed_subtree_is_replayed_for_its_part_order_only(monkeypatch):
+    # gamma and tau index parts by position, so (A, B) and (B, A) are two
+    # subtrees.  A repeat of a failed one is not entered again while both
+    # budgets cover its charges, and is searched again when one does not.
+    inst = generate_instance({**GEN_UNW, "n": 4, "m": 6}, seed=0)
+    inst2 = expand_multiplicities(inst, 2).instance
+    ids = [e.id for e in inst2.elements]
+    A, B = tuple(ids[::2]), tuple(ids[1::2])
+    entered = _count_entries(monkeypatch)
+    ctx = Search(inst2, SolverConfig(k=2))
+
+    def spend(parts):
+        before = (ctx.tuples, ctx.recursions)
+        assert approx._search_below((), parts, ctx) is None
+        return before[0] - ctx.tuples, before[1] - ctx.recursions
+
+    first = spend((A, B))
+    assert entered[(2, (), (A, B))] == 1 and first[1] > 1
+    assert spend((A, B)) == first
+    assert entered[(2, (), (A, B))] == 1
+    spend((B, A))
+    assert entered[(2, (), (B, A))] == 1
+    ctx.tuples = first[0] - 1
+    with pytest.raises(BudgetExceeded, match="annotated-tuple"):
+        approx._search_below((), (A, B), ctx)
+    assert entered[(2, (), (A, B))] == 2
 
 
 def test_solve_approx_raises_when_postcondition_fails(monkeypatch):

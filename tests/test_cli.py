@@ -136,7 +136,7 @@ def test_certify_infeasible_exits_one(tmp_path, capsys):
     path = gen_instance_file(tmp_path, capsys, seed=7)
     code, out, err = run(capsys, "certify", str(path), "--k", "2")
     assert code == 1
-    assert out == ""
+    assert json.loads(out) == {"found": False}
     assert "no solution" in err
 
 
@@ -182,6 +182,16 @@ def test_reduce_covering(tmp_path, capsys):
     mdk = parse_mdk(out)
     assert mdk.k == 10  # ceil(5 / alpha) sets at alpha = 1/2
     assert "k_star=10" in err
+
+
+def test_reduce_covering_reports_absence(tmp_path, capsys):
+    # With no trials no family is sampled, so the reduction finds nothing.
+    csp_path = tmp_path / "csp.json"
+    csp_path.write_text(serialize_csp(random_three_regular_csp(4, 2, seed=1, satisfiable=True)))
+    code, out, err = run(capsys, "reduce", "csp-mdk-cov", str(csp_path), "--trials", "0")
+    assert code == 1
+    assert json.loads(out) == {"found": False}
+    assert "no covering family" in err
 
 
 def test_bench_produces_csv(capsys):
@@ -270,19 +280,31 @@ def test_errors_surface_as_json(tmp_path, capsys):
     assert "solve-approx" in capsys.readouterr().out
 
 
-def test_enumerate_survives_a_trial_count_past_the_float_range(tmp_path, capsys):
-    # default_trials(n, k) overflows a float at k = 720; the cap still applies.
+def test_enumerate_survives_a_trial_count_past_the_float_range(tmp_path, capsys, monkeypatch):
+    # default_trials(n, k) overflows a float at k = 720.  One element with
+    # multiplicity one has one clone, and every size above 1 would leave a
+    # part empty, so only size 1 draws colorings, whatever k.
+    from caphs import approx
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = approx.random_colorings
+    monkeypatch.setattr(approx, "random_colorings", counting)
     path = tmp_path / "one.json"
     path.write_text(json.dumps({
         "format": 1, "d": 1, "elements": [{"id": 0, "cap": 0, "mult": 1, "weight": 1}],
         "family": [[0]],
     }))
-    code, out, _ = run(
-        capsys, "solve-approx", str(path), "--mode", "enumerate", "--k", "720",
-        "--override-const", "max_coloring_trials=1",
-    )
-    assert code == 1
-    assert json.loads(out) == {"found": False}
+    for k, extra in (("720", ("--override-const", "max_coloring_trials=1")), ("30", ())):
+        calls.clear()
+        code, out, _ = run(capsys, "solve-approx", str(path), "--mode", "enumerate", "--k", k, *extra)
+        assert code == 1
+        assert json.loads(out) == {"found": False}
+        assert len(calls) == 1
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):
