@@ -6,8 +6,6 @@ from .approx import (
     AnnotatedTuple,
     ApproxResult,
     ExtendedResult,
-    ExtendedTuple,
-    Guided,
     Search,
     SolverConfig,
     bucket_value,

@@ -2,12 +2,14 @@
 
 The solver walks tuples (S, X_1..X_r, pi, gamma): a committed partial solution
 S, disjoint candidate parts covering the undecided picks, a plurality map on
-the equivalence classes of S, and bucketed coverage demands.  Tuples are
-extended one element at a time; a leaf is closed either because S is complete
-or through a red-blue dominating set plus a quota-respecting independent set
-over the candidate parts.  Two drivers share the machinery: a full enumeration
-(budgeted) and a guided descent that follows an exact solution and checks the
-approximation guarantee on the way down.
+the equivalence classes of S, and bucketed coverage demands.  A guess extends
+a tuple by part maps tau1, tau2 on S; a red-blue dominating set plus a
+quota-respecting independent set then closes it (solve_extended, whose r = 0
+branch, S itself, is the one leaf).  The two modes share every layer from the
+root (S empty, the parts of one coloring) down: X' (info_tuple), X''
+(candidate_set) and the closing step.  Enumerate (solve_annotated, budgeted)
+tries every tuple, every (tau1, tau2) and every candidate of X'' as the next
+commitment; guided (_solve_guided) takes all three from an exact solution.
 
 The enumeration remembers, per target size, every (S, parts) whose subtree
 failed, with the tuple and recursion charges that subtree made.  Meeting it
@@ -15,16 +17,13 @@ again subtracts those charges when both budgets cover them and otherwise
 searches it again, so BudgetExceeded fires at the same charge, with the same
 message, as a search without the memo.
 
-The closing step works on X'_i, each part filtered by capacity and class
-incidence (info_tuple), and X''_i, the candidates it may pick from
-(candidate_set).  X''_i is the whole of X'_i for a small part; only a part
-above small_class_threshold is ranked, so element scores are computed in
-candidate_set, for those parts alone.
+X'_i is part i cut by capacity and class incidence.  X''_i, the candidates the
+closing step may pick from, is all of X'_i for a small part; only a part above
+small_class_threshold is ranked, so candidate_set scores those parts alone.
 
-Every layer function (info_tuple, candidate_set, solve_extended,
-enumerate_tuples, good_tuple_from_opt, solve_annotated) takes one Search as
-its last argument: the instance, the resolved config, both budgets and the
-per-S memos of one search.  A direct call builds it with Search(inst, cfg).
+Every layer takes the pieces of a tuple it reads (t, tau1, tau2, X'') and one
+Search last: the instance, the resolved config, both budgets and the per-S
+memos of one search.  A direct call builds it with Search(inst, cfg).
 """
 
 from __future__ import annotations
@@ -62,14 +61,6 @@ GUIDED = "guided"
 TAU_CLASH = "tau-clash"
 INDEPENDENCE_FAIL = "independence-fail"
 INFEASIBLE_OR_TOO_BIG = "infeasible-or-too-big"
-
-
-@dataclass(frozen=True)
-class Guided:
-    """Descent mode: follow a known optimum (and its assignment) downward."""
-
-    opt: Solution
-    asg: Assignment
 
 
 @dataclass(frozen=True)
@@ -219,15 +210,6 @@ class AnnotatedTuple:
 
 
 @dataclass(frozen=True)
-class ExtendedTuple:
-    """Annotated tuple plus the two part-pointer maps tau1, tau2 on S."""
-
-    base: AnnotatedTuple
-    tau1: dict
-    tau2: dict
-
-
-@dataclass(frozen=True)
 class ExtendedResult:
     solution: Solution | None
     reason: str | None = None
@@ -250,7 +232,7 @@ class Expansion:
 
 
 class Search:
-    """The context every annotated-tuple layer takes: one search on one instance.
+    """The context every annotated-tuple layer of both modes takes: one search.
 
     Search(inst, cfg) resolves cfg for inst.d and takes its two budgets.  It
     memoizes what depends only on S (its classes, sorted realized classes and
@@ -331,7 +313,7 @@ def info_tuple(t: AnnotatedTuple, ctx: Search) -> tuple[tuple[int, ...], ...]:
 
 
 def candidate_set(
-    e: ExtendedTuple, xprime: tuple[tuple[int, ...], ...], ctx: Search
+    t: AnnotatedTuple, tau1: dict, xprime: tuple[tuple[int, ...], ...], ctx: Search
 ) -> tuple[tuple[int, ...], ...]:
     """X''_i: the whole of X'_i when small, else its top scorers per tau1 star.
 
@@ -346,7 +328,6 @@ def candidate_set(
     stars only.
     """
     inst, cfg = ctx.inst, ctx.cfg
-    t = e.base
     _, realized, inc = ctx.frame(t.S)
     out = []
     for i, xp in enumerate(xprime):
@@ -356,7 +337,7 @@ def candidate_set(
         demand = t.total_demand(i)
         chosen: set[int] = set()
         for s in t.S:
-            if e.tau1.get(s) != i:
+            if tau1.get(s) != i:
                 continue
             # Per class of star s, the incidence that counts toward n(v, s).
             useful = [
@@ -376,28 +357,28 @@ def candidate_set(
 
 
 def solve_extended(
-    e: ExtendedTuple, xpp: tuple[tuple[int, ...], ...], ctx: Search
+    t: AnnotatedTuple, tau1: dict, tau2: dict, xpp: tuple[tuple[int, ...], ...], ctx: Search
 ) -> ExtendedResult:
-    """Close an extended tuple: dominate the stars, pick an independent set.
+    """Close t extended by tau1, tau2: dominate the stars, pick an independent set.
 
-    xpp is the tuple's candidate set, candidate_set(e, info_tuple(e.base, ctx),
-    ctx), which every caller already holds.  Returns a solution only when the
-    combined pick passes check_feasible and stays within ceil(4k/3).
+    xpp is the candidate set, candidate_set(t, tau1, info_tuple(t, ctx), ctx),
+    which every caller already holds.  At r = 0 (tau1, tau2 and xpp empty) S
+    itself is the pick: this is the one leaf of both modes.  Returns a
+    solution only when the pick passes check_feasible and stays within
+    ceil(4k/3).
     """
     inst, cfg = ctx.inst, ctx.cfg
-    t = e.base
     if len(t.S) + t.r != cfg.k:
         raise ValueError("tuple arity does not match k")
     if t.r == 0:
         sol = Solution({s: 1 for s in t.S})
-        asg = check_feasible(inst, sol)
-        if asg is not None and sol.size() <= ceil43(cfg.k):
+        if check_feasible(inst, sol) is not None and sol.size() <= ceil43(cfg.k):
             return ExtendedResult(solution=sol)
         return ExtendedResult(solution=None, reason=INFEASIBLE_OR_TOO_BIG)
     for s in t.S:
-        if e.tau1.get(s) is None or e.tau2.get(s) is None:
+        if tau1.get(s) is None or tau2.get(s) is None:
             raise ValueError("tau1/tau2 must be total on S")
-        if t.r >= 2 and e.tau1[s] == e.tau2[s]:
+        if t.r >= 2 and tau1[s] == tau2[s]:
             return ExtendedResult(solution=None, reason=TAU_CLASH)
 
     if not all(xpp):
@@ -408,10 +389,10 @@ def solve_extended(
     graph = BipartiteGraph(
         reds=tuple(range(t.r)),
         blues=tuple(sorted(t.S)),
-        adj={s: (e.tau1[s], e.tau2[s]) for s in t.S},
+        adj={s: (tau1[s], tau2[s]) for s in t.S},
     )
     forced = frozenset(
-        i for i in range(t.r) if sum(1 for s in t.S if e.tau1[s] == i) >= 2
+        i for i in range(t.r) if sum(1 for s in t.S if tau1[s] == i) >= 2
     )
     dom = min_dominator_forced(graph, forced)
     if dom is None:
@@ -419,7 +400,7 @@ def solve_extended(
         # full red set dominates.
         raise InvariantViolated("the red parts do not dominate S")
 
-    ind = IndependenceContext(S=frozenset(t.S), stars=st, rho=cfg.rho)
+    ind = IndependenceContext(stars=st, rho=cfg.rho)
     quotas = tuple(2 if i in dom else 1 for i in range(t.r))
     picked = find_independent_set(ind, xpp, quotas, inst)
     if picked is None:
@@ -427,8 +408,7 @@ def solve_extended(
     sol = Solution({x: 1 for x in set(t.S) | set(picked)})
     if sol.size() > ceil43(cfg.k):
         return ExtendedResult(solution=None, reason=INFEASIBLE_OR_TOO_BIG)
-    asg = check_feasible(inst, sol)
-    if asg is None:
+    if check_feasible(inst, sol) is None:
         return ExtendedResult(solution=None, reason=INFEASIBLE_OR_TOO_BIG)
     return ExtendedResult(solution=sol)
 
@@ -475,7 +455,7 @@ def good_tuple_from_opt(
     """
     S = tuple(sorted(S))
     parts = tuple(tuple(sorted(p)) for p in parts)
-    rep = _oracle_reps(S, parts, opt, PreconditionViolated)
+    rep = _oracle_reps(S, parts, opt)
     classes, realized, _ = ctx.frame(S)
     pi: dict = {}
     for cls in realized:
@@ -501,19 +481,12 @@ def good_tuple_from_opt(
     return AnnotatedTuple(S=S, parts=parts, pi=pi, gamma_part=gamma_part)
 
 
-def solve_annotated(t: AnnotatedTuple, mode, ctx: Search) -> Solution | None:
-    """Search below one annotated tuple, in enumerate or guided mode."""
+def solve_annotated(t: AnnotatedTuple, ctx: Search) -> Solution | None:
+    """Enumerate mode: per charged (tau1, tau2), commit each candidate of X'', then close."""
     if len(t.S) + t.r != ctx.cfg.k:
         raise ValueError("tuple arity does not match k")
     if t.r == 0:
-        sol = Solution({s: 1 for s in t.S})
-        return sol if check_feasible(ctx.inst, sol) is not None else None
-
-    if isinstance(mode, Guided):
-        return _solve_guided(t, mode, ctx)
-    if mode != ENUMERATE:
-        raise ValueError("mode must be ENUMERATE or a Guided value")
-
+        return solve_extended(t, {}, {}, (), ctx).solution
     xprime = info_tuple(t, ctx)
     r = t.r
     order = sorted(t.S)
@@ -522,14 +495,13 @@ def solve_annotated(t: AnnotatedTuple, mode, ctx: Search) -> Solution | None:
             ctx.charge_tuple()
             tau1 = dict(zip(order, m1))
             tau2 = dict(zip(order, m2))
-            e = ExtendedTuple(base=t, tau1=tau1, tau2=tau2)
-            xpp = candidate_set(e, xprime, ctx)
+            xpp = candidate_set(t, tau1, xprime, ctx)
             for i in range(r):
                 for v in xpp[i]:
                     got = _search_below(t.S + (v,), t.parts[:i] + t.parts[i + 1 :], ctx)
                     if got is not None:
                         return got
-            res = solve_extended(e, xpp, ctx)
+            res = solve_extended(t, tau1, tau2, xpp, ctx)
             if res.solution is not None:
                 return res.solution
     return None
@@ -551,51 +523,51 @@ def _search_below(S, parts, ctx: Search) -> Solution | None:
     tuples, recursions = ctx.tuples, ctx.recursions
     for child in enumerate_tuples(S, parts, ctx):
         ctx.charge_recursion()
-        got = solve_annotated(child, ENUMERATE, ctx)
+        got = solve_annotated(child, ctx)
         if got is not None:
             return got
     ctx._failed[key] = (tuples - ctx.tuples, recursions - ctx.recursions)
     return None
 
 
-def _oracle_reps(S, parts, opt: Solution, error) -> list[int]:
-    """The oracle element of each part; raises error unless S lies in opt and
-    each part holds exactly one element of opt."""
+def _oracle_reps(S, parts, opt: Solution) -> list[int]:
+    """The oracle element of each part; raises PreconditionViolated unless S
+    lies in opt and each part holds exactly one element of opt."""
     if not set(S) <= opt.copies.keys():
-        raise error("S is not contained in the oracle solution")
+        raise PreconditionViolated("S is not contained in the oracle solution")
     rep = []
     for p in parts:
         inside = [v for v in p if v in opt.copies]
         if len(inside) != 1:
-            raise error("a part does not hold exactly one oracle element")
+            raise PreconditionViolated("a part does not hold exactly one oracle element")
         rep.append(inside[0])
     return rep
 
 
-def _solve_guided(t: AnnotatedTuple, mode: Guided, ctx: Search) -> Solution | None:
-    rep = _oracle_reps(t.S, t.parts, mode.opt, OracleInconsistent)
+def _solve_guided(
+    t: AnnotatedTuple, opt: Solution, asg: Assignment, ctx: Search
+) -> Solution | None:
+    """Guided mode: tau1, tau2 send each s to the two parts whose oracle elements
+    cover most of star s; the first oracle element left in X'' is committed,
+    else t is closed."""
+    if t.r == 0:
+        return solve_extended(t, {}, {}, (), ctx).solution
+    rep = _oracle_reps(t.S, t.parts, opt)
     st = stars(ctx.frame(t.S)[0], t.pi)
     r = t.r
     tau1: dict = {}
     tau2: dict = {}
-    for s in sorted(t.S):
-        idxs_per_i = [coverage(mode.asg, rep[i], st.get(s, ())) for i in range(r)]
-        best = max(range(r), key=lambda i: (idxs_per_i[i], -i))
-        tau1[s] = best
-        if r == 1:
-            tau2[s] = best
-        else:
-            rest = [i for i in range(r) if i != best]
-            tau2[s] = max(rest, key=lambda i: (idxs_per_i[i], -i))
-    e = ExtendedTuple(base=t, tau1=tau1, tau2=tau2)
-    xpp = candidate_set(e, info_tuple(t, ctx), ctx)
+    for s in t.S:
+        cover = [coverage(asg, rep[i], st.get(s, ())) for i in range(r)]
+        ranked = sorted(range(r), key=lambda i: (-cover[i], i))
+        tau1[s], tau2[s] = ranked[0], ranked[min(1, r - 1)]
+    xpp = candidate_set(t, tau1, info_tuple(t, ctx), ctx)
     hit = next((i for i in range(r) if rep[i] in xpp[i]), None)
     if hit is not None:
         s2 = t.S + (rep[hit],)
         parts2 = t.parts[:hit] + t.parts[hit + 1 :]
-        child = good_tuple_from_opt(s2, parts2, mode.opt, mode.asg, ctx)
-        return solve_annotated(child, mode, ctx)
-    return solve_extended(e, xpp, ctx).solution
+        return _solve_guided(good_tuple_from_opt(s2, parts2, opt, asg, ctx), opt, asg, ctx)
+    return solve_extended(t, tau1, tau2, xpp, ctx).solution
 
 
 def expand_multiplicities(inst: Instance, k: int) -> Expansion:
@@ -633,7 +605,7 @@ def expand_multiplicities(inst: Instance, k: int) -> Expansion:
     return Expansion(instance=inst2, back=back, copy_ids=copy_ids)
 
 
-def _map_back(inst: Instance, sol2: Solution, back: dict) -> Solution:
+def _map_back(sol2: Solution, back: dict) -> Solution:
     return Solution(dict(Counter(back[x] for x in sol2.copies)))
 
 
@@ -681,14 +653,14 @@ def solve_approx(
     exp = expand_multiplicities(inst, k)
     inst2 = exp.instance
     ctx = Search(inst2, cfg)
+    if not inst.family:
+        return _finish(inst, Solution({}), exp.back)
 
     if mode == GUIDED:
         got = (solve_exact if cfg.epsilon is None else solve_exact_weighted)(inst, k)
         if got is None:
             return None
         ell = got.solution.size()
-        if ell == 0:
-            return _finish(inst, Solution({}), exp.back)
         opt2, asg2 = _lift_oracle(inst2, exp.copy_ids, got.solution, got.assignment)
         colorings = _colorings(ctx, cfg, ell)
         parts = None
@@ -704,13 +676,13 @@ def solve_approx(
         if cfg.epsilon is not None:
             # Each part keeps the weight window of its oracle element.
             w_star = opt2.weight(inst2)
-            W = next(w for w in weight_estimates(inst2, ell) if w >= w_star)
+            W = next(w for w in weight_estimates(inst2) if w >= w_star)
             delta = _window_width(cfg.epsilon, W, ell, inst2.n)
             reps = [next(v for v in p if v in opt2.copies) for p in parts]
             bvec = [inst2.element(v).weight // delta for v in reps]
             parts = _weight_windows(inst2, parts, bvec, delta)
         root = good_tuple_from_opt((), parts, opt2, asg2, ctx)
-        sol2 = solve_annotated(root, Guided(opt2, asg2), ctx)
+        sol2 = _solve_guided(root, opt2, asg2, ctx)
         return None if sol2 is None else _finish(inst, sol2, exp.back)
 
     # A size above the clone count leaves a part of every coloring empty.
@@ -755,14 +727,14 @@ def _all_windows(inst2: Instance, parts0, ell: int, epsilon):
         yield parts0
         return
     max_w = max(e.weight for e in inst2.elements)
-    for W in weight_estimates(inst2, ell):
+    for W in weight_estimates(inst2):
         delta = _window_width(epsilon, W, ell, inst2.n)
         for bvec in itertools.product(range(max_w // delta + 1), repeat=ell):
             yield _weight_windows(inst2, parts0, bvec, delta)
 
 
 def _finish(inst: Instance, sol2: Solution, back: dict) -> ApproxResult:
-    sol = _map_back(inst, sol2, back)
+    sol = _map_back(sol2, back)
     asg = check_feasible(inst, sol)
     if asg is None:
         raise InvariantViolated("the mapped-back solution is infeasible")

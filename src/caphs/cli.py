@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -353,10 +354,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except (CaphsError, ValueError, OSError) as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
+        try:
+            args = build_parser().parse_args(argv)
+            code = args.func(args)
+        except BrokenPipeError:
+            raise
+        except (CaphsError, ValueError, OSError) as exc:
+            _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
+            code = 2
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone: write no more, and let the exit-time flush go to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

@@ -72,7 +72,7 @@ def default_trials(n: int, k: int) -> int:
         return sys.maxsize
 
 
-def weight_estimates(inst: Instance, k: int) -> list[int]:
+def weight_estimates(inst: Instance) -> list[int]:
     """Doubling sweep {w_min * 2^j} clipped to [w_min, sum of weights].
 
     Some entry is within a factor 2 of any optimum weight in range, which is

@@ -17,7 +17,6 @@ from .errors import QuotaInvalid
 
 @dataclass(frozen=True)
 class IndependenceContext:
-    S: frozenset
     stars: dict[int, tuple[int, ...]]
     rho: Fraction
 
@@ -42,7 +41,7 @@ def is_conflicting(ctx: IndependenceContext, x: int, y: int, inst: Instance) -> 
         both = len(set(ax) & set(ay))
         if both == 0:
             continue
-        if Fraction(both) > ctx.rho * min(len(ax), len(ay)):
+        if both * ctx.rho.denominator > ctx.rho.numerator * min(len(ax), len(ay)):
             return True
     return False
 

@@ -390,18 +390,18 @@ def eager_info_tuple(t, ctx):
     return tuple(xprime), n_of, score
 
 
-def ranked_candidate_set(e, ctx):
+def ranked_candidate_set(t, tau1, ctx):
     """X''_i from the eager scores: the whole of X'_i when small, else the
     top_t elements by (-score, id) for each star s with tau1(s) = i."""
-    xprime, _, score = eager_info_tuple(e.base, ctx)
+    xprime, _, score = eager_info_tuple(t, ctx)
     out = []
     for i, xp in enumerate(xprime):
         if len(xp) <= ctx.cfg.small_class_threshold:
             out.append(xp)
             continue
         chosen = set()
-        for s in sorted(e.base.S):
-            if e.tau1.get(s) == i:
+        for s in sorted(t.S):
+            if tau1.get(s) == i:
                 ranked = sorted(xp, key=lambda v: (-score[(v, s)], v))
                 chosen.update(ranked[: ctx.cfg.top_t])
         out.append(tuple(sorted(chosen)))
@@ -414,7 +414,7 @@ def plain_search_below(S, parts, ctx):
     solve_annotated recurses into."""
     for child in approx.enumerate_tuples(S, parts, ctx):
         ctx.charge_recursion()
-        got = approx.solve_annotated(child, approx.ENUMERATE, ctx)
+        got = approx.solve_annotated(child, ctx)
         if got is not None:
             return got
     return None

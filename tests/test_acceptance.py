@@ -11,10 +11,8 @@ from fractions import Fraction
 import numpy as np
 
 from caphs.approx import (
-    ENUMERATE,
     GUIDED,
     AnnotatedTuple,
-    ExtendedTuple,
     Search,
     SolverConfig,
     bucket_value,
@@ -238,15 +236,13 @@ def test_criterion_04_stress_soundness():
                 tau2[s] = v
             elif r == 1:
                 tau2[s] = 0
-        e = ExtendedTuple(base=t, tau1=tau1, tau2=tau2)
-
         sols = []
         ctx = Search(inst, cfg)
-        res = solve_extended(e, candidate_set(e, info_tuple(t, ctx), ctx), ctx)
+        res = solve_extended(t, tau1, tau2, candidate_set(t, tau1, info_tuple(t, ctx), ctx), ctx)
         if res.solution is not None:
             sols.append(res.solution)
         try:
-            got = solve_annotated(t, ENUMERATE, ctx)
+            got = solve_annotated(t, ctx)
             if got is not None:
                 sols.append(got)
         except BudgetExceeded:
@@ -306,7 +302,7 @@ def test_criterion_06_conflict_count_bound():
         classes = equivalence_classes(inst, S)
         pi = {cls: int(rng.choice(S)) for cls in classes if cls}
         star_map = stars(classes, pi)
-        ctx = IndependenceContext(S=frozenset(S), stars=star_map, rho=rho)
+        ctx = IndependenceContext(stars=star_map, rho=rho)
         count = count_conflicting_pairs(ctx, X, inst, k=k)
         assert Fraction(count) <= Fraction(len(X) * inst.d * k) / rho
     print("criterion 06 conflict-pair bound: PASS (200 contexts)")

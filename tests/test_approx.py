@@ -15,7 +15,6 @@ from caphs.approx import (
     INFEASIBLE_OR_TOO_BIG,
     TAU_CLASH,
     AnnotatedTuple,
-    ExtendedTuple,
     Search,
     SolverConfig,
     bucket_value,
@@ -199,23 +198,21 @@ def test_candidate_set_threshold_branches():
         pi={(3,): 3},
         gamma_part={(0, (3,)): 1},
     )
-    e = ExtendedTuple(base=t, tau1={3: 0}, tau2={3: 0})
     ctx = Search(inst, SolverConfig(k=2))
     xprime = info_tuple(t, ctx)
-    whole = candidate_set(e, xprime, ctx)
+    whole = candidate_set(t, {3: 0}, xprime, ctx)
     assert whole == ((1, 4),)
     narrow = Search(inst, SolverConfig(k=2, top_t=1, small_class_threshold=0))
-    top1 = candidate_set(e, xprime, narrow)
+    top1 = candidate_set(t, {3: 0}, xprime, narrow)
     assert len(top1[0]) == 1
     # A star pointed elsewhere contributes nothing when the part is large.
-    e2 = ExtendedTuple(base=t, tau1={3: 1}, tau2={3: 0})
-    none_taken = candidate_set(e2, xprime, narrow)
+    none_taken = candidate_set(t, {3: 1}, xprime, narrow)
     assert none_taken == ((),)
 
 
 @st.composite
 def scored_tuples(draw):
-    """(extended tuple, search) on a small random instance with hostile constants.
+    """(tuple, tau1, search) on a small random instance with hostile constants.
 
     Dense families, low capacities and unit demands make the capacity term of
     the score bind for some candidates and not for others.
@@ -253,21 +250,21 @@ def scored_tuples(draw):
         small_class_threshold=draw(st.integers(0, 2)),
         top_t=draw(st.integers(1, 3)),
     )
-    return ExtendedTuple(base=t, tau1=tau1, tau2=dict(tau1)), Search(inst, cfg)
+    return t, tau1, Search(inst, cfg)
 
 
 @given(scored_tuples())
 def test_lazy_scores_match_eager_ranking(case):
-    e, ctx = case
-    xprime = info_tuple(e.base, ctx)
-    assert xprime == eager_info_tuple(e.base, ctx)[0]
-    assert candidate_set(e, xprime, ctx) == ranked_candidate_set(e, ctx)
+    t, tau1, ctx = case
+    xprime = info_tuple(t, ctx)
+    assert xprime == eager_info_tuple(t, ctx)[0]
+    assert candidate_set(t, tau1, xprime, ctx) == ranked_candidate_set(t, tau1, ctx)
 
 
-def _close(e, inst, cfg):
-    """solve_extended on e with the candidate set its callers hand it."""
+def _close(t, tau1, tau2, inst, cfg):
+    """solve_extended on (t, tau1, tau2) with the candidate set its callers hand it."""
     ctx = Search(inst, cfg)
-    return solve_extended(e, candidate_set(e, info_tuple(e.base, ctx), ctx), ctx)
+    return solve_extended(t, tau1, tau2, candidate_set(t, tau1, info_tuple(t, ctx), ctx), ctx)
 
 
 def test_solve_extended_success():
@@ -278,8 +275,7 @@ def test_solve_extended_success():
         pi={(3,): 3},
         gamma_part={(0, (3,)): 1},
     )
-    e = ExtendedTuple(base=t, tau1={3: 0}, tau2={3: 0})
-    res = _close(e, inst, SolverConfig(k=2))
+    res = _close(t, {3: 0}, {3: 0}, inst, SolverConfig(k=2))
     assert res.solution is not None
     assert res.solution.copies == {1: 1, 3: 1, 4: 1}
     assert res.reason is None
@@ -291,27 +287,26 @@ def test_solve_extended_failure_reasons():
     base = dict(pi={(3,): 3}, gamma_part={(0, (3,)): 1})
     # Quota two from a one-candidate part cannot be met.
     t_small = AnnotatedTuple(S=(3,), parts=((1,),), **base)
-    e_small = ExtendedTuple(base=t_small, tau1={3: 0}, tau2={3: 0})
-    assert _close(e_small, inst, SolverConfig(k=2)).reason == INDEPENDENCE_FAIL
+    taus = ({3: 0}, {3: 0})
+    assert _close(t_small, *taus, inst, SolverConfig(k=2)).reason == INDEPENDENCE_FAIL
     # An empty candidate list fails before the dominator is built.
     ctx = Search(inst, SolverConfig(k=2))
-    assert solve_extended(e_small, ((),), ctx).reason == INDEPENDENCE_FAIL
+    assert solve_extended(t_small, *taus, ((),), ctx).reason == INDEPENDENCE_FAIL
     # r >= 2 with tau1 = tau2 on some s is rejected outright.
     t_two = AnnotatedTuple(S=(3,), parts=((1,), (4,)), **base)
-    e_two = ExtendedTuple(base=t_two, tau1={3: 1}, tau2={3: 1})
-    assert _close(e_two, inst, SolverConfig(k=3)).reason == TAU_CLASH
+    assert _close(t_two, {3: 1}, {3: 1}, inst, SolverConfig(k=3)).reason == TAU_CLASH
     # Arity mismatch is a usage error, not a reason.
     with pytest.raises(ValueError):
-        _close(e_small, inst, SolverConfig(k=5))
+        _close(t_small, *taus, inst, SolverConfig(k=5))
 
 
 def test_solve_extended_base_case():
     inst = _hand_instance()
     ok = AnnotatedTuple(S=(1, 3), parts=(), pi={}, gamma_part={})
-    res = _close(ExtendedTuple(base=ok, tau1={}, tau2={}), inst, SolverConfig(k=2))
+    res = _close(ok, {}, {}, inst, SolverConfig(k=2))
     assert res.solution.copies == {1: 1, 3: 1}
     bad = AnnotatedTuple(S=(1, 5), parts=(), pi={}, gamma_part={})
-    res2 = _close(ExtendedTuple(base=bad, tau1={}, tau2={}), inst, SolverConfig(k=2))
+    res2 = _close(bad, {}, {}, inst, SolverConfig(k=2))
     assert res2.solution is None
     assert res2.reason == INFEASIBLE_OR_TOO_BIG
 
@@ -552,7 +547,7 @@ def test_failed_subtree_is_replayed_for_its_part_order_only(monkeypatch):
 
 
 def test_solve_approx_raises_when_postcondition_fails(monkeypatch):
-    monkeypatch.setattr(approx, "_map_back", lambda inst, sol2, back: Solution({}))
+    monkeypatch.setattr(approx, "_map_back", lambda sol2, back: Solution({}))
     with pytest.raises(InvariantViolated):
         solve_approx(_hand_instance(), 2, mode=GUIDED)
 

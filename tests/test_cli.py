@@ -315,3 +315,37 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "solve-exact", "-", "--k", "4")
     assert code == 0
     assert json.loads(out)["found"] is True
+
+
+@pytest.mark.parametrize(
+    "elements", [[{"id": 0, "cap": 1, "mult": 1, "weight": 1}], []], ids=["one-element", "empty"]
+)
+def test_solve_approx_buys_nothing_when_there_are_no_sets(tmp_path, capsys, elements):
+    path = tmp_path / "setfree.json"
+    path.write_text(json.dumps({"format": 1, "d": 1, "elements": elements, "family": []}))
+    for mode in ("guided", "enumerate"):
+        code, out, _ = run(capsys, "solve-approx", str(path), "--mode", mode, "--k", "1")
+        assert code == 0, mode
+        doc = json.loads(out)
+        assert (doc["found"], doc["size"], doc["copies"]) == (True, 0, {}), mode
+
+
+def test_closed_stdout_exits_two_without_a_traceback():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import caphs
+
+    env = {**os.environ, "PYTHONPATH": str(Path(caphs.__file__).parent.parent)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "caphs.cli", "gen", "--n", "8", "--m", "8", "--d", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # before the interpreter has started, let alone written
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert b"Traceback" not in err and b"Exception ignored" not in err

@@ -85,9 +85,9 @@ def test_weight_estimates_doubling():
         fam = tuple((i,) for i in range(len(ws)))
         return Instance(elements=els, family=fam, d=1)
 
-    assert weight_estimates(inst_with_weights([1, 1, 1, 1, 1]), k=5) == [1, 2, 4, 5]
-    assert weight_estimates(inst_with_weights([7]), k=1) == [7]
-    assert weight_estimates(inst_with_weights([1, 8]), k=2) == [1, 2, 4, 8, 9]
+    assert weight_estimates(inst_with_weights([1, 1, 1, 1, 1])) == [1, 2, 4, 5]
+    assert weight_estimates(inst_with_weights([7])) == [7]
+    assert weight_estimates(inst_with_weights([1, 8])) == [1, 2, 4, 8, 9]
 
 
 def test_weight_estimates_cover_every_optimum():
@@ -98,7 +98,7 @@ def test_weight_estimates_cover_every_optimum():
         seed=12,
     )
     k = 3
-    ests = weight_estimates(inst, k)
+    ests = weight_estimates(inst)
     w_min = min(e.weight for e in inst.elements)
     top = sorted((e.weight for e in inst.elements), reverse=True)
     w_max = sum(top[:k]) if len(top) >= k else sum(top)

@@ -31,12 +31,12 @@ def _context(inst, rng, rho, max_s=3):
         take = int(rng.integers(0, max(1, len(all_idx) // max(1, len(S)))) + 1)
         stars[s] = tuple(sorted(all_idx[cut:cut + take]))
         cut += take
-    return IndependenceContext(S=S, stars=stars, rho=rho)
+    return IndependenceContext(stars=stars, rho=rho)  # one star per s, so its keys are S
 
 
 def test_stars_must_be_disjoint():
     with pytest.raises(ValueError):
-        IndependenceContext(S=frozenset({1}), stars={1: (0, 1), 2: (1,)}, rho=Fraction(1, 4))
+        IndependenceContext(stars={1: (0, 1), 2: (1,)}, rho=Fraction(1, 4))
 
 
 def test_is_conflicting_threshold_is_strict():
@@ -48,10 +48,10 @@ def test_is_conflicting_threshold_is_strict():
         family=((0, 1), (0, 2)),
         d=2,
     )
-    ctx_loose = IndependenceContext(S=frozenset({2}), stars={2: (0, 1)}, rho=Fraction(1, 1))
+    ctx_loose = IndependenceContext(stars={2: (0, 1)}, rho=Fraction(1, 1))
     # A_2(0) = {0, 1}, A_2(1) = {0}; overlap 1 = 1 * min(2, 1): not strict.
     assert not is_conflicting(ctx_loose, 0, 1, inst)
-    ctx_tight = IndependenceContext(S=frozenset({2}), stars={2: (0, 1)}, rho=Fraction(1, 2))
+    ctx_tight = IndependenceContext(stars={2: (0, 1)}, rho=Fraction(1, 2))
     assert is_conflicting(ctx_tight, 0, 1, inst)
 
 
@@ -63,7 +63,7 @@ def test_disjoint_incidence_never_conflicts():
         family=((0,), (1,)),
         d=1,
     )
-    ctx = IndependenceContext(S=frozenset({0}), stars={0: (0, 1)}, rho=Fraction(1, 100))
+    ctx = IndependenceContext(stars={0: (0, 1)}, rho=Fraction(1, 100))
     assert not is_conflicting(ctx, 0, 1, inst)
 
 
@@ -73,8 +73,8 @@ def test_conflict_count_respects_bound():
         inst = generate_instance(GEN, seed=trial)
         rho = Fraction(1, 4) if trial % 2 else Fraction(1, 16)
         ctx = _context(inst, rng, rho)
-        X = [e.id for e in inst.elements if e.id not in ctx.S]
-        k = len(ctx.S)
+        X = [e.id for e in inst.elements if e.id not in ctx.stars]
+        k = len(ctx.stars)
         count = count_conflicting_pairs(ctx, X, inst, k=k)
         assert Fraction(count) <= Fraction(len(X) * inst.d * k) / rho
 
@@ -87,7 +87,7 @@ def test_find_independent_set_quotas():
         family=((0, 1), (2, 3), (4, 5)),
         d=2,
     )
-    ctx = IndependenceContext(S=frozenset({5}), stars={5: (0, 1, 2)}, rho=Fraction(1, 4))
+    ctx = IndependenceContext(stars={5: (0, 1, 2)}, rho=Fraction(1, 4))
     got = find_independent_set(ctx, [(0, 2), (1, 3)], [1, 1], inst)
     assert got is not None
     assert len(got) == 2
@@ -107,7 +107,7 @@ def test_find_independent_set_exhaustion_returns_none():
         family=((0, 1), (0, 1)),
         d=2,
     )
-    ctx = IndependenceContext(S=frozenset({2}), stars={2: (0, 1)}, rho=Fraction(1, 4))
+    ctx = IndependenceContext(stars={2: (0, 1)}, rho=Fraction(1, 4))
     assert is_conflicting(ctx, 0, 1, inst)
     assert find_independent_set(ctx, [(0, 1)], [2], inst) is None
     assert find_independent_set(ctx, [(0, 1)], [1], inst) is not None
@@ -119,7 +119,7 @@ def test_chosen_sets_are_pairwise_independent():
     for trial in range(40):
         inst = generate_instance(GEN, seed=100 + trial)
         ctx = _context(inst, rng, Fraction(1, 4))
-        pool = [e.id for e in inst.elements if e.id not in ctx.S]
+        pool = [e.id for e in inst.elements if e.id not in ctx.stars]
         rng.shuffle(pool)
         parts = [tuple(sorted(pool[:4])), tuple(sorted(pool[4:8]))]
         got = find_independent_set(ctx, parts, [2, 1], inst)

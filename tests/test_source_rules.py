@@ -45,3 +45,40 @@ def test_no_unused_imports():
     found = [entry for path in paths for entry in _unused_imports(path)]
     assert not found, "unused imports: " + ", ".join(found)
     assert any(p.name == "test_source_rules.py" for p in paths)  # the tests glob found this file
+
+
+def _unread_parameters(text: str, label: str) -> list[str]:
+    """Parameters a function (or lambda) never reads; self and cls are exempt."""
+    tree = ast.parse(text, filename=label)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        found += [
+            f"{label}:{node.lineno} {name}({p.arg})"
+            for p in params
+            if p.arg not in read and p.arg not in ("self", "cls")
+        ]
+    return found
+
+
+def test_every_parameter_is_read():
+    found = [
+        entry
+        for path in sorted(SRC.glob("*.py"))
+        for entry in _unread_parameters(path.read_text(encoding="utf-8"), path.name)
+    ]
+    assert not found, "parameters never read: " + ", ".join(found)
+    # The rule sees a write, a default and a nested lambda, and reads through closures.
+    probe = "def f(a, b, c=0, *d):\n    b = a\n    return lambda e: c + len(d)\n"
+    assert _unread_parameters(probe, "probe") == ["probe:1 f(b)", "probe:3 <lambda>(e)"]
