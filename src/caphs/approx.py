@@ -17,6 +17,9 @@ again subtracts those charges when both budgets cover them and otherwise
 searches it again, so BudgetExceeded fires at the same charge, with the same
 message, as a search without the memo.
 
+The closing step charges nothing, so Search memoizes each closing by (size, S,
+pi, X'', quotas), its quotas by (r, tau pairs) and its conflicts by (S, pi, rho).
+
 X'_i is part i cut by capacity and class incidence.  X''_i, the candidates the
 closing step may pick from, is all of X'_i for a small part; only a part above
 small_class_threshold is ranked, so candidate_set scores those parts alone.
@@ -156,11 +159,17 @@ def bucket_value_next(c: int, base) -> int:
 
 
 def bucket_values_upto(limit: int, base) -> list[int]:
-    """Distinct rung values ceil(base^p) that are <= limit, ascending."""
+    """Distinct rung values ceil(a^p / b^p) <= limit for base = a / b, ascending."""
     if limit < 1:
         return []
-    base, p = _rung(limit, base)
-    return sorted({math.ceil(base ** q) for q in range(p + 1)})
+    base = Fraction(base)
+    if base <= 1:
+        raise ValueError("bucket base must exceed 1")
+    num, den, out = 1, 1, []
+    while num <= limit * den:
+        out.append(-(-num // den))
+        num, den = num * base.numerator, den * base.denominator
+    return list(dict.fromkeys(out))
 
 
 @dataclass(frozen=True)
@@ -191,6 +200,13 @@ class AnnotatedTuple:
         for s in self.pi.values():
             if s not in set(self.S):
                 raise ValueError("pi must map into S")
+
+    @classmethod
+    def _trusted(cls, S, parts, pi, gamma_part) -> "AnnotatedTuple":
+        """A tuple already canonical and valid, built without __post_init__."""
+        t = object.__new__(cls)
+        t.__dict__.update(S=S, parts=parts, pi=pi, gamma_part=gamma_part)
+        return t
 
     @property
     def r(self) -> int:
@@ -236,14 +252,20 @@ class Search:
 
     Search(inst, cfg) resolves cfg for inst.d and takes its two budgets.  It
     memoizes what depends only on S (its classes, sorted realized classes and
-    class incidence) or on a class size and the bucket base (the gamma values
-    enumerate_tuples ranges over).  solve_approx builds one per call and
-    re-resolves cfg for each target size; budgets and memos carry across sizes.
+    class incidence) or on a class size and k, which fixes the bucket base
+    (the gamma values enumerate_tuples ranges over).  solve_approx builds one
+    per call and re-resolves cfg for each target size; budgets and memos carry
+    across sizes.
 
     _failed maps (size, sorted S, parts) to the (tuple, recursion) charges of
     an enumerate-mode subtree that found nothing; _search_below replays them.
     Every entry charged at least one recursion, so there are at most
     recursion_budget of them.
+
+    The closing memos: _closings maps (size, S, sorted pi items, X'', quotas),
+    () for the last three at r = 0, to solve_extended's result; _quotas maps
+    (r, the (tau1(s), tau2(s)) pairs over sorted S) to the quota vector; and
+    _independence maps (S, sorted pi items, rho) to an IndependenceContext.
     """
 
     def __init__(self, inst: Instance, cfg: SolverConfig):
@@ -254,6 +276,9 @@ class Search:
         self._frames: dict = {}
         self._gammas: dict = {}
         self._failed: dict = {}
+        self._closings: dict = {}
+        self._quotas: dict = {}
+        self._independence: dict = {}
 
     def charge_tuple(self):
         if self.tuples <= 0:
@@ -273,20 +298,40 @@ class Search:
         got = self._frames.get(S)
         if got is None:
             classes = equivalence_classes(self.inst, S)
-            inc: dict = {}
-            for cls, idxs in classes.items():
-                for j in idxs:
-                    for v in self.inst.family[j]:
-                        inc[(v, cls)] = inc.get((v, cls), 0) + 1
+            family = self.inst.family
+            inc = Counter(
+                (v, cls) for cls, idxs in classes.items() for j in idxs for v in family[j]
+            )
             got = self._frames[S] = (classes, sorted(classes), inc)
         return got
 
     def gamma_values(self, size: int) -> list[int]:
         """0 plus the bucket rungs up to size: the demands on a class that big."""
-        key = (size, self.cfg.bucket_base)
+        key = (size, self.cfg.k)  # k fixes the bucket base; a Fraction hashes slowly
         if key not in self._gammas:
             self._gammas[key] = [0] + bucket_values_upto(size, self.cfg.bucket_base)
         return self._gammas[key]
+
+    def quotas(self, r: int, pairs: tuple) -> tuple[int, ...]:
+        """2 for each part the minimum dominator takes, else 1: blue j is adjacent
+        to the parts pairs[j], and a part that two blues name first is forced."""
+        if (r, pairs) not in self._quotas:
+            firsts = Counter(a for a, _ in pairs)
+            adj = dict(enumerate(pairs))
+            graph = BipartiteGraph(tuple(range(r)), tuple(adj), adj)
+            dom = min_dominator_forced(graph, {i for i in range(r) if firsts[i] >= 2})
+            if dom is None:  # tau1/tau2 are total, so all the reds dominate
+                raise InvariantViolated("the red parts do not dominate S")
+            self._quotas[r, pairs] = tuple(2 if i in dom else 1 for i in range(r))
+        return self._quotas[r, pairs]
+
+    def independence(self, S: tuple[int, ...], pi_items: tuple) -> IndependenceContext:
+        """The (S, pi, rho) conflict relation and its caches, one per search."""
+        key = (S, pi_items, self.cfg.rho)
+        if key not in self._independence:
+            st = stars(self.frame(S)[0], dict(pi_items))
+            self._independence[key] = IndependenceContext(stars=st, rho=self.cfg.rho)
+        return self._independence[key]
 
 
 def info_tuple(t: AnnotatedTuple, ctx: Search) -> tuple[tuple[int, ...], ...]:
@@ -365,59 +410,46 @@ def solve_extended(
     which every caller already holds.  At r = 0 (tau1, tau2 and xpp empty) S
     itself is the pick: this is the one leaf of both modes.  Returns a
     solution only when the pick passes check_feasible and stays within
-    ceil(4k/3).
+    ceil(4k/3).  Past the tau clash and an empty X''_i it is memoized on ctx.
     """
-    inst, cfg = ctx.inst, ctx.cfg
+    cfg = ctx.cfg
     if len(t.S) + t.r != cfg.k:
         raise ValueError("tuple arity does not match k")
     if t.r == 0:
-        sol = Solution({s: 1 for s in t.S})
-        if check_feasible(inst, sol) is not None and sol.size() <= ceil43(cfg.k):
-            return ExtendedResult(solution=sol)
-        return ExtendedResult(solution=None, reason=INFEASIBLE_OR_TOO_BIG)
-    for s in t.S:
-        if tau1.get(s) is None or tau2.get(s) is None:
-            raise ValueError("tau1/tau2 must be total on S")
-        if t.r >= 2 and tau1[s] == tau2[s]:
-            return ExtendedResult(solution=None, reason=TAU_CLASH)
-
-    if not all(xpp):
-        # An empty X''_i leaves part i without a pick whatever the quotas.
-        return ExtendedResult(solution=None, reason=INDEPENDENCE_FAIL)
-
-    st = stars(ctx.frame(t.S)[0], t.pi)
-    graph = BipartiteGraph(
-        reds=tuple(range(t.r)),
-        blues=tuple(sorted(t.S)),
-        adj={s: (tau1[s], tau2[s]) for s in t.S},
-    )
-    forced = frozenset(
-        i for i in range(t.r) if sum(1 for s in t.S if tau1[s] == i) >= 2
-    )
-    dom = min_dominator_forced(graph, forced)
-    if dom is None:
-        # tau1/tau2 are total, so every blue has a red neighbour and the
-        # full red set dominates.
-        raise InvariantViolated("the red parts do not dominate S")
-
-    ind = IndependenceContext(stars=st, rho=cfg.rho)
-    quotas = tuple(2 if i in dom else 1 for i in range(t.r))
-    picked = find_independent_set(ind, xpp, quotas, inst)
+        pi_items, xpp, quotas = (), (), ()
+    else:
+        for s in t.S:
+            if tau1.get(s) is None or tau2.get(s) is None:
+                raise ValueError("tau1/tau2 must be total on S")
+            if t.r >= 2 and tau1[s] == tau2[s]:
+                return ExtendedResult(solution=None, reason=TAU_CLASH)
+        if not all(xpp):
+            # An empty X''_i leaves part i without a pick whatever the quotas.
+            return ExtendedResult(solution=None, reason=INDEPENDENCE_FAIL)
+        pi_items = tuple(sorted(t.pi.items()))
+        quotas = ctx.quotas(t.r, tuple((tau1[s], tau2[s]) for s in t.S))
+    key = (cfg.k, t.S, pi_items, xpp, quotas)
+    if key in ctx._closings:
+        return ctx._closings[key]
+    picked: tuple[int, ...] | None = ()
+    if xpp:
+        picked = find_independent_set(ctx.independence(t.S, pi_items), xpp, quotas, ctx.inst)
     if picked is None:
-        return ExtendedResult(solution=None, reason=INDEPENDENCE_FAIL)
-    sol = Solution({x: 1 for x in set(t.S) | set(picked)})
-    if sol.size() > ceil43(cfg.k):
-        return ExtendedResult(solution=None, reason=INFEASIBLE_OR_TOO_BIG)
-    if check_feasible(inst, sol) is None:
-        return ExtendedResult(solution=None, reason=INFEASIBLE_OR_TOO_BIG)
-    return ExtendedResult(solution=sol)
+        res = ExtendedResult(solution=None, reason=INDEPENDENCE_FAIL)
+    else:
+        sol = Solution({x: 1 for x in set(t.S) | set(picked)})
+        ok = sol.size() <= ceil43(cfg.k) and check_feasible(ctx.inst, sol) is not None
+        res = ExtendedResult(sol) if ok else ExtendedResult(None, INFEASIBLE_OR_TOO_BIG)
+    ctx._closings[key] = res
+    return res
 
 
 def enumerate_tuples(S, parts, ctx: Search):
     """Yield every annotated tuple on (S, parts): all pi maps, all gamma rows.
 
     gamma rows range over {0} plus the bucket rungs up to the class size.
-    Each yielded tuple is charged against the search's tuple budget.
+    Each yielded tuple is charged against the search's tuple budget.  S and
+    the parts must be disjoint: the tuples are built sorted and not re-checked.
     """
     cfg = ctx.cfg
     S = tuple(sorted(S))
@@ -426,7 +458,7 @@ def enumerate_tuples(S, parts, ctx: Search):
     if len(S) == cfg.k:
         pi = {cls: min(S) for cls in realized} if S else {}
         ctx.charge_tuple()
-        yield AnnotatedTuple(S=S, parts=parts, pi=pi, gamma_part={})
+        yield AnnotatedTuple._trusted(S, parts, pi, {})
         return
     nonempty = [cls for cls in realized if cls]
     if S:
@@ -442,7 +474,7 @@ def enumerate_tuples(S, parts, ctx: Search):
         for combo in itertools.product(*value_lists):
             gamma = {k: v for k, v in zip(keys, combo) if v}
             ctx.charge_tuple()
-            yield AnnotatedTuple(S=S, parts=parts, pi=pi, gamma_part=gamma)
+            yield AnnotatedTuple._trusted(S, parts, pi, gamma)
 
 
 def good_tuple_from_opt(
@@ -489,16 +521,16 @@ def solve_annotated(t: AnnotatedTuple, ctx: Search) -> Solution | None:
         return solve_extended(t, {}, {}, (), ctx).solution
     xprime = info_tuple(t, ctx)
     r = t.r
-    order = sorted(t.S)
-    for m1 in itertools.product(range(r), repeat=len(order)):
-        for m2 in itertools.product(range(r), repeat=len(order)):
+    rests = [t.parts[:i] + t.parts[i + 1 :] for i in range(r)]
+    for m1 in itertools.product(range(r), repeat=len(t.S)):
+        tau1 = dict(zip(t.S, m1))
+        xpp = candidate_set(t, tau1, xprime, ctx)
+        for m2 in itertools.product(range(r), repeat=len(t.S)):
             ctx.charge_tuple()
-            tau1 = dict(zip(order, m1))
-            tau2 = dict(zip(order, m2))
-            xpp = candidate_set(t, tau1, xprime, ctx)
-            for i in range(r):
-                for v in xpp[i]:
-                    got = _search_below(t.S + (v,), t.parts[:i] + t.parts[i + 1 :], ctx)
+            tau2 = dict(zip(t.S, m2))
+            for rest, xpp_i in zip(rests, xpp):
+                for v in xpp_i:
+                    got = _search_below(t.S + (v,), rest, ctx)
                     if got is not None:
                         return got
             res = solve_extended(t, tau1, tau2, xpp, ctx)
@@ -646,15 +678,17 @@ def solve_approx(
         cfg = SolverConfig(k=k)
     if cfg.k != k:
         cfg = replace(cfg, k=k)
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     if mode not in (GUIDED, ENUMERATE):
         raise ValueError("mode must be GUIDED or ENUMERATE")
+    if k == 0 or not inst.family:
+        # No set is empty, so the empty solution is feasible iff there are none.
+        cfg.resolved(inst.d, k=max(k, 1))  # checks every other config field
+        return None if inst.family else _finish(inst, Solution({}), {})
     exp = expand_multiplicities(inst, k)
     inst2 = exp.instance
     ctx = Search(inst2, cfg)
-    if not inst.family:
-        return _finish(inst, Solution({}), exp.back)
 
     if mode == GUIDED:
         got = (solve_exact if cfg.epsilon is None else solve_exact_weighted)(inst, k)

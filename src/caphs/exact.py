@@ -67,6 +67,8 @@ def _search(inst: Instance, k: int, budget: int, weighted: bool):
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if not inst.family:
+        return Solution(copies={}), 0  # nothing to hit: no search, no precheck
     limits = _limits(inst, k)
     count = _count_vectors(limits, k)
     if count > budget:
@@ -124,7 +126,7 @@ def solve_exact(inst: Instance, k: int, budget: int = DEFAULT_CANDIDATE_BUDGET) 
     order).  The search visits only copy vectors that fix a deficit, but the
     budget counts every candidate vector: raises BudgetExceeded when there
     are more than budget of them, never conflating that with infeasibility,
-    and ValueError for k < 0.
+    and ValueError for k < 0.  Without sets the answer is empty, unbudgeted.
     """
     found = _search(inst, k, budget, weighted=False)
     if found is None:

@@ -8,7 +8,7 @@ floating-point tolerances anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import Instance
@@ -17,8 +17,11 @@ from .errors import QuotaInvalid
 
 @dataclass(frozen=True)
 class IndependenceContext:
+    """The (S, pi, rho) conflict relation on one instance; conflicts caches it per pair."""
+
     stars: dict[int, tuple[int, ...]]
     rho: Fraction
+    conflicts: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         seen: set[int] = set()
@@ -64,7 +67,7 @@ def find_independent_set(ctx: IndependenceContext, parts, quotas, inst: Instance
         if q not in (1, 2):
             raise QuotaInvalid(f"quota {q} not in {{1, 2}}")
     pool = sorted({v for part in parts for v in part})
-    cache: dict[tuple[int, int], bool] = {}
+    cache = ctx.conflicts
 
     def conflicting(a: int, b: int) -> bool:
         key = (a, b) if a < b else (b, a)

@@ -259,12 +259,13 @@ def _iter_vectors(limits, total: int):
 
 def _enumerate_feasible(inst: Instance, k: int, budget: int):
     """Yield (size, vec, sol, asg) for every feasible candidate, ordered by
-    size then lexicographic copies vector."""
+    size then lexicographic copies vector.  The budget refuses only an
+    instance with sets: without any, the empty solution needs no search."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     limits = _limits(inst, k)
     count = _count_vectors(limits, k)
-    if count > budget:
+    if count > budget and inst.family:
         raise BudgetExceeded(f"{count} candidate multisets exceed the budget of {budget}")
     caps = {e.id: e.cap for e in inst.elements}
     for t in range(k + 1):

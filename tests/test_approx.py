@@ -93,6 +93,21 @@ def test_bucket_values_upto():
     assert bucket_values_upto(0, Fraction(2)) == []
 
 
+@given(
+    base=st.one_of(
+        st.integers(1, 8).map(lambda k: 1 + Fraction(1, 3 * k)),
+        st.builds(lambda a, b: 1 + Fraction(a, b), st.integers(1, 30), st.integers(1, 60)),
+    ),
+    limit=st.integers(0, 500),
+)
+def test_bucket_values_upto_lists_every_rung(base, limit):
+    rungs, power = set(), Fraction(1)
+    while power <= limit:
+        rungs.add(math.ceil(power))
+        power *= base
+    assert bucket_values_upto(limit, base) == sorted(rungs)
+
+
 def test_bucket_rejects_bad_input():
     with pytest.raises(ValueError):
         bucket_value(0, Fraction(4, 3))
@@ -298,6 +313,74 @@ def test_solve_extended_failure_reasons():
     # Arity mismatch is a usage error, not a reason.
     with pytest.raises(ValueError):
         _close(t_small, *taus, inst, SolverConfig(k=5))
+
+
+@st.composite
+def closing_runs(draw):
+    """(instance, config, cases): (t, tau1, tau2) of mixed sizes and r = 0..3.
+
+    Each case takes one of two (S, pi), often with one S, drawn on the ids
+    0..2, which every set meets, and its parts from one split of the other
+    ids.  So cases share S, pi and X'' while gamma and the taus vary, and many
+    closings succeed.
+    """
+    n = draw(st.integers(8, 11))
+    others = st.sets(st.integers(3, n - 1), max_size=2)
+    family = tuple(
+        tuple(sorted({draw(st.integers(0, 2))} | draw(others)))
+        for _ in range(draw(st.integers(3, 14)))
+    )
+    inst = Instance(
+        elements=tuple(Element(id=i, cap=draw(st.integers(1, 4))) for i in range(n)),
+        family=family,
+        d=3,
+    )
+    split = tuple(tuple(range(i, n, 3)) for i in (3, 4, 5))
+    subsets = st.sets(st.integers(0, 2), min_size=1).map(lambda x: tuple(sorted(x)))
+    first = draw(subsets)
+    bases = []
+    for S in (first, draw(st.just(first) | subsets)):
+        realized = sorted(equivalence_classes(inst, S))
+        pi = {c: min(S) if c == () else draw(st.sampled_from(S)) for c in realized}
+        bases.append((S, realized, pi))
+    cases = []
+    for _ in range(draw(st.integers(4, 12))):
+        S, realized, pi = draw(st.sampled_from(bases))
+        parts = split[: draw(st.integers(0, 3))]
+        r = len(parts)
+        demand = draw(st.booleans())  # half the cases ask nothing, so X'' repeats
+        gamma = {
+            (i, c): 1 for i in range(r) for c in realized if demand and draw(st.integers(0, 3)) == 0
+        }
+        t = AnnotatedTuple(S=S, parts=parts, pi=pi, gamma_part=gamma)
+        tau1 = {s: draw(st.integers(0, r - 1)) for s in S} if r else {}
+        # tau2 differs from tau1 unless r = 1; a tau clash returns before the memo.
+        tau2 = {s: (a + draw(st.integers(min(1, r - 1), r - 1))) % r for s, a in tau1.items()}
+        cases.append((t, tau1, tau2))
+    cfg = SolverConfig(
+        k=1,
+        rho=draw(st.sampled_from([Fraction(1), Fraction(3, 4), Fraction(1, 2)])),
+        small_class_threshold=draw(st.integers(0, 6)),
+        top_t=draw(st.integers(1, 3)),
+    )
+    return inst, cfg, cases
+
+
+@settings(max_examples=150, deadline=None)
+@given(closing_runs())
+def test_memoized_closing_matches_a_fresh_search(run):
+    # One Search closes every case, re-resolved for each size as solve_approx
+    # does; each answer must equal that of a Search that closed nothing else.
+    inst, cfg, cases = run
+    shared = Search(inst, cfg)
+    for t, tau1, tau2 in cases * 2:
+        k = len(t.S) + t.r
+        shared.cfg = cfg.resolved(inst.d, k=k)
+        got = []
+        for ctx in (shared, Search(inst, replace(cfg, k=k))):
+            xpp = candidate_set(t, tau1, info_tuple(t, ctx), ctx) if t.r else ()
+            got.append(solve_extended(t, tau1, tau2, xpp, ctx))
+        assert got[0] == got[1]
 
 
 def test_solve_extended_base_case():
@@ -555,7 +638,12 @@ def test_solve_approx_raises_when_postcondition_fails(monkeypatch):
 def test_solve_approx_validates_arguments():
     inst = _hand_instance()
     with pytest.raises(ValueError):
-        solve_approx(inst, 0)
+        solve_approx(inst, -1)
+    # k = 0 searches nothing: the hand instance has sets, so nothing is found,
+    # yet every other config field is still checked.
+    assert solve_approx(inst, 0) is None
+    with pytest.raises(ValueError):
+        solve_approx(inst, 0, SolverConfig(k=0, tuple_budget=-1))
     with pytest.raises(ValueError):
         solve_approx(inst, 2, mode="fancy")
 

@@ -330,6 +330,26 @@ def test_solve_approx_buys_nothing_when_there_are_no_sets(tmp_path, capsys, elem
         assert (doc["found"], doc["size"], doc["copies"]) == (True, 0, {}), mode
 
 
+def test_solve_approx_at_k_zero(tmp_path, capsys):
+    setfree = tmp_path / "setfree.json"
+    setfree.write_text(json.dumps({
+        "format": 1, "d": 1, "elements": [{"id": 0, "cap": 1, "mult": 1, "weight": 1}],
+        "family": [],
+    }))
+    with_sets = gen_instance_file(tmp_path, capsys, seed=7)
+    for mode in ("guided", "enumerate"):
+        code, out, _ = run(capsys, "solve-approx", str(setfree), "--mode", mode, "--k", "0")
+        assert code == 0, mode
+        doc = json.loads(out)
+        assert (doc["size"], doc["size_bound"], doc["copies"]) == (0, 0, {}), mode
+        code, out, _ = run(capsys, "solve-approx", str(with_sets), "--mode", mode, "--k", "0")
+        assert (code, json.loads(out)) == (1, {"found": False}), mode
+    # The other config fields are still validated at k = 0.
+    code, out, _ = run(capsys, "solve-approx", str(setfree), "--budget", "-1", "--k", "0")
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == "budgets must be nonnegative"
+
+
 def test_closed_stdout_exits_two_without_a_traceback():
     import os
     import subprocess

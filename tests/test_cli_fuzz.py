@@ -153,6 +153,9 @@ def test_any_document_ends_in_an_exit_code(workdir, run):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert set(json.loads(out)) == {"error"}
+        # A --k of 0 or more is never refused for its value.
+        if "--k" in argv and int(argv[argv.index("--k") + 1]) >= 0:
+            assert not json.loads(out)["error"]["message"].startswith("k must")
     elif argv[0] == "certify" and code == 0:
         assert len(out.strip().split(",")) == len(CSV_COLUMNS.split(","))
     else:

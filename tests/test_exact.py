@@ -109,3 +109,19 @@ def test_infeasible_returns_none():
     )
     assert solve_exact(inst, 3) is None
     assert solve_exact_weighted(inst, 3) is None
+
+
+def test_set_free_instance_needs_no_search():
+    # 200 elements of multiplicity 3 give far more than a million candidate
+    # vectors at k = 3, but with no sets the empty solution is optimal.
+    elements = tuple(Element(id=i, cap=1, mult=3, weight=2) for i in range(200))
+    inst = Instance(elements=elements, family=(), d=1)
+    got = solve_exact(inst, 3)
+    assert (got.solution.copies, got.assignment.target) == ({}, {})
+    weighted = solve_exact_weighted(inst, 3)
+    assert (weighted.solution.copies, weighted.weight) == ({}, 0)
+    with pytest.raises(ValueError):
+        solve_exact(inst, -1)
+    # One set brings the search, and so the candidate budget, back.
+    with pytest.raises(BudgetExceeded):
+        solve_exact(Instance(elements=elements, family=((0,),), d=1), 3)

@@ -82,3 +82,42 @@ def test_every_parameter_is_read():
     # The rule sees a write, a default and a nested lambda, and reads through closures.
     probe = "def f(a, b, c=0, *d):\n    b = a\n    return lambda e: c + len(d)\n"
     assert _unread_parameters(probe, "probe") == ["probe:1 f(b)", "probe:3 <lambda>(e)"]
+
+
+def _process_caches(text: str, label: str) -> list[str]:
+    """Every use of functools.cache or lru_cache, by enclosing function where decorated."""
+    tree = ast.parse(text, filename=label)
+    names = {"cache", "lru_cache"}
+
+    def is_cache(node) -> bool:
+        node = node.func if isinstance(node, ast.Call) else node
+        return (isinstance(node, ast.Attribute) and node.attr in names
+                and isinstance(node.value, ast.Name) and node.value.id == "functools")
+
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    functions = [n for n in ast.walk(tree) if isinstance(n, kinds)]
+    decorators = {id(d) for f in functions for d in f.decorator_list}
+    found = [f"{label}:{f.name}" for f in functions for d in f.decorator_list if is_cache(d)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"{label}:{node.lineno} {a.name}" for a in node.names if a.name in names]
+        elif isinstance(node, ast.Call) and id(node) not in decorators and is_cache(node.func):
+            found.append(f"{label}:{node.lineno} call")
+    return found
+
+
+def test_memos_live_on_the_search_not_the_process():
+    # A process-wide cache would carry work from one solve to the next, which
+    # a benchmark that repeats its passes in one process would count as speed.
+    found = [
+        entry
+        for path in sorted(SRC.glob("*.py"))
+        for entry in _process_caches(path.read_text(encoding="utf-8"), path.name)
+    ]
+    assert found == ["cli.py:build_parser"], "process-wide caches: " + ", ".join(found)
+    probe = (
+        "import functools\nfrom functools import lru_cache\n"
+        "@functools.lru_cache(maxsize=None)\ndef f(x):\n    return x\n"
+        "g = functools.cache(f)\n"
+    )
+    assert _process_caches(probe, "probe") == ["probe:f", "probe:2 lru_cache", "probe:6 call"]
