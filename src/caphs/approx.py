@@ -11,11 +11,14 @@ root (S empty, the parts of one coloring) down: X' (info_tuple), X''
 tries every tuple, every (tau1, tau2) and every candidate of X'' as the next
 commitment; guided (_solve_guided) takes all three from an exact solution.
 
-The enumeration remembers, per target size, every (S, parts) whose subtree
-failed, with the tuple and recursion charges that subtree made.  Meeting it
-again subtracts those charges when both budgets cover them and otherwise
-searches it again, so BudgetExceeded fires at the same charge, with the same
-message, as a search without the memo.
+The enumeration remembers every subtree that failed, with the tuple and
+recursion charges it made, keyed by what the subtree reads: (size, S, parts)
+for the tuples on them, and for one tuple with r >= 1 (size, S, parts, pi,
+X') plus gamma when some X'_i is ranked, since candidate_set reads gamma only
+then.  Meeting a key again subtracts its charges when both budgets cover them
+and otherwise searches it again, so BudgetExceeded fires at the same charge,
+with the same message, as a search without the memos.  A leaf (|S| = k)
+reads neither pi nor gamma, so enumerate_tuples builds no frame for it.
 
 The closing step charges nothing, so Search memoizes each closing by (size, S,
 pi, X'', quotas), its quotas by (r, tau pairs) and its conflicts by (S, pi, rho).
@@ -178,7 +181,8 @@ class AnnotatedTuple:
 
     gamma_part is keyed by (part index, class); absent keys mean zero demand.
     pi maps each realized class of S to an element of S, including the empty
-    class when S is nonempty.
+    class when S is nonempty.  At r = 0 nothing reads pi or gamma, and
+    enumerate_tuples leaves both empty there.
     """
 
     S: tuple[int, ...]
@@ -257,10 +261,12 @@ class Search:
     per call and re-resolves cfg for each target size; budgets and memos carry
     across sizes.
 
-    _failed maps (size, sorted S, parts) to the (tuple, recursion) charges of
-    an enumerate-mode subtree that found nothing; _search_below replays them.
-    Every entry charged at least one recursion, so there are at most
-    recursion_budget of them.
+    _failed maps the key of an enumerate-mode subtree that found nothing to
+    the (tuple, recursion) charges it made: (size, sorted S, parts) from
+    _search_below, and (size, S, parts, sorted pi items, X', sorted gamma
+    items or ()) from solve_annotated.  replayed() and record_failure() are
+    the one rule both apply.  Only failures are stored, and every entry
+    charged at least one tuple itself, so there are at most tuple_budget.
 
     The closing memos: _closings maps (size, S, sorted pi items, X'', quotas),
     () for the last three at r = 0, to solve_extended's result; _quotas maps
@@ -289,6 +295,25 @@ class Search:
         if self.recursions <= 0:
             raise BudgetExceeded("recursion budget exhausted")
         self.recursions -= 1
+
+    def replayed(self, key) -> bool:
+        """Whether key failed before and both budgets cover its recorded charges.
+
+        When they do, the charges are subtracted and the caller returns None.
+        When one does not, the caller searches for real, so the budget runs out
+        at the same charge, with the same message, as a search without memos.
+        """
+        spent = self._failed.get(key)
+        if spent is None or self.tuples < spent[0] or self.recursions < spent[1]:
+            return False
+        self.tuples -= spent[0]
+        self.recursions -= spent[1]
+        return True
+
+    def record_failure(self, key, tuples: int, recursions: int):
+        """Record that key failed, charging what the budgets lost since they
+        read (tuples, recursions), nested replays included."""
+        self._failed[key] = (tuples - self.tuples, recursions - self.recursions)
 
     def frame(self, S: tuple[int, ...]):
         """(classes, sorted realized classes, incidence) for a sorted S.
@@ -448,18 +473,18 @@ def enumerate_tuples(S, parts, ctx: Search):
     """Yield every annotated tuple on (S, parts): all pi maps, all gamma rows.
 
     gamma rows range over {0} plus the bucket rungs up to the class size.
+    At |S| = k the one tuple is (S, parts, {}, {}), built without a frame.
     Each yielded tuple is charged against the search's tuple budget.  S and
     the parts must be disjoint: the tuples are built sorted and not re-checked.
     """
     cfg = ctx.cfg
     S = tuple(sorted(S))
     parts = tuple(tuple(sorted(p)) for p in parts)
-    classes, realized, _ = ctx.frame(S)
     if len(S) == cfg.k:
-        pi = {cls: min(S) for cls in realized} if S else {}
         ctx.charge_tuple()
-        yield AnnotatedTuple._trusted(S, parts, pi, {})
+        yield AnnotatedTuple._trusted(S, parts, {}, {})
         return
+    classes, realized, _ = ctx.frame(S)
     nonempty = [cls for cls in realized if cls]
     if S:
         pi_choices = itertools.product(sorted(S), repeat=len(nonempty))
@@ -514,12 +539,23 @@ def good_tuple_from_opt(
 
 
 def solve_annotated(t: AnnotatedTuple, ctx: Search) -> Solution | None:
-    """Enumerate mode: per charged (tau1, tau2), commit each candidate of X'', then close."""
+    """Enumerate mode: per charged (tau1, tau2), commit each candidate of X'', then close.
+
+    A tuple with r >= 1 that failed before is replayed by what its subtree
+    reads: size, S, parts, pi, X' and, only when some X'_i is ranked (longer
+    than small_class_threshold), gamma.
+    """
     if len(t.S) + t.r != ctx.cfg.k:
         raise ValueError("tuple arity does not match k")
     if t.r == 0:
         return solve_extended(t, {}, {}, (), ctx).solution
     xprime = info_tuple(t, ctx)
+    thr = ctx.cfg.small_class_threshold
+    gamma = tuple(sorted(t.gamma_part.items())) if any(len(xp) > thr for xp in xprime) else ()
+    key = (ctx.cfg.k, t.S, t.parts, tuple(sorted(t.pi.items())), xprime, gamma)
+    if ctx.replayed(key):
+        return None
+    tuples, recursions = ctx.tuples, ctx.recursions
     r = t.r
     rests = [t.parts[:i] + t.parts[i + 1 :] for i in range(r)]
     for m1 in itertools.product(range(r), repeat=len(t.S)):
@@ -536,21 +572,18 @@ def solve_annotated(t: AnnotatedTuple, ctx: Search) -> Solution | None:
             res = solve_extended(t, tau1, tau2, xpp, ctx)
             if res.solution is not None:
                 return res.solution
+    ctx.record_failure(key, tuples, recursions)
     return None
 
 
 def _search_below(S, parts, ctx: Search) -> Solution | None:
     """Enumerate mode: charge a recursion, then solve, per annotated tuple on (S, parts).
 
-    A subtree that failed before at this size is not searched again: its
-    charges are subtracted when both budgets cover them.  When one does not,
-    the subtree is searched for real, so the budget runs out where it would.
+    A subtree that failed before at this size is replayed (Search.replayed)
+    instead of searched again.
     """
     key = (ctx.cfg.k, tuple(sorted(S)), parts)
-    spent = ctx._failed.get(key)
-    if spent is not None and ctx.tuples >= spent[0] and ctx.recursions >= spent[1]:
-        ctx.tuples -= spent[0]
-        ctx.recursions -= spent[1]
+    if ctx.replayed(key):
         return None
     tuples, recursions = ctx.tuples, ctx.recursions
     for child in enumerate_tuples(S, parts, ctx):
@@ -558,7 +591,7 @@ def _search_below(S, parts, ctx: Search) -> Solution | None:
         got = solve_annotated(child, ctx)
         if got is not None:
             return got
-    ctx._failed[key] = (tuples - ctx.tuples, recursions - ctx.recursions)
+    ctx.record_failure(key, tuples, recursions)
     return None
 
 

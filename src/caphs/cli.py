@@ -139,8 +139,11 @@ def _config_from(args) -> SolverConfig:
 def cmd_solve_approx(args) -> int:
     inst = parse_instance(_read(args.instance))
     cfg = _config_from(args)
+    try:  # checked before solving; solve_approx rejects an epsilon <= 0 itself
+        bound = 4 / 3 if cfg.epsilon is None or cfg.epsilon <= 0 else float(2 + cfg.epsilon)
+    except OverflowError:
+        raise ValueError("epsilon is too large: 2 + epsilon must fit in a float") from None
     res = solve_approx(inst, args.k, cfg, mode=args.mode)
-    bound = 4 / 3 if cfg.epsilon is None else float(2 + cfg.epsilon)
     return _emit_result(inst, res, ratio_bound=bound, size_bound=ceil43(args.k))
 
 

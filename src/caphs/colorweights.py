@@ -16,7 +16,8 @@ class Colorings:
     Each iteration reseeds and draws the color table in blocks of 1, 2, 4, ...
     rows: O(log trials) numpy calls, and at most twice the rows a caller that
     stops early uses.  Cutting the table into blocks leaves the generator's
-    stream, and so every row, unchanged.
+    stream, and so every row, unchanged.  With one part every row is zeros,
+    so nothing is drawn: each coloring is ids as one part.
     """
 
     def __init__(self, ids, k: int, trials: int, seed: int):
@@ -30,6 +31,10 @@ class Colorings:
 
     def __iter__(self):
         k, ids = self.k, self.ids
+        if k == 1:
+            for _ in range(self.trials):
+                yield [list(ids)]
+            return
         rng = np.random.default_rng(self.seed)
         left, block = self.trials, 1
         while left:

@@ -12,6 +12,7 @@ nonnegative weights every optimum below is such a vector.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .core import Assignment, Instance, Solution
@@ -44,15 +45,12 @@ def _limits(inst: Instance, k: int) -> list[tuple[int, int]]:
 
 
 def _count_vectors(limits, k: int) -> int:
-    """Number of copies vectors with per-element bounds and total at most k."""
+    """Number of copies vectors with per-element bounds and total at most k, in O(n k)."""
     ways = [1] + [0] * k
     for _, lim in limits:
-        nxt = [0] * (k + 1)
-        for t in range(k + 1):
-            if ways[t]:
-                for c in range(0, min(lim, k - t) + 1):
-                    nxt[t + c] += ways[t]
-        ways = nxt
+        # nxt[t] sums ways[t - lim .. t]: a difference of prefix sums, O(k).
+        prefix = list(itertools.accumulate(ways, initial=0))
+        ways = [prefix[t + 1] - prefix[max(0, t - lim)] for t in range(k + 1)]
     return sum(ways)
 
 

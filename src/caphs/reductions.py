@@ -421,6 +421,23 @@ def verify_covering_family(family, n: int, alpha, beta, budget: int = 10 ** 6) -
     return all(ok(idxs) for idxs in itertools.combinations(range(len(fam)), s_min))
 
 
+def _log(q: Fraction) -> float:
+    """ln q from q's integer numerator and denominator: no float overflow or underflow."""
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
+def _covering_threshold(alpha: Fraction, beta: Fraction) -> float:
+    """log_{1/(1-beta)}(e^2/alpha) in log space, for 0 < alpha <= 1 and 0 < beta < 1.
+
+    ln(1/(1-beta)) is -log1p(-beta) for beta < 1/2, where it is small and a
+    difference of logs would cancel; it underflows to 0 only for beta below
+    the float range, and the threshold is then infinite.
+    """
+    num = 2 - _log(alpha)
+    den = -math.log1p(-float(beta)) if beta < Fraction(1, 2) else -_log(1 - beta)
+    return num / den if den else math.inf
+
+
 def build_covering_family(
     n: int, alpha, beta, r: int, seed: int = 0, trials: int = 200
 ):
@@ -433,7 +450,7 @@ def build_covering_family(
     beta = Fraction(beta)
     if not 0 < alpha <= 1 or not 0 < beta < 1:
         raise ParameterViolation("need 0 < alpha <= 1 and 0 < beta < 1")
-    thr = math.log(math.e ** 2 / float(alpha)) / math.log(1.0 / (1.0 - float(beta)))
+    thr = _covering_threshold(alpha, beta)
     if not r > thr:
         raise ParameterViolation(f"r={r} must exceed {thr:.3f}")
     if r > n:

@@ -5,7 +5,7 @@ dense BFS with none of the package's pruning, bucketing, or matching machinery.
 It also holds the paper-lemma witnesses that no solver path calls (the (b+r)/3
 dominator construction and the conflict-pair count), the eager per-star
 scores that candidate_set computes lazily, and the enumerate-mode recursion
-without its failed-subtree memo.
+without its failed-subtree memo or without both failure memos.
 """
 
 from __future__ import annotations
@@ -418,6 +418,39 @@ def plain_search_below(S, parts, ctx):
         got = approx.solve_annotated(child, ctx)
         if got is not None:
             return got
+    return None
+
+
+def memoless_search_below(S, parts, ctx):
+    """approx._search_below with neither failed-subtree memo: every (S, parts)
+    and every annotated tuple below it is searched each time it is met."""
+    for child in approx.enumerate_tuples(S, parts, ctx):
+        ctx.charge_recursion()
+        got = memoless_solve_annotated(child, ctx)
+        if got is not None:
+            return got
+    return None
+
+
+def memoless_solve_annotated(t, ctx):
+    """approx.solve_annotated without its failed-tuple memo, recursing into
+    memoless_search_below."""
+    if t.r == 0:
+        return approx.solve_extended(t, {}, {}, (), ctx).solution
+    xprime = approx.info_tuple(t, ctx)
+    for m1 in itertools.product(range(t.r), repeat=len(t.S)):
+        tau1 = dict(zip(t.S, m1))
+        xpp = approx.candidate_set(t, tau1, xprime, ctx)
+        for m2 in itertools.product(range(t.r), repeat=len(t.S)):
+            ctx.charge_tuple()
+            for i, xpp_i in enumerate(xpp):
+                for v in xpp_i:
+                    got = memoless_search_below(t.S + (v,), t.parts[:i] + t.parts[i + 1 :], ctx)
+                    if got is not None:
+                        return got
+            res = approx.solve_extended(t, tau1, dict(zip(t.S, m2)), xpp, ctx)
+            if res.solution is not None:
+                return res.solution
     return None
 
 

@@ -29,6 +29,7 @@ from caphs.approx import (
     solve_approx,
     solve_extended,
 )
+from caphs.colorweights import random_colorings
 from caphs.core import (
     Assignment,
     Element,
@@ -46,7 +47,12 @@ from caphs.errors import (
 from caphs.exact import solve_exact, solve_exact_weighted
 from caphs.feasibility import assignment_ok, check_feasible
 
-from _oracles import eager_info_tuple, plain_search_below, ranked_candidate_set
+from _oracles import (
+    eager_info_tuple,
+    memoless_search_below,
+    plain_search_below,
+    ranked_candidate_set,
+)
 
 GEN = {
     "n": 6,
@@ -416,6 +422,14 @@ def test_enumerate_tuples_base_case_is_canonical():
     assert t.gamma_part == {}
 
 
+def test_enumerate_tuples_leaf_builds_no_frame():
+    # At |S| = k nothing reads pi or gamma, so the leaf needs no classes of S.
+    ctx = Search(_hand_instance(), SolverConfig(k=2))
+    (t,) = enumerate_tuples((3, 1), (), ctx)
+    assert (t.S, t.pi, t.gamma_part) == ((1, 3), {}, {})
+    assert ctx._frames == {}
+
+
 def test_good_tuple_from_opt():
     inst = _hand_instance()
     opt = Solution({1: 1, 3: 1, 4: 1})
@@ -570,6 +584,81 @@ def test_failed_subtree_memo_matches_plain_search(n, m, seed, k, epsilon, tuples
     got = _enumerate_outcome(inst, k, cfg)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(approx, "_search_below", plain_search_below)
+        assert got == _enumerate_outcome(inst, k, cfg)
+
+
+def _splits_the_hubs(seed: int) -> bool:
+    """Whether the first size-3 coloring of ids 0..3 puts 0 and 1 in parts of their own."""
+    parts = next(iter(random_colorings(range(4), 3, 1, seed)))
+    return [0] in parts and [1] in parts
+
+
+HUB_SEEDS = [seed for seed in range(300) if _splits_the_hubs(seed)]
+
+
+@st.composite
+def replay_runs(draw):
+    """An enumerate-mode solve whose replay keys carry pi, X' and gamma.
+
+    Half the runs take a generated instance and a config whose threshold of
+    0 to 2 ranks small parts, where candidate_set reads gamma.  The other
+    half take a two-hub family: hubs 0 and 1 of capacity 1, candidates 2 and
+    3 of capacity 2 and 3, each set one hub and one or both candidates.  Once
+    S = {0, 1}, pi decides which hub's star each class joins, so it moves the
+    candidates' scores and can flip whether 2 and 3 conflict.  Those runs
+    solve k = 3 from a seed that puts each hub in a part of its own, with
+    bucket base 4, threshold 1 and top_t 1, so budgets of 0..600 reach
+    S = {0, 1} with a ranked part whose X'' depends on pi.
+    """
+    budgets = {"tuple_budget": draw(st.integers(0, 600)), "recursion_budget": draw(st.integers(0, 600))}
+    shared = {
+        "rho": draw(st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(1)])),
+        "max_coloring_trials": draw(st.integers(1, 3)),
+    }
+    if draw(st.booleans()):
+        n, m = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+        inst = generate_instance({**GEN, "n": n, "m": m}, draw(st.integers(0, 10_000)))
+        k = draw(st.integers(1, 3))
+        cfg = SolverConfig(
+            k=k,
+            small_class_threshold=draw(st.sampled_from([None, 0, 1, 2])),
+            top_t=draw(st.integers(1, 2)),
+            seed=draw(st.integers(0, 20)),
+            **budgets,
+            **shared,
+        )
+        return inst, k, cfg
+    family = []
+    for hub in (0, 1):
+        family += [(hub, 2)] * draw(st.integers(1, 3)) + [(hub, 3)] * draw(st.integers(1, 3))
+        family += [(hub, 2, 3)] * draw(st.integers(0, 2))
+    inst = Instance(
+        elements=tuple(Element(id=i, cap=cap) for i, cap in enumerate((1, 1, 2, 3))),
+        family=tuple(family),
+        d=3,
+    )
+    cfg = SolverConfig(
+        k=3,
+        small_class_threshold=1,
+        top_t=1,
+        bucket_base=Fraction(4),
+        seed=draw(st.sampled_from(HUB_SEEDS)),
+        **budgets,
+        **shared,
+    )
+    return inst, 3, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(replay_runs())
+def test_failed_tuple_replay_matches_a_search_without_memos(run):
+    # Both failure memos may only save work: against a search that has
+    # neither, the same answer or the same exhausted budget, and the same
+    # charges left on both budgets.
+    inst, k, cfg = run
+    got = _enumerate_outcome(inst, k, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(approx, "_search_below", memoless_search_below)
         assert got == _enumerate_outcome(inst, k, cfg)
 
 

@@ -194,6 +194,27 @@ def test_reduce_covering_reports_absence(tmp_path, capsys):
     assert "no covering family" in err
 
 
+@pytest.mark.parametrize(
+    "option, code, kind",
+    [
+        (("--alpha", "1e-400"), 2, "ParameterViolation"),
+        (("--beta", "1e-400"), 2, "ParameterViolation"),
+        (("--beta", "0.99999999999999999999"), 0, None),
+    ],
+)
+def test_reduce_covering_takes_fractions_a_float_cannot_hold(tmp_path, capsys, option, code, kind):
+    # The parameter gate is computed in log space, so alpha or beta that a
+    # float rounds to 0 or 1 ends in a gate verdict, not ZeroDivisionError.
+    csp_path = tmp_path / "csp.json"
+    csp_path.write_text(serialize_csp(random_three_regular_csp(4, 2, seed=1, satisfiable=True)))
+    got, out, _ = run(capsys, "reduce", "csp-mdk-cov", str(csp_path), *option)
+    assert got == code
+    if kind is None:
+        assert parse_mdk(out).k == 8
+    else:
+        assert json.loads(out)["error"]["type"] == kind
+
+
 def test_bench_produces_csv(capsys):
     code, out, err = run(capsys, "bench", "--count", "3", "--kmax", "3")
     assert code == 0
@@ -278,6 +299,23 @@ def test_errors_surface_as_json(tmp_path, capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "solve-approx" in capsys.readouterr().out
+
+
+def test_solve_approx_refuses_an_epsilon_past_the_float_range(tmp_path, capsys, monkeypatch):
+    # ratio_bound prints 2 + epsilon as a float, so an epsilon a float cannot
+    # hold is an error, found before any solving.
+    path = gen_instance_file(tmp_path, capsys, seed=7)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_approx ran")
+
+    monkeypatch.setattr("caphs.cli.solve_approx", no_solve)
+    code, out, _ = run(capsys, "solve-approx", str(path), "--k", "2", "--epsilon", "1e400")
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "ValueError",
+        "message": "epsilon is too large: 2 + epsilon must fit in a float",
+    }
 
 
 def test_enumerate_survives_a_trial_count_past_the_float_range(tmp_path, capsys, monkeypatch):

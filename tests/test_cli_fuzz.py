@@ -4,7 +4,9 @@ Each run must exit 0, 1 or 2.  Exit 2 prints an {"error": ...} document;
 every other exit prints the command's JSON document, or for a certify that
 exits 0 its CSV row.
 Inputs are valid documents, valid documents with one key or value broken,
-documents of another kind, any JSON, and text that is not JSON.
+documents of another kind, any JSON, and text that is not JSON.  Fraction-valued
+options (--epsilon, --alpha, --beta, rho=, bucket_base=) take values past the
+float range, just below 1, zero, negative, or with a zero denominator.
 """
 
 import contextlib
@@ -108,17 +110,28 @@ def document(kind):
     return st.one_of(*[docs.map(json.dumps)] * 7, st.text(max_size=6))
 
 
-# argv before the input paths ("K" stands for a drawn --k), and the input kinds.
+# Values of a fraction-valued option: ordinary ones, past the float range
+# either way, just below 1, zero, negative, and a zero denominator.
+FRACTIONS = st.sampled_from(
+    ["1/2", "5/4", "1e400", "1e-400", "0.99999999999999999999", "0", "-0.5", "-1e400", "1/0"]
+)
+
+# argv before the input paths ("K" stands for a drawn --k, each "F" for a
+# drawn fraction), and the input kinds.
 COMMANDS = [
     (["check"], ("instance", "solution")),
     (["solve-exact", "--k", "K"], ("instance",)),
     (["solve-exact", "--weighted", "--k", "K"], ("instance",)),
     (["solve-approx", "--k", "K"], ("instance",)),
-    (["solve-approx", "--epsilon", "1/2", "--k", "K"], ("instance",)),
+    (["solve-approx", "--epsilon=F", "--k", "K"], ("instance",)),
     (["solve-approx", "--mode", "enumerate", "--budget", "40", "--k", "K"], ("instance",)),
+    (["solve-approx", "--mode", "enumerate", "--budget", "40", "--epsilon=F", "--k", "K"], ("instance",)),
+    (["solve-approx", "--override-const", "rho=F", "--override-const", "bucket_base=F", "--k", "K"],
+     ("instance",)),
     (["certify", "--k", "K"], ("instance",)),
     (["reduce", "csp-mdk"], ("csp",)),
     (["reduce", "csp-mdk-cov"], ("csp",)),
+    (["reduce", "csp-mdk-cov", "--alpha=F", "--beta=F"], ("csp",)),
     (["reduce", "mdk-cvc"], ("mdk",)),
     (["reduce", "mdk-wcvc"], ("mdk",)),
 ]
@@ -128,7 +141,13 @@ COMMANDS = [
 def runs(draw):
     argv, kinds = draw(st.sampled_from(COMMANDS))
     k = str(draw(st.integers(-1, 3)))
-    return [k if a == "K" else a for a in argv], [draw(document(kind)) for kind in kinds]
+
+    def fill(a):
+        if a == "K":
+            return k
+        return a.replace("F", draw(FRACTIONS)) if a.endswith("F") else a
+
+    return [fill(a) for a in argv], [draw(document(kind)) for kind in kinds]
 
 
 @pytest.fixture(scope="module")

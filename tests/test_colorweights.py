@@ -44,6 +44,13 @@ def test_lazy_colorings_equal_one_table(n, k, trials, seed):
     assert list(colorings) == expected  # every iteration starts from the seed
 
 
+def test_one_part_colorings_draw_nothing(monkeypatch):
+    # Every row of integers(0, 1) is zeros, so one part needs no generator.
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew a color table"))
+    ids = [5, 2, 9]
+    assert list(random_colorings(ids, 1, 4, seed=3)) == [[ids]] * 4
+
+
 def test_lazy_colorings_draw_only_what_is_used():
     # A one-shot (10**12, 50) table could not be allocated.
     first = next(iter(random_colorings(range(50), 3, 10**12, 0)))

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from caphs.core import Element, Instance, generate_instance
@@ -125,3 +127,16 @@ def test_set_free_instance_needs_no_search():
     # One set brings the search, and so the candidate budget, back.
     with pytest.raises(BudgetExceeded):
         solve_exact(Instance(elements=elements, family=((0,),), d=1), 3)
+
+
+def test_candidate_count_takes_prefix_sums():
+    # Three unbounded elements at k = 10 000 have comb(10 003, 3) copy vectors
+    # of total at most k.  The precheck counts them in O(n k) and refuses at once.
+    inst = Instance(
+        elements=tuple(Element(id=i, cap=1, mult=None) for i in range(3)),
+        family=((0, 1, 2),),
+        d=3,
+    )
+    count = math.comb(10_003, 3)
+    with pytest.raises(BudgetExceeded, match=f"^{count} candidate multisets exceed the budget of 1000000$"):
+        solve_exact(inst, 10_000)

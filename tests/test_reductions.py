@@ -1,8 +1,11 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caphs.core import Solution
 from caphs.errors import (
@@ -20,6 +23,7 @@ from caphs.reductions import (
     Constraint,
     CspInstance,
     MdkInstance,
+    _covering_threshold,
     build_covering_family,
     csp_to_mdk,
     csp_to_mdk_covering,
@@ -303,6 +307,36 @@ def test_covering_family_gate_and_build():
     assert len(fam) == 12
     assert all(len(s) == 4 for s in fam)
     assert verify_covering_family(fam, 6, Fraction(1, 2), Fraction(1, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    alpha=st.tuples(st.integers(1, 1000), st.integers(1, 1000)).map(lambda t: Fraction(min(t), max(t))),
+    beta=st.tuples(st.integers(1, 999), st.integers(1, 999)).map(lambda t: Fraction(min(t), max(t) + 1)),
+    r=st.integers(1, 60),
+)
+def test_covering_gate_matches_the_float_formula(alpha, beta, r):
+    # On alpha and beta a float holds, the log-space gate decides as
+    # ln(e^2 / alpha) / ln(1 / (1 - beta)) in floats did.
+    thr = math.log(math.e ** 2 / float(alpha)) / math.log(1.0 / (1.0 - float(beta)))
+    assert math.isclose(_covering_threshold(alpha, beta), thr, rel_tol=1e-12)
+    try:
+        build_covering_family(r, alpha, beta, r, trials=0)
+        passed = True
+    except ParameterViolation as exc:
+        assert str(exc).startswith(f"r={r} must exceed ")
+        passed = False
+    assert passed == (r > thr)
+
+
+def test_covering_gate_takes_fractions_a_float_cannot_hold():
+    tiny = Fraction(1, 10**400)
+    assert _covering_threshold(tiny, Fraction(1, 2)) == pytest.approx((2 + 400 * math.log(10)) / math.log(2))
+    assert _covering_threshold(Fraction(1, 2), tiny) == math.inf
+    near_one = 1 - Fraction(1, 10**20)
+    assert _covering_threshold(Fraction(1, 2), near_one) == pytest.approx((2 + math.log(2)) / (20 * math.log(10)))
+    with pytest.raises(ParameterViolation, match="must exceed inf"):
+        build_covering_family(6, Fraction(1, 2), tiny, r=4)
 
 
 def test_verify_covering_family_modes():
