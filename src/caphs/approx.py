@@ -14,11 +14,11 @@ commitment; guided (_solve_guided) takes all three from an exact solution.
 The enumeration remembers every subtree that failed, with the tuple and
 recursion charges it made, keyed by what the subtree reads: (size, S, parts)
 for the tuples on them, and for one tuple with r >= 1 (size, S, parts, pi,
-X') plus gamma when some X'_i is ranked, since candidate_set reads gamma only
-then.  Meeting a key again subtracts its charges when both budgets cover them
-and otherwise searches it again, so BudgetExceeded fires at the same charge,
-with the same message, as a search without the memos.  A leaf (|S| = k)
-reads neither pi nor gamma, so enumerate_tuples builds no frame for it.
+X', then gamma or ()), gamma only when candidate_set reads it: when some
+X'_i is ranked.  Meeting a key again subtracts its charges when both budgets
+cover them and otherwise searches it again, so BudgetExceeded fires at the
+same charge, with the same message, as a search without the memos.  A leaf
+(|S| = k) reads neither pi nor gamma, so enumerate_tuples builds no frame.
 
 The closing step charges nothing, so Search memoizes each closing by (size, S,
 pi, X'', quotas), its quotas by (r, tau pairs) and its conflicts by (S, pi, rho).
@@ -141,7 +141,10 @@ def _rung(c: int, base) -> tuple[Fraction, int]:
     base = Fraction(base)
     if base <= 1:
         raise ValueError("bucket base must exceed 1")
-    p = int(math.log(c) / math.log1p(base - 1))  # a float estimate, corrected exactly
+    # A float estimate, corrected exactly.  From 2 up, ln base is taken from
+    # its integer numerator and denominator: float(base) may overflow.
+    a, b = base.numerator, base.denominator
+    p = int(math.log(c) / (math.log1p(base - 1) if a < 2 * b else math.log(a) - math.log(b)))
     while p > 0 and base ** p > c:
         p -= 1
     while base ** (p + 1) <= c:
@@ -177,18 +180,19 @@ def bucket_values_upto(limit: int, base) -> list[int]:
 
 @dataclass(frozen=True)
 class AnnotatedTuple:
-    """(S, X_1..X_r, pi, gamma) with a sparse gamma.
+    """(S, X_1..X_r, pi, gamma) with one sparse gamma row per part.
 
-    gamma_part is keyed by (part index, class); absent keys mean zero demand.
-    pi maps each realized class of S to an element of S, including the empty
-    class when S is nonempty.  At r = 0 nothing reads pi or gamma, and
-    enumerate_tuples leaves both empty there.
+    gamma[i] holds part i's positive demands as (class, demand) pairs sorted
+    by class; a class the row omits has demand 0.  pi maps each realized
+    class of S to an element of S, including the empty class when S is
+    nonempty.  At r = 0 nothing reads pi or gamma, and enumerate_tuples
+    leaves both empty there.
     """
 
     S: tuple[int, ...]
     parts: tuple[tuple[int, ...], ...]
     pi: dict
-    gamma_part: dict
+    gamma: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "S", tuple(sorted(self.S)))
@@ -204,29 +208,25 @@ class AnnotatedTuple:
         for s in self.pi.values():
             if s not in set(self.S):
                 raise ValueError("pi must map into S")
+        if len(self.gamma) != len(self.parts):
+            raise ValueError("gamma must hold one row per part")
+        rows = []
+        for row in self.gamma:
+            if len({cls for cls, _ in row}) != len(row) or any(g < 0 for _, g in row):
+                raise ValueError("a gamma row names each class once, with demand >= 0")
+            rows.append(tuple(sorted((cls, g) for cls, g in row if g)))
+        object.__setattr__(self, "gamma", tuple(rows))
 
     @classmethod
-    def _trusted(cls, S, parts, pi, gamma_part) -> "AnnotatedTuple":
+    def _trusted(cls, S, parts, pi, gamma) -> "AnnotatedTuple":
         """A tuple already canonical and valid, built without __post_init__."""
         t = object.__new__(cls)
-        t.__dict__.update(S=S, parts=parts, pi=pi, gamma_part=gamma_part)
+        t.__dict__.update(S=S, parts=parts, pi=pi, gamma=gamma)
         return t
 
     @property
     def r(self) -> int:
         return len(self.parts)
-
-    def gamma_of_part(self, i: int, cls: tuple[int, ...]) -> int:
-        return self.gamma_part.get((i, tuple(cls)), 0)
-
-    def star_demand(self, i: int, s: int) -> int:
-        """gamma(i, s): summed demand of part i over the classes pi sends to s."""
-        return sum(
-            g for (j, cls), g in self.gamma_part.items() if j == i and self.pi.get(cls) == s
-        )
-
-    def total_demand(self, i: int) -> int:
-        return sum(g for (j, _), g in self.gamma_part.items() if j == i)
 
 
 @dataclass(frozen=True)
@@ -263,9 +263,9 @@ class Search:
 
     _failed maps the key of an enumerate-mode subtree that found nothing to
     the (tuple, recursion) charges it made: (size, sorted S, parts) from
-    _search_below, and (size, S, parts, sorted pi items, X', sorted gamma
-    items or ()) from solve_annotated.  replayed() and record_failure() are
-    the one rule both apply.  Only failures are stored, and every entry
+    _search_below, and (size, S, parts, sorted pi items, X', then gamma or ())
+    from solve_annotated.  replayed() and record_failure() are the one rule
+    both apply.  Only failures are stored, and every entry
     charged at least one tuple itself, so there are at most tuple_budget.
 
     The closing memos: _closings maps (size, S, sorted pi items, X'', quotas),
@@ -363,20 +363,19 @@ def info_tuple(t: AnnotatedTuple, ctx: Search) -> tuple[tuple[int, ...], ...]:
     """X': each part cut to the elements that can meet its gamma demands.
 
     v stays in part i when its capacity covers the part's total demand and it
-    lies in at least gamma(i, cls) sets of every realized class cls.
+    lies in at least g sets of class cls for every (cls, g) in gamma row i.
     """
     inst = ctx.inst
-    _, realized, inc = ctx.frame(t.S)
+    inc = ctx.frame(t.S)[2]
     xprime = []
-    for i, part in enumerate(t.parts):
-        demand = t.total_demand(i)
-        need = [(cls, g) for cls in realized if (g := t.gamma_of_part(i, cls))]
+    for part, row in zip(t.parts, t.gamma):
+        demand = sum(g for _, g in row)
         xprime.append(
             tuple(
                 v
                 for v in part
                 if inst.element(v).cap >= demand
-                and all(inc.get((v, cls), 0) >= g for cls, g in need)
+                and all(inc.get((v, cls), 0) >= g for cls, g in row)
             )
         )
     return tuple(xprime)
@@ -398,24 +397,21 @@ def candidate_set(
     stars only.
     """
     inst, cfg = ctx.inst, ctx.cfg
-    _, realized, inc = ctx.frame(t.S)
+    inc = ctx.frame(t.S)[2]
     out = []
-    for i, xp in enumerate(xprime):
+    for i, (xp, row) in enumerate(zip(xprime, t.gamma)):
         if len(xp) <= cfg.small_class_threshold:
             out.append(xp)
             continue
-        demand = t.total_demand(i)
+        demand = sum(g for _, g in row)
         chosen: set[int] = set()
         for s in t.S:
             if tau1.get(s) != i:
                 continue
+            star = [(cls, g) for cls, g in row if t.pi.get(cls) == s]
+            other = demand - sum(g for _, g in star)
             # Per class of star s, the incidence that counts toward n(v, s).
-            useful = [
-                (cls, math.ceil(cfg.bucket_base * g))
-                for cls in realized
-                if t.pi.get(cls) == s and (g := t.gamma_of_part(i, cls))
-            ]
-            other = demand - t.star_demand(i, s)
+            useful = [(cls, math.ceil(cfg.bucket_base * g)) for cls, g in star]
 
             def score(v: int) -> int:
                 n_vs = sum(min(c, inc.get((v, cls), 0)) for cls, c in useful)
@@ -472,8 +468,9 @@ def solve_extended(
 def enumerate_tuples(S, parts, ctx: Search):
     """Yield every annotated tuple on (S, parts): all pi maps, all gamma rows.
 
-    gamma rows range over {0} plus the bucket rungs up to the class size.
-    At |S| = k the one tuple is (S, parts, {}, {}), built without a frame.
+    A class's demand in a row is 0 or a bucket rung up to the class size; the
+    tuples come in lexicographic order of the demands by part, then class.
+    At |S| = k the one tuple is (S, parts, {}, ()), built without a frame.
     Each yielded tuple is charged against the search's tuple budget.  S and
     the parts must be disjoint: the tuples are built sorted and not re-checked.
     """
@@ -482,7 +479,7 @@ def enumerate_tuples(S, parts, ctx: Search):
     parts = tuple(tuple(sorted(p)) for p in parts)
     if len(S) == cfg.k:
         ctx.charge_tuple()
-        yield AnnotatedTuple._trusted(S, parts, {}, {})
+        yield AnnotatedTuple._trusted(S, parts, {}, ())
         return
     classes, realized, _ = ctx.frame(S)
     nonempty = [cls for cls in realized if cls]
@@ -490,14 +487,15 @@ def enumerate_tuples(S, parts, ctx: Search):
         pi_choices = itertools.product(sorted(S), repeat=len(nonempty))
     else:
         pi_choices = iter([()])
-    keys = [(i, cls) for i in range(len(parts)) for cls in realized]
-    value_lists = [ctx.gamma_values(len(classes[cls])) for (_, cls) in keys]
+    rows = [
+        tuple((cls, g) for cls, g in zip(realized, combo) if g)
+        for combo in itertools.product(*(ctx.gamma_values(len(classes[c])) for c in realized))
+    ]
     for choice in pi_choices:
         pi = dict(zip(nonempty, choice))
         if S and () in classes:
             pi[()] = min(S)
-        for combo in itertools.product(*value_lists):
-            gamma = {k: v for k, v in zip(keys, combo) if v}
+        for gamma in itertools.product(rows, repeat=len(parts)):
             ctx.charge_tuple()
             yield AnnotatedTuple._trusted(S, parts, pi, gamma)
 
@@ -528,14 +526,13 @@ def good_tuple_from_opt(
             if c > best_c:
                 best_s, best_c = s, c
         pi[cls] = best_s if best_c > 0 else min(S)
-    gamma_part: dict = {}
-    for i, v in enumerate(rep):
-        for cls, idxs in classes.items():
-            c = coverage(asg, v, idxs)
-            if c >= 1:
-                # The top rung up to c, bucket_value(c, base), from the memo.
-                gamma_part[(i, cls)] = ctx.gamma_values(c)[-1]
-    return AnnotatedTuple(S=S, parts=parts, pi=pi, gamma_part=gamma_part)
+    # Each demand is the top rung up to the coverage c, bucket_value(c, base).
+    gamma = [
+        [(cls, ctx.gamma_values(c)[-1])
+         for cls in realized if (c := coverage(asg, v, classes[cls]))]
+        for v in rep
+    ]
+    return AnnotatedTuple(S=S, parts=parts, pi=pi, gamma=gamma)
 
 
 def solve_annotated(t: AnnotatedTuple, ctx: Search) -> Solution | None:
@@ -551,7 +548,7 @@ def solve_annotated(t: AnnotatedTuple, ctx: Search) -> Solution | None:
         return solve_extended(t, {}, {}, (), ctx).solution
     xprime = info_tuple(t, ctx)
     thr = ctx.cfg.small_class_threshold
-    gamma = tuple(sorted(t.gamma_part.items())) if any(len(xp) > thr for xp in xprime) else ()
+    gamma = t.gamma if any(len(xp) > thr for xp in xprime) else ()
     key = (ctx.cfg.k, t.S, t.parts, tuple(sorted(t.pi.items())), xprime, gamma)
     if ctx.replayed(key):
         return None

@@ -368,22 +368,25 @@ def eager_info_tuple(t, ctx):
     xprime = []
     n_of: dict = {}
     score: dict = {}
-    for i, part in enumerate(t.parts):
-        demand = t.total_demand(i)
+    for part, row in zip(t.parts, t.gamma):
+        gamma = dict(row)  # a class the row omits has demand 0
+        demand = sum(gamma.values())
         kept = []
         for v in part:
             if inst.element(v).cap < demand:
                 continue
-            if any(inc.get((v, cls), 0) < t.gamma_of_part(i, cls) for cls in realized):
+            if any(inc.get((v, cls), 0) < gamma.get(cls, 0) for cls in realized):
                 continue
             kept.append(v)
         kept = tuple(sorted(kept))
         xprime.append(kept)
-        other = {s: demand - t.star_demand(i, s) for s in t.S}
+        other = {
+            s: demand - sum(g for cls, g in gamma.items() if t.pi.get(cls) == s) for s in t.S
+        }
         for v in kept:
             cap = inst.element(v).cap
             for cls in realized:
-                g = t.gamma_of_part(i, cls)
+                g = gamma.get(cls, 0)
                 n_of[(v, cls)] = min(math.ceil(base * g), inc.get((v, cls), 0))
             for s in t.S:
                 n_vs = sum(n_of[(v, cls)] for cls in realized if t.pi.get(cls) == s)

@@ -164,12 +164,14 @@ def _random_annotated_tuple(inst, k, rng):
     if S:
         for cls in classes:
             pi[cls] = min(S) if cls == () else int(rng.choice(sorted(S)))
-    gamma = {}
-    for i in range(len(parts)):
+    gamma = []
+    for _ in parts:
+        row = []
         if rng.random() < 0.6:
             cls = list(classes)[int(rng.integers(0, len(classes)))]
-            gamma[(i, cls)] = int(rng.integers(1, 3))
-    return AnnotatedTuple(S=S, parts=tuple(parts), pi=pi, gamma_part=gamma)
+            row.append((cls, int(rng.integers(1, 3))))
+        gamma.append(row)
+    return AnnotatedTuple(S=S, parts=tuple(parts), pi=pi, gamma=gamma)
 
 
 def _optimum_seeded_tuple(inst, k, cfg, rng):
@@ -190,11 +192,13 @@ def _optimum_seeded_tuple(inst, k, cfg, rng):
         parts.append(tuple(sorted([rep] + others[at : at + extra])))
         at += extra
     t = good_tuple_from_opt(S, tuple(parts), opt.solution, asg, Search(inst, cfg))
-    if t.gamma_part and rng.random() < 0.5:
-        key = list(t.gamma_part)[int(rng.integers(0, len(t.gamma_part)))]
-        gp = dict(t.gamma_part)
-        del gp[key]
-        t = AnnotatedTuple(S=t.S, parts=t.parts, pi=t.pi, gamma_part=gp)
+    # Delete a demand picked by part, then by the class's first occurrence in the family.
+    classes = equivalence_classes(inst, t.S)
+    keys = [(i, cls) for i, row in enumerate(t.gamma) for cls in classes if cls in dict(row)]
+    if keys and rng.random() < 0.5:
+        i, cls = keys[int(rng.integers(0, len(keys)))]
+        gamma = [[(c, g) for c, g in row if (j, c) != (i, cls)] for j, row in enumerate(t.gamma)]
+        t = AnnotatedTuple(S=t.S, parts=t.parts, pi=t.pi, gamma=gamma)
     return t
 
 

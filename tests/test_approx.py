@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from dataclasses import replace
@@ -93,6 +94,17 @@ def test_bucket_next_is_the_following_rung():
         assert Fraction(c) < base * nxt
 
 
+def test_bucket_value_survives_huge_bases():
+    # From base 2 up the rung estimate never converts the base to a float.
+    assert bucket_value(5, Fraction(10**400)) == 1
+    assert bucket_value(10**500, Fraction(10**400)) == 10**400
+    assert bucket_value_next(5, Fraction(10**400)) == 10**400
+    for k in range(1, 7):  # the criterion-10 bases
+        base = 1 + Fraction(1, 3 * k)
+        for c in (1, 2, 3, 10, 99, 10**4):
+            assert bucket_value(c, base) == naive_bucket(c, base)
+
+
 def test_bucket_values_upto():
     assert bucket_values_upto(8, Fraction(10, 9)) == [1, 2, 3, 4, 5, 6, 7, 8]
     assert bucket_values_upto(10, Fraction(2)) == [1, 2, 4, 8]
@@ -146,13 +158,24 @@ def test_config_resolution_validation():
 
 
 def test_annotated_tuple_validation():
-    AnnotatedTuple(S=(3, 1), parts=((2,), (4,)), pi={(): 1}, gamma_part={})
+    AnnotatedTuple(S=(3, 1), parts=((2,), (4,)), pi={(): 1}, gamma=((), ()))
     with pytest.raises(ValueError):
-        AnnotatedTuple(S=(1,), parts=((1,),), pi={}, gamma_part={})
+        AnnotatedTuple(S=(1,), parts=((1,),), pi={}, gamma=((),))
     with pytest.raises(ValueError):
-        AnnotatedTuple(S=(1,), parts=((2,), (2,)), pi={}, gamma_part={})
+        AnnotatedTuple(S=(1,), parts=((2,), (2,)), pi={}, gamma=((), ()))
     with pytest.raises(ValueError):
-        AnnotatedTuple(S=(1,), parts=(), pi={(): 9}, gamma_part={})
+        AnnotatedTuple(S=(1,), parts=(), pi={(): 9}, gamma=())
+    # One gamma row per part: zip would silently drop a part without one.
+    with pytest.raises(ValueError):
+        AnnotatedTuple(S=(1,), parts=((2,), (4,)), pi={(): 1}, gamma=((),))
+    with pytest.raises(ValueError, match="each class once"):
+        AnnotatedTuple(S=(1,), parts=((2,),), pi={(): 1}, gamma=((((), 1), ((), 2)),))
+    with pytest.raises(ValueError, match="demand >= 0"):
+        AnnotatedTuple(S=(1,), parts=((2,),), pi={(): 1}, gamma=((((1,), -1),),))
+    t = AnnotatedTuple(
+        S=(1,), parts=((2,), (4,)), pi={(): 1}, gamma=[[((1,), 2), ((), 0)], [((1,), 0), ((), 3)]]
+    )
+    assert t.gamma == ((((1,), 2),), (((), 3),))
 
 
 def test_annotated_tuple_demand_accounting():
@@ -160,14 +183,10 @@ def test_annotated_tuple_demand_accounting():
         S=(7,),
         parts=((1, 2), (3, 4)),
         pi={(7,): 7, (): 7},
-        gamma_part={(0, (7,)): 2, (0, ()): 1, (1, (7,)): 3},
+        gamma=((((7,), 2), ((), 1)), (((7,), 3),)),
     )
     assert t.r == 2
-    assert t.total_demand(0) == 3
-    assert t.total_demand(1) == 3
-    assert t.star_demand(0, 7) == 3
-    assert t.gamma_of_part(0, (7,)) == 2
-    assert t.gamma_of_part(1, ()) == 0
+    assert t.gamma == ((((), 1), ((7,), 2)), (((7,), 3),))
 
 
 def _hand_instance():
@@ -199,7 +218,7 @@ def test_info_tuple_filters_and_scores():
         S=(3,),
         parts=((0, 1, 2),),
         pi={(3,): 3, (): 3},
-        gamma_part={(0, (3,)): 1, (0, ()): 1},
+        gamma=((((3,), 1), ((), 1)),),
     )
     ctx = Search(inst, SolverConfig(k=2))
     # cap filter drops 0 (cap 1 < demand 2); incidence drops 2 (no (3,) sets).
@@ -217,7 +236,7 @@ def test_candidate_set_threshold_branches():
         S=(3,),
         parts=((1, 4),),
         pi={(3,): 3},
-        gamma_part={(0, (3,)): 1},
+        gamma=((((3,), 1),),),
     )
     ctx = Search(inst, SolverConfig(k=2))
     xprime = info_tuple(t, ctx)
@@ -258,13 +277,8 @@ def scored_tuples(draw):
     parts = [rest[a:b] for a, b in zip([0] + cuts, cuts + [len(rest)])]
     realized = sorted(equivalence_classes(inst, S))
     pi = {cls: min(S) if cls == () else draw(st.sampled_from(S)) for cls in realized}
-    gamma = {}
-    for i in range(r):
-        for cls in realized:
-            g = draw(st.integers(0, 1))
-            if g:
-                gamma[(i, cls)] = g
-    t = AnnotatedTuple(S=S, parts=tuple(parts), pi=pi, gamma_part=gamma)
+    gamma = [[(cls, draw(st.integers(0, 1))) for cls in realized] for _ in range(r)]
+    t = AnnotatedTuple(S=S, parts=tuple(parts), pi=pi, gamma=gamma)
     tau1 = {s: draw(st.integers(0, r - 1)) for s in S}
     cfg = SolverConfig(
         k=len(S) + r,
@@ -294,7 +308,7 @@ def test_solve_extended_success():
         S=(3,),
         parts=((1, 4),),
         pi={(3,): 3},
-        gamma_part={(0, (3,)): 1},
+        gamma=((((3,), 1),),),
     )
     res = _close(t, {3: 0}, {3: 0}, inst, SolverConfig(k=2))
     assert res.solution is not None
@@ -305,71 +319,94 @@ def test_solve_extended_success():
 
 def test_solve_extended_failure_reasons():
     inst = _hand_instance()
-    base = dict(pi={(3,): 3}, gamma_part={(0, (3,)): 1})
+    pi = {(3,): 3}
     # Quota two from a one-candidate part cannot be met.
-    t_small = AnnotatedTuple(S=(3,), parts=((1,),), **base)
+    t_small = AnnotatedTuple(S=(3,), parts=((1,),), pi=pi, gamma=((((3,), 1),),))
     taus = ({3: 0}, {3: 0})
     assert _close(t_small, *taus, inst, SolverConfig(k=2)).reason == INDEPENDENCE_FAIL
     # An empty candidate list fails before the dominator is built.
     ctx = Search(inst, SolverConfig(k=2))
     assert solve_extended(t_small, *taus, ((),), ctx).reason == INDEPENDENCE_FAIL
     # r >= 2 with tau1 = tau2 on some s is rejected outright.
-    t_two = AnnotatedTuple(S=(3,), parts=((1,), (4,)), **base)
+    t_two = AnnotatedTuple(S=(3,), parts=((1,), (4,)), pi=pi, gamma=((((3,), 1),), ()))
     assert _close(t_two, {3: 1}, {3: 1}, inst, SolverConfig(k=3)).reason == TAU_CLASH
     # Arity mismatch is a usage error, not a reason.
     with pytest.raises(ValueError):
         _close(t_small, *taus, inst, SolverConfig(k=5))
 
 
+def _two_hub_instance(draw) -> Instance:
+    """Hubs 0 and 1 of capacity 1, candidates 2 and 3 of capacity 2 and 3;
+    each set holds one hub and one or both candidates."""
+    family = []
+    for hub in (0, 1):
+        family += [(hub, 2)] * draw(st.integers(1, 3)) + [(hub, 3)] * draw(st.integers(1, 3))
+        family += [(hub, 2, 3)] * draw(st.integers(0, 2))
+    return Instance(
+        elements=tuple(Element(id=i, cap=cap) for i, cap in enumerate((1, 1, 2, 3))),
+        family=tuple(family),
+        d=3,
+    )
+
+
 @st.composite
 def closing_runs(draw):
     """(instance, config, cases): (t, tau1, tau2) of mixed sizes and r = 0..3.
 
-    Each case takes one of two (S, pi), often with one S, drawn on the ids
-    0..2, which every set meets, and its parts from one split of the other
-    ids.  So cases share S, pi and X'' while gamma and the taus vary, and many
-    closings succeed.
+    Two runs in three take a random family.  Each case takes one of two (S, pi),
+    often with one S, drawn on the ids 0..2, which every set meets, and its
+    parts from one split of the other ids.  So cases share S, pi and X''
+    while gamma and the taus vary, and many closings succeed.  The other runs
+    take the two-hub family with S = {0, 1}, the one part (2, 3), unranked,
+    rho 1/2 and both pi maps that matter: each hub's class in its own star,
+    or both classes in hub 0's.  Under one map and not the other the
+    candidates 2 and 3 can conflict, so the part, whose quota is 2, closes
+    differently by pi alone.
     """
-    n = draw(st.integers(8, 11))
-    others = st.sets(st.integers(3, n - 1), max_size=2)
-    family = tuple(
-        tuple(sorted({draw(st.integers(0, 2))} | draw(others)))
-        for _ in range(draw(st.integers(3, 14)))
-    )
-    inst = Instance(
-        elements=tuple(Element(id=i, cap=draw(st.integers(1, 4))) for i in range(n)),
-        family=family,
-        d=3,
-    )
-    split = tuple(tuple(range(i, n, 3)) for i in (3, 4, 5))
-    subsets = st.sets(st.integers(0, 2), min_size=1).map(lambda x: tuple(sorted(x)))
-    first = draw(subsets)
-    bases = []
-    for S in (first, draw(st.just(first) | subsets)):
-        realized = sorted(equivalence_classes(inst, S))
-        pi = {c: min(S) if c == () else draw(st.sampled_from(S)) for c in realized}
-        bases.append((S, realized, pi))
+    if draw(st.integers(0, 2)) == 0:
+        inst = _two_hub_instance(draw)
+        choices = [((2, 3),)]
+        consts = {"rho": Fraction(1, 2), "small_class_threshold": 2}
+        realized = [(0,), (1,)]
+        bases = [((0, 1), realized, {(0,): 0, (1,): 1}), ((0, 1), realized, {(0,): 0, (1,): 0})]
+    else:
+        n = draw(st.integers(8, 11))
+        others = st.sets(st.integers(3, n - 1), max_size=2)
+        family = tuple(
+            tuple(sorted({draw(st.integers(0, 2))} | draw(others)))
+            for _ in range(draw(st.integers(3, 14)))
+        )
+        inst = Instance(
+            elements=tuple(Element(id=i, cap=draw(st.integers(1, 4))) for i in range(n)),
+            family=family,
+            d=3,
+        )
+        split = tuple(tuple(range(i, n, 3)) for i in (3, 4, 5))
+        choices = [split[:r] for r in range(4)]
+        consts = {
+            "rho": draw(st.sampled_from([Fraction(1), Fraction(3, 4), Fraction(1, 2)])),
+            "small_class_threshold": draw(st.integers(0, 6)),
+        }
+        subsets = st.sets(st.integers(0, 2), min_size=1).map(lambda x: tuple(sorted(x)))
+        first = draw(subsets)
+        bases = []
+        for S in (first, draw(st.just(first) | subsets)):
+            realized = sorted(equivalence_classes(inst, S))
+            pi = {c: min(S) if c == () else draw(st.sampled_from(S)) for c in realized}
+            bases.append((S, realized, pi))
     cases = []
-    for _ in range(draw(st.integers(4, 12))):
+    for _ in range(draw(st.integers(4, 16))):
         S, realized, pi = draw(st.sampled_from(bases))
-        parts = split[: draw(st.integers(0, 3))]
+        parts = draw(st.sampled_from(choices))
         r = len(parts)
         demand = draw(st.booleans())  # half the cases ask nothing, so X'' repeats
-        gamma = {
-            (i, c): 1 for i in range(r) for c in realized if demand and draw(st.integers(0, 3)) == 0
-        }
-        t = AnnotatedTuple(S=S, parts=parts, pi=pi, gamma_part=gamma)
+        gamma = [[(c, 1) for c in realized if demand and draw(st.integers(0, 3)) == 0] for _ in parts]
+        t = AnnotatedTuple(S=S, parts=parts, pi=pi, gamma=gamma)
         tau1 = {s: draw(st.integers(0, r - 1)) for s in S} if r else {}
         # tau2 differs from tau1 unless r = 1; a tau clash returns before the memo.
         tau2 = {s: (a + draw(st.integers(min(1, r - 1), r - 1))) % r for s, a in tau1.items()}
         cases.append((t, tau1, tau2))
-    cfg = SolverConfig(
-        k=1,
-        rho=draw(st.sampled_from([Fraction(1), Fraction(3, 4), Fraction(1, 2)])),
-        small_class_threshold=draw(st.integers(0, 6)),
-        top_t=draw(st.integers(1, 3)),
-    )
-    return inst, cfg, cases
+    return inst, SolverConfig(k=1, top_t=draw(st.integers(1, 3)), **consts), cases
 
 
 @settings(max_examples=150, deadline=None)
@@ -391,10 +428,10 @@ def test_memoized_closing_matches_a_fresh_search(run):
 
 def test_solve_extended_base_case():
     inst = _hand_instance()
-    ok = AnnotatedTuple(S=(1, 3), parts=(), pi={}, gamma_part={})
+    ok = AnnotatedTuple(S=(1, 3), parts=(), pi={}, gamma=())
     res = _close(ok, {}, {}, inst, SolverConfig(k=2))
     assert res.solution.copies == {1: 1, 3: 1}
-    bad = AnnotatedTuple(S=(1, 5), parts=(), pi={}, gamma_part={})
+    bad = AnnotatedTuple(S=(1, 5), parts=(), pi={}, gamma=())
     res2 = _close(bad, {}, {}, inst, SolverConfig(k=2))
     assert res2.solution is None
     assert res2.reason == INFEASIBLE_OR_TOO_BIG
@@ -406,10 +443,27 @@ def test_enumerate_tuples_counts_and_budget():
     got = list(enumerate_tuples((3,), ((1, 4),), Search(inst, cfg)))
     # One pi choice, gamma over {0} + rungs {1, 2, 3, 4} for the single class.
     assert len(got) == 5
-    gammas = sorted(t.gamma_of_part(0, (3,)) for t in got)
+    gammas = sorted(dict(t.gamma[0]).get((3,), 0) for t in got)
     assert gammas == [0, 1, 2, 3, 4]
     with pytest.raises(BudgetExceeded):
         list(enumerate_tuples((3,), ((1, 4),), Search(inst, replace(cfg, tuple_budget=3))))
+
+
+def test_enumerate_tuples_order_is_the_flat_product():
+    # Rows per part come in the order of one product over (part, class) keys,
+    # the last class of the last part fastest, so every charge stays in place.
+    inst = _hand_instance()
+    ctx = Search(inst, SolverConfig(k=3))
+    got = [t.gamma for t in enumerate_tuples((1,), ((3,), (4,)), ctx)]
+    classes = equivalence_classes(inst, (1,))
+    keys = [(i, cls) for i in range(2) for cls in sorted(classes)]
+    assert len(classes) == 2
+    values = [[0] + bucket_values_upto(len(classes[cls]), ctx.cfg.bucket_base) for _, cls in keys]
+    want = [
+        tuple(tuple((c, g) for (j, c), g in zip(keys, combo) if j == i and g) for i in range(2))
+        for combo in itertools.product(*values)
+    ]
+    assert got == want and len(got) == 81
 
 
 def test_enumerate_tuples_base_case_is_canonical():
@@ -419,14 +473,14 @@ def test_enumerate_tuples_base_case_is_canonical():
     t = got[0]
     assert t.S == (1, 3)
     assert all(s == 1 for s in t.pi.values())
-    assert t.gamma_part == {}
+    assert t.gamma == ()
 
 
 def test_enumerate_tuples_leaf_builds_no_frame():
     # At |S| = k nothing reads pi or gamma, so the leaf needs no classes of S.
     ctx = Search(_hand_instance(), SolverConfig(k=2))
     (t,) = enumerate_tuples((3, 1), (), ctx)
-    assert (t.S, t.pi, t.gamma_part) == ((1, 3), {}, {})
+    assert (t.S, t.pi, t.gamma) == ((1, 3), {}, ())
     assert ctx._frames == {}
 
 
@@ -437,7 +491,7 @@ def test_good_tuple_from_opt():
     ctx = Search(inst, SolverConfig(k=3))
     t = good_tuple_from_opt((3,), ((1,), (4,)), opt, asg, ctx)
     assert t.pi == {(3,): 3}
-    assert t.gamma_part == {(0, (3,)): 2, (1, (3,)): 2}
+    assert t.gamma == ((((3,), 2),), (((3,), 2),))
     with pytest.raises(PreconditionViolated):
         good_tuple_from_opt((5,), ((1,), (4,)), opt, asg, ctx)
     with pytest.raises(PreconditionViolated):
@@ -628,15 +682,7 @@ def replay_runs(draw):
             **shared,
         )
         return inst, k, cfg
-    family = []
-    for hub in (0, 1):
-        family += [(hub, 2)] * draw(st.integers(1, 3)) + [(hub, 3)] * draw(st.integers(1, 3))
-        family += [(hub, 2, 3)] * draw(st.integers(0, 2))
-    inst = Instance(
-        elements=tuple(Element(id=i, cap=cap) for i, cap in enumerate((1, 1, 2, 3))),
-        family=tuple(family),
-        d=3,
-    )
+    inst = _two_hub_instance(draw)
     cfg = SolverConfig(
         k=3,
         small_class_threshold=1,
