@@ -487,15 +487,18 @@ def enumerate_tuples(S, parts, ctx: Search):
         pi_choices = itertools.product(sorted(S), repeat=len(nonempty))
     else:
         pi_choices = iter([()])
-    rows = [
-        tuple((cls, g) for cls, g in zip(realized, combo) if g)
-        for combo in itertools.product(*(ctx.gamma_values(len(classes[c])) for c in realized))
-    ]
+    # Rows are cut per tuple from one product: rows^r may dwarf the tuple budget.
+    n = len(realized)
+    values = [ctx.gamma_values(len(classes[cls])) for cls in realized] * len(parts)
     for choice in pi_choices:
         pi = dict(zip(nonempty, choice))
         if S and () in classes:
             pi[()] = min(S)
-        for gamma in itertools.product(rows, repeat=len(parts)):
+        for combo in itertools.product(*values):
+            gamma = tuple(
+                tuple((cls, g) for cls, g in zip(realized, combo[i * n : i * n + n]) if g)
+                for i in range(len(parts))
+            )
             ctx.charge_tuple()
             yield AnnotatedTuple._trusted(S, parts, pi, gamma)
 

@@ -375,7 +375,7 @@ def eager_info_tuple(t, ctx):
         for v in part:
             if inst.element(v).cap < demand:
                 continue
-            if any(inc.get((v, cls), 0) < gamma.get(cls, 0) for cls in realized):
+            if any(inc.get((v, cls), 0) < g for cls, g in gamma.items()):
                 continue
             kept.append(v)
         kept = tuple(sorted(kept))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -228,6 +229,9 @@ def test_info_tuple_filters_and_scores():
     assert n_of[(1, (3,))] == 1
     assert n_of[(1, ())] == 2
     assert score[(1, 3)] == 2
+    # Class (0,) is not realized: it has no sets, so no element meets a demand on it.
+    t_unrealized = replace(t, gamma=((((0,), 1),),))
+    assert info_tuple(t_unrealized, ctx) == eager_info_tuple(t_unrealized, ctx)[0] == ((),)
 
 
 def test_candidate_set_threshold_branches():
@@ -349,55 +353,13 @@ def _two_hub_instance(draw) -> Instance:
     )
 
 
-@st.composite
-def closing_runs(draw):
-    """(instance, config, cases): (t, tau1, tau2) of mixed sizes and r = 0..3.
-
-    Two runs in three take a random family.  Each case takes one of two (S, pi),
-    often with one S, drawn on the ids 0..2, which every set meets, and its
-    parts from one split of the other ids.  So cases share S, pi and X''
-    while gamma and the taus vary, and many closings succeed.  The other runs
-    take the two-hub family with S = {0, 1}, the one part (2, 3), unranked,
-    rho 1/2 and both pi maps that matter: each hub's class in its own star,
-    or both classes in hub 0's.  Under one map and not the other the
-    candidates 2 and 3 can conflict, so the part, whose quota is 2, closes
-    differently by pi alone.
-    """
-    if draw(st.integers(0, 2)) == 0:
-        inst = _two_hub_instance(draw)
-        choices = [((2, 3),)]
-        consts = {"rho": Fraction(1, 2), "small_class_threshold": 2}
-        realized = [(0,), (1,)]
-        bases = [((0, 1), realized, {(0,): 0, (1,): 1}), ((0, 1), realized, {(0,): 0, (1,): 0})]
-    else:
-        n = draw(st.integers(8, 11))
-        others = st.sets(st.integers(3, n - 1), max_size=2)
-        family = tuple(
-            tuple(sorted({draw(st.integers(0, 2))} | draw(others)))
-            for _ in range(draw(st.integers(3, 14)))
-        )
-        inst = Instance(
-            elements=tuple(Element(id=i, cap=draw(st.integers(1, 4))) for i in range(n)),
-            family=family,
-            d=3,
-        )
-        split = tuple(tuple(range(i, n, 3)) for i in (3, 4, 5))
-        choices = [split[:r] for r in range(4)]
-        consts = {
-            "rho": draw(st.sampled_from([Fraction(1), Fraction(3, 4), Fraction(1, 2)])),
-            "small_class_threshold": draw(st.integers(0, 6)),
-        }
-        subsets = st.sets(st.integers(0, 2), min_size=1).map(lambda x: tuple(sorted(x)))
-        first = draw(subsets)
-        bases = []
-        for S in (first, draw(st.just(first) | subsets)):
-            realized = sorted(equivalence_classes(inst, S))
-            pi = {c: min(S) if c == () else draw(st.sampled_from(S)) for c in realized}
-            bases.append((S, realized, pi))
+def _closing_cases(draw, bases, part_choices, count):
+    """Cases (t, tau1, tau2), as many as count draws, each on one of bases
+    (S, realized, pi) and the parts part_choices draws."""
     cases = []
-    for _ in range(draw(st.integers(4, 16))):
+    for _ in range(draw(count)):
         S, realized, pi = draw(st.sampled_from(bases))
-        parts = draw(st.sampled_from(choices))
+        parts = draw(part_choices)
         r = len(parts)
         demand = draw(st.booleans())  # half the cases ask nothing, so X'' repeats
         gamma = [[(c, 1) for c in realized if demand and draw(st.integers(0, 3)) == 0] for _ in parts]
@@ -406,24 +368,72 @@ def closing_runs(draw):
         # tau2 differs from tau1 unless r = 1; a tau clash returns before the memo.
         tau2 = {s: (a + draw(st.integers(min(1, r - 1), r - 1))) % r for s, a in tau1.items()}
         cases.append((t, tau1, tau2))
-    return inst, SolverConfig(k=1, top_t=draw(st.integers(1, 3)), **consts), cases
+    return cases
+
+
+@st.composite
+def closing_runs(draw):
+    """Two runs (instance, config, cases), each case (t, tau1, tau2).
+
+    The first takes a random family and cases of mixed sizes and r = 0..3.
+    Each case takes one of two (S, pi), often with one S, drawn on the ids
+    0..2, which every set meets, and its parts from one split of the other
+    ids.  So cases share S, pi and X'' while gamma and the taus vary, and many
+    closings succeed.  The second takes the two-hub family with S = {0, 1},
+    the one part (2, 3), unranked, rho 1/2 and both pi maps that matter:
+    each hub's class in its own star, or both classes in hub 0's.  Under one
+    map and not the other the candidates 2 and 3 can conflict, so the part,
+    whose quota is 2, closes differently by pi alone.
+    """
+    n = draw(st.integers(8, 11))
+    others = st.sets(st.integers(3, n - 1), max_size=2)
+    family = tuple(
+        tuple(sorted({draw(st.integers(0, 2))} | draw(others)))
+        for _ in range(draw(st.integers(3, 14)))
+    )
+    inst = Instance(
+        elements=tuple(Element(id=i, cap=draw(st.integers(1, 4))) for i in range(n)),
+        family=family,
+        d=3,
+    )
+    split = tuple(tuple(range(i, n, 3)) for i in (3, 4, 5))
+    subsets = st.sets(st.integers(0, 2), min_size=1).map(lambda x: tuple(sorted(x)))
+    first = draw(subsets)
+    bases = []
+    for S in (first, draw(st.just(first) | subsets)):
+        realized = sorted(equivalence_classes(inst, S))
+        pi = {c: min(S) if c == () else draw(st.sampled_from(S)) for c in realized}
+        bases.append((S, realized, pi))
+    cases = _closing_cases(draw, bases, st.integers(0, 3).map(lambda r: split[:r]), st.integers(4, 12))
+    cfg = SolverConfig(
+        k=1,
+        rho=draw(st.sampled_from([Fraction(1), Fraction(3, 4), Fraction(1, 2)])),
+        small_class_threshold=draw(st.integers(0, 6)),
+        top_t=draw(st.integers(1, 3)),
+    )
+    hubs = _two_hub_instance(draw)
+    realized = [(0,), (1,)]
+    bases = [((0, 1), realized, {(0,): 0, (1,): 1}), ((0, 1), realized, {(0,): 0, (1,): 0})]
+    hub_cases = _closing_cases(draw, bases, st.just(((2, 3),)), st.integers(2, 8))
+    hub_cfg = SolverConfig(k=1, rho=Fraction(1, 2), small_class_threshold=2, top_t=1)
+    return [(inst, cfg, cases), (hubs, hub_cfg, hub_cases)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(closing_runs())
-def test_memoized_closing_matches_a_fresh_search(run):
+def test_memoized_closing_matches_a_fresh_search(runs):
     # One Search closes every case, re-resolved for each size as solve_approx
     # does; each answer must equal that of a Search that closed nothing else.
-    inst, cfg, cases = run
-    shared = Search(inst, cfg)
-    for t, tau1, tau2 in cases * 2:
-        k = len(t.S) + t.r
-        shared.cfg = cfg.resolved(inst.d, k=k)
-        got = []
-        for ctx in (shared, Search(inst, replace(cfg, k=k))):
-            xpp = candidate_set(t, tau1, info_tuple(t, ctx), ctx) if t.r else ()
-            got.append(solve_extended(t, tau1, tau2, xpp, ctx))
-        assert got[0] == got[1]
+    for inst, cfg, cases in runs:
+        shared = Search(inst, cfg)
+        for t, tau1, tau2 in cases * 2:
+            k = len(t.S) + t.r
+            shared.cfg = cfg.resolved(inst.d, k=k)
+            got = []
+            for ctx in (shared, Search(inst, replace(cfg, k=k))):
+                xpp = candidate_set(t, tau1, info_tuple(t, ctx), ctx) if t.r else ()
+                got.append(solve_extended(t, tau1, tau2, xpp, ctx))
+            assert got[0] == got[1]
 
 
 def test_solve_extended_base_case():
@@ -447,6 +457,27 @@ def test_enumerate_tuples_counts_and_budget():
     assert gammas == [0, 1, 2, 3, 4]
     with pytest.raises(BudgetExceeded):
         list(enumerate_tuples((3,), ((1, 4),), Search(inst, replace(cfg, tuple_budget=3))))
+
+
+def test_enumerate_tuples_builds_no_row_before_its_charge():
+    # S = {0, 1, 2} realizes eight classes of three sets, so each of the two
+    # parts has 4^8 rows; a budget of 50 must stop before they are all built.
+    subsets = [E for n in range(4) for E in itertools.combinations((0, 1, 2), n)]
+    inst = Instance(
+        elements=tuple(Element(id=i, cap=3) for i in range(5)),
+        family=tuple(E + (3,) for E in subsets for _ in range(3)),
+        d=4,
+    )
+    ctx = Search(inst, SolverConfig(k=5, tuple_budget=50))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="annotated-tuple"):
+            for _ in enumerate_tuples((0, 1, 2), ((3,), (4,)), ctx):
+                pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ctx.tuples == 0 and peak < 2**20
 
 
 def test_enumerate_tuples_order_is_the_flat_product():
