@@ -8,8 +8,6 @@ from .approx import (
     ExtendedResult,
     Search,
     SolverConfig,
-    bucket_value,
-    bucket_value_next,
     bucket_values_upto,
     candidate_set,
     ceil43,
@@ -38,7 +36,7 @@ from .core import (
 )
 from .domset import BipartiteGraph, min_dominator_forced
 from .exact import ExactResult, WeightedResult, solve_exact, solve_exact_weighted
-from .feasibility import assignment_ok, build_network, check_feasible, coverage
+from .feasibility import assignment_ok, build_network, check_feasible
 from .independence import IndependenceContext, find_independent_set, is_conflicting
 from .reductions import (
     Constraint,

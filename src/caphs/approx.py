@@ -20,8 +20,8 @@ cover them and otherwise searches it again, so BudgetExceeded fires at the
 same charge, with the same message, as a search without the memos.  A leaf
 (|S| = k) reads neither pi nor gamma, so enumerate_tuples builds no frame.
 
-The closing step charges nothing, so Search memoizes each closing by (size, S,
-pi, X'', quotas), its quotas by (r, tau pairs) and its conflicts by (S, pi, rho).
+The closing step charges nothing and runs afresh for each extended tuple;
+Search keeps its quotas by (r, tau pairs) and its conflicts by (S, pi, rho).
 
 X'_i is part i cut by capacity and class incidence.  X''_i, the candidates the
 closing step may pick from, is all of X'_i for a small part; only a part above
@@ -43,6 +43,7 @@ from fractions import Fraction
 from .colorweights import default_trials, random_colorings, weight_estimates
 from .core import (
     Assignment,
+    Element,
     Instance,
     Solution,
     equivalence_classes,
@@ -57,7 +58,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .exact import solve_exact, solve_exact_weighted
-from .feasibility import check_feasible, coverage
+from .feasibility import check_feasible
 from .independence import IndependenceContext, find_independent_set
 
 ENUMERATE = "enumerate"
@@ -134,43 +135,20 @@ def ceil43(k: int) -> int:
     return (4 * k + 2) // 3
 
 
-def _rung(c: int, base) -> tuple[Fraction, int]:
-    """(base, largest p with base^p <= c)."""
-    if c < 1:
-        raise ValueError("bucket values need c >= 1")
-    base = Fraction(base)
-    if base <= 1:
-        raise ValueError("bucket base must exceed 1")
-    # A float estimate, corrected exactly.  From 2 up, ln base is taken from
-    # its integer numerator and denominator: float(base) may overflow.
-    a, b = base.numerator, base.denominator
-    p = int(math.log(c) / (math.log1p(base - 1) if a < 2 * b else math.log(a) - math.log(b)))
-    while p > 0 and base ** p > c:
-        p -= 1
-    while base ** (p + 1) <= c:
-        p += 1
-    return base, p
-
-
-def bucket_value(c: int, base) -> int:
-    """ceil(base^p) for the largest p with base^p <= c.  Exact arithmetic."""
-    base, p = _rung(c, base)
-    return math.ceil(base ** p)
-
-
-def bucket_value_next(c: int, base) -> int:
-    """ceil(base^(p+1)) for the same p as bucket_value: the next rung up."""
-    base, p = _rung(c, base)
-    return math.ceil(base ** (p + 1))
-
-
 def bucket_values_upto(limit: int, base) -> list[int]:
-    """Distinct rung values ceil(a^p / b^p) <= limit for base = a / b, ascending."""
+    """Distinct rung values ceil(a^p / b^p) <= limit for base = a / b, ascending.
+
+    When base <= v / (v - 1) for every v <= limit, no step from one power to
+    the next skips an integer, so every value 1..limit is a rung; this is
+    returned without the walk, which takes about ln(limit) / ln(base) steps.
+    """
     if limit < 1:
         return []
     base = Fraction(base)
     if base <= 1:
         raise ValueError("bucket base must exceed 1")
+    if limit * (base - 1) <= base:
+        return list(range(1, limit + 1))
     num, den, out = 1, 1, []
     while num <= limit * den:
         out.append(-(-num // den))
@@ -268,10 +246,10 @@ class Search:
     both apply.  Only failures are stored, and every entry
     charged at least one tuple itself, so there are at most tuple_budget.
 
-    The closing memos: _closings maps (size, S, sorted pi items, X'', quotas),
-    () for the last three at r = 0, to solve_extended's result; _quotas maps
-    (r, the (tau1(s), tau2(s)) pairs over sorted S) to the quota vector; and
-    _independence maps (S, sorted pi items, rho) to an IndependenceContext.
+    The closing step is computed afresh each time; what it looks up is kept:
+    _quotas maps (r, the (tau1(s), tau2(s)) pairs over sorted S) to the quota
+    vector, and _independence maps (S, sorted pi items, rho) to an
+    IndependenceContext with its conflict cache.
     """
 
     def __init__(self, inst: Instance, cfg: SolverConfig):
@@ -282,7 +260,6 @@ class Search:
         self._frames: dict = {}
         self._gammas: dict = {}
         self._failed: dict = {}
-        self._closings: dict = {}
         self._quotas: dict = {}
         self._independence: dict = {}
 
@@ -431,14 +408,13 @@ def solve_extended(
     which every caller already holds.  At r = 0 (tau1, tau2 and xpp empty) S
     itself is the pick: this is the one leaf of both modes.  Returns a
     solution only when the pick passes check_feasible and stays within
-    ceil(4k/3).  Past the tau clash and an empty X''_i it is memoized on ctx.
+    ceil(4k/3).  The quotas and the conflict relation come from ctx's memos.
     """
     cfg = ctx.cfg
     if len(t.S) + t.r != cfg.k:
         raise ValueError("tuple arity does not match k")
-    if t.r == 0:
-        pi_items, xpp, quotas = (), (), ()
-    else:
+    picked: tuple[int, ...] | None = ()
+    if t.r:
         for s in t.S:
             if tau1.get(s) is None or tau2.get(s) is None:
                 raise ValueError("tau1/tau2 must be total on S")
@@ -447,22 +423,15 @@ def solve_extended(
         if not all(xpp):
             # An empty X''_i leaves part i without a pick whatever the quotas.
             return ExtendedResult(solution=None, reason=INDEPENDENCE_FAIL)
-        pi_items = tuple(sorted(t.pi.items()))
         quotas = ctx.quotas(t.r, tuple((tau1[s], tau2[s]) for s in t.S))
-    key = (cfg.k, t.S, pi_items, xpp, quotas)
-    if key in ctx._closings:
-        return ctx._closings[key]
-    picked: tuple[int, ...] | None = ()
-    if xpp:
-        picked = find_independent_set(ctx.independence(t.S, pi_items), xpp, quotas, ctx.inst)
+        ind = ctx.independence(t.S, tuple(sorted(t.pi.items())))
+        picked = find_independent_set(ind, xpp, quotas, ctx.inst)
     if picked is None:
-        res = ExtendedResult(solution=None, reason=INDEPENDENCE_FAIL)
-    else:
-        sol = Solution({x: 1 for x in set(t.S) | set(picked)})
-        ok = sol.size() <= ceil43(cfg.k) and check_feasible(ctx.inst, sol) is not None
-        res = ExtendedResult(sol) if ok else ExtendedResult(None, INFEASIBLE_OR_TOO_BIG)
-    ctx._closings[key] = res
-    return res
+        return ExtendedResult(solution=None, reason=INDEPENDENCE_FAIL)
+    sol = Solution({x: 1 for x in set(t.S) | set(picked)})
+    if sol.size() <= ceil43(cfg.k) and check_feasible(ctx.inst, sol) is not None:
+        return ExtendedResult(sol)
+    return ExtendedResult(None, INFEASIBLE_OR_TOO_BIG)
 
 
 def enumerate_tuples(S, parts, ctx: Search):
@@ -515,24 +484,13 @@ def good_tuple_from_opt(
     parts = tuple(tuple(sorted(p)) for p in parts)
     rep = _oracle_reps(S, parts, opt)
     classes, realized, _ = ctx.frame(S)
-    pi: dict = {}
-    for cls in realized:
-        if not S:
-            break
-        if cls == ():
-            pi[cls] = min(S)
-            continue
-        idxs = classes[cls]
-        best_s, best_c = None, -1
-        for s in S:
-            c = coverage(asg, s, idxs)
-            if c > best_c:
-                best_s, best_c = s, c
-        pi[cls] = best_s if best_c > 0 else min(S)
-    # Each demand is the top rung up to the coverage c, bucket_value(c, base).
+    # held[cls][x]: how many sets of class cls the assignment charges to x.
+    held = {cls: Counter(asg.target.get(j) for j in classes[cls]) for cls in realized}
+    # pi[cls]: the first s of sorted S that holds the most, min(S) when none does.
+    pi = {cls: max(S, key=held[cls].__getitem__) for cls in realized} if S else {}
+    # Each demand is the top rung up to the coverage c: the largest ceil(base^p) <= c.
     gamma = [
-        [(cls, ctx.gamma_values(c)[-1])
-         for cls in realized if (c := coverage(asg, v, classes[cls]))]
+        [(cls, ctx.gamma_values(c)[-1]) for cls in realized if (c := held[cls][v])]
         for v in rep
     ]
     return AnnotatedTuple(S=S, parts=parts, pi=pi, gamma=gamma)
@@ -623,7 +581,8 @@ def _solve_guided(
     tau1: dict = {}
     tau2: dict = {}
     for s in t.S:
-        cover = [coverage(asg, rep[i], st.get(s, ())) for i in range(r)]
+        held = Counter(asg.target.get(j) for j in st.get(s, ()))
+        cover = [held[v] for v in rep]
         ranked = sorted(range(r), key=lambda i: (-cover[i], i))
         tau1[s], tau2[s] = ranked[0], ranked[min(1, r - 1)]
     xpp = candidate_set(t, tau1, info_tuple(t, ctx), ctx)
@@ -642,8 +601,6 @@ def expand_multiplicities(inst: Instance, k: int) -> Expansion:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    from .core import Element
-
     new_elements = []
     back: dict = {}
     copy_ids: dict = {}

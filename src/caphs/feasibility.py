@@ -123,8 +123,3 @@ def check_feasible(inst: Instance, sol: Solution) -> Assignment | None:
     if not assignment_ok(inst, sol, asg):
         raise InvariantViolated("matching produced an invalid assignment")
     return asg
-
-
-def coverage(asg: Assignment, x: int, indices) -> int:
-    """cov(x, indices): how many of the given set occurrences are charged to x."""
-    return sum(1 for j in indices if asg.target.get(j) == x)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -19,8 +20,6 @@ from caphs.approx import (
     AnnotatedTuple,
     Search,
     SolverConfig,
-    bucket_value,
-    bucket_value_next,
     bucket_values_upto,
     candidate_set,
     ceil43,
@@ -81,35 +80,45 @@ def test_ceil43_values():
 
 def test_bucket_value_matches_naive_scan():
     for base in (Fraction(4, 3), Fraction(10, 9), Fraction(7, 6)):
-        # The guided descent reads the same value off the memoized ladder.
+        # The guided descent reads the demand for a coverage c off this ladder.
         ctx = Search(_hand_instance(), SolverConfig(k=2, bucket_base=base))
         for c in range(1, 300):
-            assert bucket_value(c, base) == naive_bucket(c, base) == ctx.gamma_values(c)[-1]
+            assert ctx.gamma_values(c)[-1] == naive_bucket(c, base)
 
 
-def test_bucket_next_is_the_following_rung():
+def test_bucket_value_is_sandwiched():
+    # g <= c < base * g for the top rung g up to c: no coverage is overstated,
+    # and none is understated by a factor of base or more.
     base = Fraction(4, 3)
+    ladder = bucket_values_upto(200, base)
     for c in range(1, 200):
-        v, nxt = bucket_value(c, base), bucket_value_next(c, base)
-        assert v <= c
-        assert Fraction(c) < base * nxt
+        g = bucket_values_upto(c, base)[-1]
+        assert g in ladder and g <= c < base * g
 
 
 def test_bucket_value_survives_huge_bases():
-    # From base 2 up the rung estimate never converts the base to a float.
-    assert bucket_value(5, Fraction(10**400)) == 1
-    assert bucket_value(10**500, Fraction(10**400)) == 10**400
-    assert bucket_value_next(5, Fraction(10**400)) == 10**400
+    assert bucket_values_upto(5, Fraction(10**400)) == [1]
+    assert bucket_values_upto(10**500, Fraction(10**400)) == [1, 10**400]
     for k in range(1, 7):  # the criterion-10 bases
         base = 1 + Fraction(1, 3 * k)
         for c in (1, 2, 3, 10, 99, 10**4):
-            assert bucket_value(c, base) == naive_bucket(c, base)
+            assert bucket_values_upto(c, base)[-1] == naive_bucket(c, base)
 
 
 def test_bucket_values_upto():
     assert bucket_values_upto(8, Fraction(10, 9)) == [1, 2, 3, 4, 5, 6, 7, 8]
     assert bucket_values_upto(10, Fraction(2)) == [1, 2, 4, 8]
     assert bucket_values_upto(0, Fraction(2)) == []
+
+
+def test_bucket_values_upto_skips_the_walk_near_one():
+    # Base 1.00001 needs about 208 000 exact steps to reach 8; every integer
+    # up to 8 is a rung, and the list comes back at once.
+    t0 = time.perf_counter()
+    assert bucket_values_upto(8, Fraction("1.00001")) == list(range(1, 9))
+    assert time.perf_counter() - t0 < 0.5
+    # At limit * (base - 1) = base exactly, the last step lands on the limit.
+    assert bucket_values_upto(3, Fraction(3, 2)) == [1, 2, 3]
 
 
 @given(
@@ -128,10 +137,9 @@ def test_bucket_values_upto_lists_every_rung(base, limit):
 
 
 def test_bucket_rejects_bad_input():
-    with pytest.raises(ValueError):
-        bucket_value(0, Fraction(4, 3))
-    with pytest.raises(ValueError):
-        bucket_value(5, Fraction(1))
+    for base in (Fraction(1), Fraction(1, 2)):
+        with pytest.raises(ValueError):
+            bucket_values_upto(5, base)
 
 
 def test_config_resolution_defaults():
@@ -365,7 +373,7 @@ def _closing_cases(draw, bases, part_choices, count):
         gamma = [[(c, 1) for c in realized if demand and draw(st.integers(0, 3)) == 0] for _ in parts]
         t = AnnotatedTuple(S=S, parts=parts, pi=pi, gamma=gamma)
         tau1 = {s: draw(st.integers(0, r - 1)) for s in S} if r else {}
-        # tau2 differs from tau1 unless r = 1; a tau clash returns before the memo.
+        # tau2 differs from tau1 unless r = 1; a tau clash returns before any memo.
         tau2 = {s: (a + draw(st.integers(min(1, r - 1), r - 1))) % r for s, a in tau1.items()}
         cases.append((t, tau1, tau2))
     return cases
@@ -421,9 +429,10 @@ def closing_runs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(closing_runs())
-def test_memoized_closing_matches_a_fresh_search(runs):
+def test_closing_on_shared_memos_matches_a_fresh_search(runs):
     # One Search closes every case, re-resolved for each size as solve_approx
-    # does; each answer must equal that of a Search that closed nothing else.
+    # does, so its quota and independence memos fill across cases and sizes;
+    # each answer must equal that of a Search that closed nothing else.
     for inst, cfg, cases in runs:
         shared = Search(inst, cfg)
         for t, tau1, tau2 in cases * 2:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -106,6 +107,21 @@ def test_solve_approx_weighted_and_overrides(tmp_path, capsys):
     )
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ValueError"
+
+
+def test_enumerate_budget_stops_a_bucket_base_near_one(tmp_path, capsys):
+    # The gamma rungs for base 1.00001 are every integer up to each class
+    # size, listed at once, so the small budget runs out within a second.
+    path = gen_instance_file(tmp_path, capsys, seed=0, weighted=False, m=6)
+    t0 = time.perf_counter()
+    code, out, _ = run(
+        capsys,
+        "solve-approx", str(path), "--k", "2", "--mode", "enumerate", "--budget", "50",
+        "--override-const", "bucket_base=1.00001",
+    )
+    assert time.perf_counter() - t0 < 5
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "BudgetExceeded"
 
 
 @pytest.mark.parametrize("mode", ["guided", "enumerate"])

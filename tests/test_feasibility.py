@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import caphs.feasibility as feasibility
 from caphs.core import Assignment, Element, Instance, Solution, ValidationError, generate_instance
 from caphs.errors import CaphsError
-from caphs.feasibility import _augment, assignment_ok, build_network, check_feasible, coverage
+from caphs.feasibility import _augment, assignment_ok, build_network, check_feasible
 
 from _oracles import (
     OracleTooLarge,
@@ -207,14 +207,6 @@ def test_unbought_member_is_never_assigned():
     two = Instance(elements=inst.elements, family=((0,), (1,)), d=1)
     assert check_feasible(two, Solution(copies={0: 1})) is None
     assert check_feasible(two, Solution(copies={0: 1, 1: 1})) is not None
-
-
-def test_coverage_counts_only_given_indices():
-    asg = Assignment(target={0: 7, 1: 7, 2: 3})
-    assert coverage(asg, 7, [0, 1, 2]) == 2
-    assert coverage(asg, 7, [1]) == 1
-    assert coverage(asg, 7, []) == 0
-    assert coverage(asg, 3, [0, 1]) == 0
 
 
 def test_zero_capacity_element_counts_for_nothing():

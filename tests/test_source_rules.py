@@ -121,3 +121,32 @@ def test_memos_live_on_the_search_not_the_process():
         "g = functools.cache(f)\n"
     )
     assert _process_caches(probe, "probe") == ["probe:f", "probe:2 lru_cache", "probe:6 call"]
+
+
+def _local_imports(text: str, label: str) -> list[str]:
+    """Import statements inside a function body, by innermost enclosing function."""
+    found = {}
+    # ast.walk reaches an outer function before its inner ones, so the inner wins.
+    for fn in ast.walk(ast.parse(text, filename=label)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found[node.lineno] = f"{label}:{node.lineno} {fn.name}"
+    return [found[line] for line in sorted(found)]
+
+
+def test_imports_sit_at_module_level():
+    # A function-local import hides a dependency from the module's header and
+    # is looked up again on every call.
+    found = [
+        entry
+        for path in sorted(SRC.glob("*.py"))
+        for entry in _local_imports(path.read_text(encoding="utf-8"), path.name)
+    ]
+    assert not found, "function-local imports: " + ", ".join(found)
+    probe = (
+        "import os\ndef f():\n    from os import path\n    def g():\n"
+        "        import sys\n    return path\nclass C:\n    async def h(self):\n"
+        "        import json\n"
+    )
+    assert _local_imports(probe, "probe") == ["probe:3 f", "probe:5 g", "probe:9 h"]
