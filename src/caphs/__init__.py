@@ -4,7 +4,6 @@ from .approx import (
     ENUMERATE,
     GUIDED,
     AnnotatedTuple,
-    ApproxResult,
     ExtendedResult,
     Search,
     SolverConfig,
@@ -25,6 +24,7 @@ from .core import (
     Assignment,
     Element,
     Instance,
+    Result,
     Solution,
     equivalence_classes,
     generate_instance,
@@ -35,7 +35,7 @@ from .core import (
     stars,
 )
 from .domset import BipartiteGraph, min_dominator_forced
-from .exact import ExactResult, WeightedResult, solve_exact, solve_exact_weighted
+from .exact import solve_exact, solve_exact_weighted
 from .feasibility import assignment_ok, build_network, check_feasible
 from .independence import IndependenceContext, find_independent_set, is_conflicting
 from .reductions import (

@@ -28,8 +28,9 @@ closing step may pick from, is all of X'_i for a small part; only a part above
 small_class_threshold is ranked, so candidate_set scores those parts alone.
 
 Every layer takes the pieces of a tuple it reads (t, tau1, tau2, X'') and one
-Search last: the instance, the resolved config, both budgets and the per-S
-memos of one search.  A direct call builds it with Search(inst, cfg).
+Search last: the instance, the target size k, the config resolved for it,
+both budgets and the per-S memos of one search.  A direct call builds it with
+Search(inst, k, cfg); Search.resize changes k.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .core import (
     Assignment,
     Element,
     Instance,
+    Result,
     Solution,
     equivalence_classes,
     stars,
@@ -72,13 +74,14 @@ INFEASIBLE_OR_TOO_BIG = "infeasible-or-too-big"
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Search constants.  None fields are derived from (k, d) by resolved().
+    """Search constants and budgets, checked when built; frozen, so a config
+    stays valid.  None constants are derived from (d, k) for one target size
+    by resolved(); the size itself is the k of a solve.
 
     The theory constants are enormous (top_t = d*k^10 and so on); stress tests
     override them downward, which only ever shrinks the search space.
     """
 
-    k: int
     rho: Fraction | None = None
     top_t: int | None = None
     small_class_threshold: int | None = None
@@ -89,30 +92,13 @@ class SolverConfig:
     epsilon: Fraction | None = None
     max_coloring_trials: int = 10_000
 
-    def resolved(self, d: int, k: int | None = None) -> "SolverConfig":
-        kk = int(self.k if k is None else k)
-        if kk < 1:
-            raise ValueError("k must be at least 1")
-        if d < 1:
-            raise ValueError("d must be at least 1")
-        rho = self.rho if self.rho is not None else Fraction(1, kk ** 4)
-        rho = Fraction(rho)
-        if not 0 < rho <= 1:
+    def __post_init__(self):
+        rho, base, top_t, thr = self.rho, self.bucket_base, self.top_t, self.small_class_threshold
+        if rho is not None and not 0 < rho <= 1:
             raise ValueError("rho must lie in (0, 1]")
-        top_t = self.top_t if self.top_t is not None else d * kk ** 10
-        thr = (
-            self.small_class_threshold
-            if self.small_class_threshold is not None
-            else d * kk ** 11
-        )
-        base = (
-            Fraction(self.bucket_base)
-            if self.bucket_base is not None
-            else 1 + Fraction(1, 3 * kk)
-        )
-        if base <= 1:
+        if base is not None and base <= 1:
             raise ValueError("bucket_base must exceed 1")
-        if top_t < 1 or thr < 0:
+        if (top_t is not None and top_t < 1) or (thr is not None and thr < 0):
             raise ValueError("top_t must be positive and the threshold nonnegative")
         if self.tuple_budget < 0 or self.recursion_budget < 0:
             raise ValueError("budgets must be nonnegative")
@@ -120,13 +106,20 @@ class SolverConfig:
             raise ValueError("epsilon must be positive")
         if self.max_coloring_trials < 1:
             raise ValueError("max_coloring_trials must be at least 1")
+
+    def resolved(self, d: int, k: int) -> "SolverConfig":
+        """This config with its None constants filled in for size k and d."""
+        if k < 1:
+            raise ValueError("k must be at least 1")
+        if d < 1:
+            raise ValueError("d must be at least 1")
+        rho, base, top_t, thr = self.rho, self.bucket_base, self.top_t, self.small_class_threshold
         return replace(
             self,
-            k=kk,
-            rho=rho,
-            top_t=top_t,
-            small_class_threshold=thr,
-            bucket_base=base,
+            rho=Fraction(1, k**4) if rho is None else Fraction(rho),
+            top_t=d * k**10 if top_t is None else top_t,
+            small_class_threshold=d * k**11 if thr is None else thr,
+            bucket_base=1 + Fraction(1, 3 * k) if base is None else Fraction(base),
         )
 
 
@@ -214,13 +207,6 @@ class ExtendedResult:
 
 
 @dataclass(frozen=True)
-class ApproxResult:
-    solution: Solution
-    assignment: Assignment
-    weight: int
-
-
-@dataclass(frozen=True)
 class Expansion:
     """Clone instance; back maps clone ids to originals, copy_ids the reverse."""
 
@@ -232,12 +218,12 @@ class Expansion:
 class Search:
     """The context every annotated-tuple layer of both modes takes: one search.
 
-    Search(inst, cfg) resolves cfg for inst.d and takes its two budgets.  It
-    memoizes what depends only on S (its classes, sorted realized classes and
-    class incidence) or on a class size and k, which fixes the bucket base
-    (the gamma values enumerate_tuples ranges over).  solve_approx builds one
-    per call and re-resolves cfg for each target size; budgets and memos carry
-    across sizes.
+    Search(inst, k, cfg) searches for target size k: cfg (the defaults when
+    None) resolved for inst.d and k.  It takes cfg's two budgets and memoizes
+    what depends only on S (its classes, sorted realized classes and class
+    incidence) or on a class size and k, which fixes the bucket base (the
+    gamma values enumerate_tuples ranges over).  resize(k) is the one way to
+    change the target size; budgets and memos carry across sizes.
 
     _failed maps the key of an enumerate-mode subtree that found nothing to
     the (tuple, recursion) charges it made: (size, sorted S, parts) from
@@ -252,16 +238,22 @@ class Search:
     IndependenceContext with its conflict cache.
     """
 
-    def __init__(self, inst: Instance, cfg: SolverConfig):
+    def __init__(self, inst: Instance, k: int, cfg: SolverConfig | None = None):
         self.inst = inst
-        self.cfg = cfg.resolved(inst.d)
-        self.tuples = cfg.tuple_budget
-        self.recursions = cfg.recursion_budget
+        self._given = cfg if cfg is not None else SolverConfig()
+        self.resize(k)
+        self.tuples = self._given.tuple_budget
+        self.recursions = self._given.recursion_budget
         self._frames: dict = {}
         self._gammas: dict = {}
         self._failed: dict = {}
         self._quotas: dict = {}
         self._independence: dict = {}
+
+    def resize(self, k: int):
+        """Search for size k from now on, with the config resolved for it."""
+        self.cfg = self._given.resolved(self.inst.d, k)
+        self.k = k
 
     def charge_tuple(self):
         if self.tuples <= 0:
@@ -309,7 +301,7 @@ class Search:
 
     def gamma_values(self, size: int) -> list[int]:
         """0 plus the bucket rungs up to size: the demands on a class that big."""
-        key = (size, self.cfg.k)  # k fixes the bucket base; a Fraction hashes slowly
+        key = (size, self.k)  # k fixes the bucket base; a Fraction hashes slowly
         if key not in self._gammas:
             self._gammas[key] = [0] + bucket_values_upto(size, self.cfg.bucket_base)
         return self._gammas[key]
@@ -410,8 +402,7 @@ def solve_extended(
     solution only when the pick passes check_feasible and stays within
     ceil(4k/3).  The quotas and the conflict relation come from ctx's memos.
     """
-    cfg = ctx.cfg
-    if len(t.S) + t.r != cfg.k:
+    if len(t.S) + t.r != ctx.k:
         raise ValueError("tuple arity does not match k")
     picked: tuple[int, ...] | None = ()
     if t.r:
@@ -429,7 +420,7 @@ def solve_extended(
     if picked is None:
         return ExtendedResult(solution=None, reason=INDEPENDENCE_FAIL)
     sol = Solution({x: 1 for x in set(t.S) | set(picked)})
-    if sol.size() <= ceil43(cfg.k) and check_feasible(ctx.inst, sol) is not None:
+    if sol.size() <= ceil43(ctx.k) and check_feasible(ctx.inst, sol) is not None:
         return ExtendedResult(sol)
     return ExtendedResult(None, INFEASIBLE_OR_TOO_BIG)
 
@@ -443,23 +434,18 @@ def enumerate_tuples(S, parts, ctx: Search):
     Each yielded tuple is charged against the search's tuple budget.  S and
     the parts must be disjoint: the tuples are built sorted and not re-checked.
     """
-    cfg = ctx.cfg
     S = tuple(sorted(S))
     parts = tuple(tuple(sorted(p)) for p in parts)
-    if len(S) == cfg.k:
+    if len(S) == ctx.k:
         ctx.charge_tuple()
         yield AnnotatedTuple._trusted(S, parts, {}, ())
         return
     classes, realized, _ = ctx.frame(S)
     nonempty = [cls for cls in realized if cls]
-    if S:
-        pi_choices = itertools.product(sorted(S), repeat=len(nonempty))
-    else:
-        pi_choices = iter([()])
     # Rows are cut per tuple from one product: rows^r may dwarf the tuple budget.
     n = len(realized)
     values = [ctx.gamma_values(len(classes[cls])) for cls in realized] * len(parts)
-    for choice in pi_choices:
+    for choice in itertools.product(S, repeat=len(nonempty)):
         pi = dict(zip(nonempty, choice))
         if S and () in classes:
             pi[()] = min(S)
@@ -503,14 +489,14 @@ def solve_annotated(t: AnnotatedTuple, ctx: Search) -> Solution | None:
     reads: size, S, parts, pi, X' and, only when some X'_i is ranked (longer
     than small_class_threshold), gamma.
     """
-    if len(t.S) + t.r != ctx.cfg.k:
+    if len(t.S) + t.r != ctx.k:
         raise ValueError("tuple arity does not match k")
     if t.r == 0:
         return solve_extended(t, {}, {}, (), ctx).solution
     xprime = info_tuple(t, ctx)
     thr = ctx.cfg.small_class_threshold
     gamma = t.gamma if any(len(xp) > thr for xp in xprime) else ()
-    key = (ctx.cfg.k, t.S, t.parts, tuple(sorted(t.pi.items())), xprime, gamma)
+    key = (ctx.k, t.S, t.parts, tuple(sorted(t.pi.items())), xprime, gamma)
     if ctx.replayed(key):
         return None
     tuples, recursions = ctx.tuples, ctx.recursions
@@ -540,7 +526,7 @@ def _search_below(S, parts, ctx: Search) -> Solution | None:
     A subtree that failed before at this size is replayed (Search.replayed)
     instead of searched again.
     """
-    key = (ctx.cfg.k, tuple(sorted(S)), parts)
+    key = (ctx.k, tuple(sorted(S)), parts)
     if ctx.replayed(key):
         return None
     tuples, recursions = ctx.tuples, ctx.recursions
@@ -597,7 +583,8 @@ def _solve_guided(
 def expand_multiplicities(inst: Instance, k: int) -> Expansion:
     """Clone each element min(k, mult) times with multiplicity one.
 
-    Set membership is inherited by every clone, so sets grow up to d*k wide.
+    Set membership is inherited by every clone, so sets grow up to d*k wide;
+    the clone instance's d is its widest set (d itself when there is none).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -621,8 +608,7 @@ def expand_multiplicities(inst: Instance, k: int) -> Expansion:
         for x in fs:
             members.extend(copy_ids[x])
         family2.append(tuple(sorted(members)))
-    widest = max((len(fs) for fs in family2), default=inst.d)
-    d2 = max(1, min(inst.d * k, widest))
+    d2 = max((len(fs) for fs in family2), default=inst.d)
     inst2 = Instance(elements=tuple(new_elements), family=tuple(family2), d=d2)
     return Expansion(instance=inst2, back=back, copy_ids=copy_ids)
 
@@ -656,7 +642,7 @@ def _lift_oracle(
 
 def solve_approx(
     inst: Instance, k: int, cfg: SolverConfig | None = None, mode: str = GUIDED
-) -> ApproxResult | None:
+) -> Result | None:
     """Find a capacitated hitting set of size at most ceil(4k/3), or None.
 
     mode is ENUMERATE for the self-contained search or GUIDED for the
@@ -664,71 +650,73 @@ def solve_approx(
     parts are additionally sliced into weight windows and the guarantee traded
     for weight at most (2 + epsilon) times the optimum.
     """
-    if cfg is None:
-        cfg = SolverConfig(k=k)
-    if cfg.k != k:
-        cfg = replace(cfg, k=k)
+    cfg = cfg if cfg is not None else SolverConfig()
     if k < 0:
         raise ValueError("k must be nonnegative")
     if mode not in (GUIDED, ENUMERATE):
         raise ValueError("mode must be GUIDED or ENUMERATE")
+    if mode == GUIDED:
+        oracle = (solve_exact if cfg.epsilon is None else solve_exact_weighted)(inst, k)
+        return None if oracle is None else _guided(inst, k, cfg, oracle)
     if k == 0 or not inst.family:
         # No set is empty, so the empty solution is feasible iff there are none.
-        cfg.resolved(inst.d, k=max(k, 1))  # checks every other config field
         return None if inst.family else _finish(inst, Solution({}), {})
     exp = expand_multiplicities(inst, k)
     inst2 = exp.instance
-    ctx = Search(inst2, cfg)
-
-    if mode == GUIDED:
-        got = (solve_exact if cfg.epsilon is None else solve_exact_weighted)(inst, k)
-        if got is None:
-            return None
-        ell = got.solution.size()
-        opt2, asg2 = _lift_oracle(inst2, exp.copy_ids, got.solution, got.assignment)
-        colorings = _colorings(ctx, cfg, ell)
-        parts = None
-        for cand in colorings:
-            hit = {i for i, part in enumerate(cand) for v in part if v in opt2.copies}
-            if len(hit) == ell:
-                parts = tuple(tuple(sorted(p)) for p in cand)
-                break
-        if parts is None:
-            raise NoColoringSeparates(
-                f"no coloring among {len(colorings)} separated the oracle solution"
-            )
-        if cfg.epsilon is not None:
-            # Each part keeps the weight window of its oracle element.
-            w_star = opt2.weight(inst2)
-            W = next(w for w in weight_estimates(inst2) if w >= w_star)
-            delta = _window_width(cfg.epsilon, W, ell, inst2.n)
-            reps = [next(v for v in p if v in opt2.copies) for p in parts]
-            bvec = [inst2.element(v).weight // delta for v in reps]
-            parts = _weight_windows(inst2, parts, bvec, delta)
-        root = good_tuple_from_opt((), parts, opt2, asg2, ctx)
-        sol2 = _solve_guided(root, opt2, asg2, ctx)
-        return None if sol2 is None else _finish(inst, sol2, exp.back)
-
+    ctx = Search(inst2, k, cfg)
     # A size above the clone count leaves a part of every coloring empty.
     for ell in range(1, min(k, inst2.n) + 1):
-        for cand in _colorings(ctx, cfg, ell):
+        ctx.resize(ell)
+        for cand in _colorings(inst2, cfg, ell):
             parts0 = tuple(tuple(sorted(p)) for p in cand)
             if any(not p for p in parts0):
                 continue
             for parts in _all_windows(inst2, parts0, ell, cfg.epsilon):
-                if any(not p for p in parts):
-                    continue
                 got = _search_below((), parts, ctx)
                 if got is not None:
                     return _finish(inst, got, exp.back)
     return None
 
 
-def _colorings(ctx: Search, cfg: SolverConfig, ell: int):
-    """Re-resolve ctx.cfg for size ell; the colorings to try, at most max_coloring_trials."""
-    ctx.cfg = cfg.resolved(ctx.inst.d, k=ell)
-    trials = min(default_trials(ctx.inst.n, ell), cfg.max_coloring_trials)
-    return random_colorings([e.id for e in ctx.inst.elements], ell, trials, cfg.seed)
+def _guided(inst: Instance, k: int, cfg: SolverConfig, oracle: Result) -> Result | None:
+    """Guided mode after its oracle call on (inst, k): spread the optimum over
+    the clones, separate it by a coloring and descend along it.  An empty
+    oracle solution (an instance without sets) is the answer itself."""
+    if not oracle.solution.copies:
+        return _finish(inst, Solution({}), {})
+    exp = expand_multiplicities(inst, k)
+    inst2 = exp.instance
+    ell = oracle.solution.size()
+    ctx = Search(inst2, ell, cfg)
+    opt2, asg2 = _lift_oracle(inst2, exp.copy_ids, oracle.solution, oracle.assignment)
+    colorings = _colorings(inst2, cfg, ell)
+    parts = None
+    for cand in colorings:
+        hit = {i for i, part in enumerate(cand) for v in part if v in opt2.copies}
+        if len(hit) == ell:
+            parts = tuple(tuple(sorted(p)) for p in cand)
+            break
+    if parts is None:
+        raise NoColoringSeparates(
+            f"no coloring among {len(colorings)} separated the oracle solution"
+        )
+    if cfg.epsilon is not None:
+        # Each part keeps the weight window of its oracle element.
+        w_star = opt2.weight(inst2)
+        W = next(w for w in weight_estimates(inst2) if w >= w_star)
+        delta = _window_width(cfg.epsilon, W, ell, inst2.n)
+        reps = [next(v for v in p if v in opt2.copies) for p in parts]
+        bvec = [inst2.element(v).weight // delta for v in reps]
+        parts = _weight_windows(inst2, parts, bvec, delta)
+    root = good_tuple_from_opt((), parts, opt2, asg2, ctx)
+    sol2 = _solve_guided(root, opt2, asg2, ctx)
+    return None if sol2 is None else _finish(inst, sol2, exp.back)
+
+
+def _colorings(inst2: Instance, cfg: SolverConfig, ell: int):
+    """The colorings of inst2's elements into ell parts to try, at most max_coloring_trials."""
+    trials = min(default_trials(inst2.n, ell), cfg.max_coloring_trials)
+    return random_colorings([e.id for e in inst2.elements], ell, trials, cfg.seed)
 
 
 def _window_width(epsilon, W: int, ell: int, n: int) -> int:
@@ -746,20 +734,27 @@ def _weight_windows(inst2: Instance, parts, bvec, delta: int):
 
 
 def _all_windows(inst2: Instance, parts0, ell: int, epsilon):
-    """parts0 itself; with epsilon set, its cut to every window vector instead."""
+    """parts0 itself; with epsilon set, its cut to every window vector that
+    leaves no part empty instead, ascending.  Weight w lies in window w // delta
+    and, when delta divides w > 0, in the one below: each part offers only the
+    windows of its elements, so the walk does not grow with the weights."""
     if epsilon is None:
         yield parts0
         return
-    max_w = max(e.weight for e in inst2.elements)
     for W in weight_estimates(inst2):
         delta = _window_width(epsilon, W, ell, inst2.n)
-        for bvec in itertools.product(range(max_w // delta + 1), repeat=ell):
+        offered = []
+        for p in parts0:
+            ws = [inst2.element(v).weight for v in p]
+            below = {w // delta - 1 for w in ws if w and w % delta == 0}
+            offered.append(sorted({w // delta for w in ws} | below))
+        for bvec in itertools.product(*offered):
             yield _weight_windows(inst2, parts0, bvec, delta)
 
 
-def _finish(inst: Instance, sol2: Solution, back: dict) -> ApproxResult:
+def _finish(inst: Instance, sol2: Solution, back: dict) -> Result:
     sol = _map_back(sol2, back)
     asg = check_feasible(inst, sol)
     if asg is None:
         raise InvariantViolated("the mapped-back solution is infeasible")
-    return ApproxResult(solution=sol, assignment=asg, weight=sol.weight(inst))
+    return Result(solution=sol, assignment=asg, weight=sol.weight(inst))

@@ -14,10 +14,9 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
-from .approx import ENUMERATE, GUIDED, SolverConfig, ceil43, solve_approx
+from .approx import ENUMERATE, GUIDED, SolverConfig, _guided, ceil43, solve_approx
 from .core import (
     generate_instance,
     parse_instance,
@@ -86,17 +85,17 @@ def cmd_check(args) -> int:
 def cmd_solve_exact(args) -> int:
     inst = parse_instance(_read(args.instance))
     res = (solve_exact_weighted if args.weighted else solve_exact)(inst, args.k)
-    return _emit_result(inst, res)
+    return _emit_result(res)
 
 
-def _emit_result(inst, res, **bounds) -> int:
+def _emit_result(res, **bounds) -> int:
     """Print a solve result and return its exit code: {"found": false} and 1
     for None, else found, size, weight, the bounds, copies and assignment, 0."""
     if res is None:
         _emit({"found": False})
         return 1
     sol = res.solution
-    head = {"found": True, "size": sol.size(), "weight": sol.weight(inst), **bounds}
+    head = {"found": True, "size": sol.size(), "weight": res.weight, **bounds}
     _emit({**head, **solution_document(sol, res.assignment)})
     return 0
 
@@ -118,43 +117,42 @@ _OVERRIDE_INTS = {"top_t", "small_class_threshold", "max_coloring_trials"}
 
 
 def _config_from(args) -> SolverConfig:
-    cfg = SolverConfig(
-        k=args.k,
-        seed=args.seed,
-        epsilon=args.epsilon,
-    )
+    """One SolverConfig from the options; of repeated overrides the last wins."""
+    fields = {"seed": args.seed, "epsilon": args.epsilon}
     if args.budget is not None:
-        cfg = replace(cfg, tuple_budget=args.budget, recursion_budget=args.budget)
+        fields.update(tuple_budget=args.budget, recursion_budget=args.budget)
     for kv in args.override_const or []:
         key, _, val = kv.partition("=")
         if key in _OVERRIDE_FRACTIONS:
-            cfg = replace(cfg, **{key: fraction(val)})
+            fields[key] = fraction(val)
         elif key in _OVERRIDE_INTS:
-            cfg = replace(cfg, **{key: int(val)})
+            fields[key] = int(val)
         else:
             raise ValueError(f"unknown override {key!r}")
-    return cfg
+    return SolverConfig(**fields)
 
 
 def cmd_solve_approx(args) -> int:
     inst = parse_instance(_read(args.instance))
     cfg = _config_from(args)
-    try:  # checked before solving; solve_approx rejects an epsilon <= 0 itself
-        bound = 4 / 3 if cfg.epsilon is None or cfg.epsilon <= 0 else float(2 + cfg.epsilon)
+    try:  # checked before solving; the config has rejected an epsilon <= 0
+        bound = 4 / 3 if cfg.epsilon is None else float(2 + cfg.epsilon)
     except OverflowError:
         raise ValueError("epsilon is too large: 2 + epsilon must fit in a float") from None
     res = solve_approx(inst, args.k, cfg, mode=args.mode)
-    return _emit_result(inst, res, ratio_bound=bound, size_bound=ceil43(args.k))
+    return _emit_result(res, ratio_bound=bound, size_bound=ceil43(args.k))
 
 
 def _certify_row(path: str, inst, k: int, seed: int) -> str | None:
+    """The CSV row of guided mode against its own oracle, the exact optimum;
+    None when no solution of size at most k exists."""
     exact = solve_exact(inst, k)
     if exact is None:
         return None
-    approx = solve_approx(inst, k, SolverConfig(k=k, seed=seed), GUIDED)
+    approx = _guided(inst, k, SolverConfig(seed=seed), exact)
     if approx is None:
         raise InvariantViolated("guided search lost the exact optimum")
-    es, ew = exact.solution.size(), exact.solution.weight(inst)
+    es, ew = exact.solution.size(), exact.weight
     as_, aw = approx.solution.size(), approx.weight
     return "%s,%d,%d,%d,%d,%d,%d,%.6f,%.6f,%d" % (
         path,

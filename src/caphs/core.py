@@ -113,6 +113,16 @@ class Assignment:
     target: dict[int, int]
 
 
+@dataclass(frozen=True)
+class Result:
+    """What every solver returns: the solution, an assignment that covers
+    every set with it, and its weight."""
+
+    solution: Solution
+    assignment: Assignment
+    weight: int
+
+
 def equivalence_classes(inst: Instance, S) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Group family indices by A ∩ S.
 

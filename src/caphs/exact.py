@@ -13,26 +13,12 @@ nonnegative weights every optimum below is such a vector.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .core import Assignment, Instance, Solution
+from .core import Instance, Result, Solution
 from .errors import BudgetExceeded
 from .feasibility import _augment, check_feasible
 
 DEFAULT_CANDIDATE_BUDGET = 10**6
-
-
-@dataclass(frozen=True)
-class ExactResult:
-    solution: Solution
-    assignment: Assignment
-
-
-@dataclass(frozen=True)
-class WeightedResult:
-    solution: Solution
-    assignment: Assignment
-    weight: int
 
 
 def _limits(inst: Instance, k: int) -> list[tuple[int, int]]:
@@ -55,8 +41,8 @@ def _count_vectors(limits, k: int) -> int:
 
 
 def _search(inst: Instance, k: int, budget: int, weighted: bool):
-    """The feasible copy vector of size at most k with the smallest key, as
-    (Solution, weight) or None.
+    """The feasible copy vector of size at most k with the smallest key, as a
+    Solution, or None.
 
     The key is (size, vector) or, when weighted, (weight, size, vector).
     Vectors run over the _limits order and never exceed its limits, so the
@@ -66,7 +52,7 @@ def _search(inst: Instance, k: int, budget: int, weighted: bool):
     if k < 0:
         raise ValueError("k must be nonnegative")
     if not inst.family:
-        return Solution(copies={}), 0  # nothing to hit: no search, no precheck
+        return Solution(copies={})  # nothing to hit: no search, no precheck
     limits = _limits(inst, k)
     count = _count_vectors(limits, k)
     if count > budget:
@@ -112,11 +98,11 @@ def _search(inst: Instance, k: int, budget: int, weighted: bool):
         level = nxt
     if best is None:
         return None
-    w, _, vec = best
-    return Solution(copies={x: c for (x, _), c in zip(limits, vec) if c > 0}), w
+    vec = best[2]
+    return Solution(copies={x: c for (x, _), c in zip(limits, vec) if c > 0})
 
 
-def solve_exact(inst: Instance, k: int, budget: int = DEFAULT_CANDIDATE_BUDGET) -> ExactResult | None:
+def solve_exact(inst: Instance, k: int, budget: int = DEFAULT_CANDIDATE_BUDGET) -> Result | None:
     """Minimum-size feasible solution of size at most k, or None.
 
     Candidates are multisets with copies(x) <= min(k, mult(x)); ties are
@@ -126,22 +112,16 @@ def solve_exact(inst: Instance, k: int, budget: int = DEFAULT_CANDIDATE_BUDGET) 
     are more than budget of them, never conflating that with infeasibility,
     and ValueError for k < 0.  Without sets the answer is empty, unbudgeted.
     """
-    found = _search(inst, k, budget, weighted=False)
-    if found is None:
-        return None
-    sol, _ = found
-    return ExactResult(solution=sol, assignment=check_feasible(inst, sol))
+    sol = _search(inst, k, budget, weighted=False)
+    return None if sol is None else Result(sol, check_feasible(inst, sol), sol.weight(inst))
 
 
 def solve_exact_weighted(inst: Instance, k: int,
-                         budget: int = DEFAULT_CANDIDATE_BUDGET) -> WeightedResult | None:
+                         budget: int = DEFAULT_CANDIDATE_BUDGET) -> Result | None:
     """Minimum-weight feasible solution among those of size at most k.
 
     Ties go to the smaller size, then the lexicographically smallest copies
     vector.  Same budget behavior as solve_exact.
     """
-    found = _search(inst, k, budget, weighted=True)
-    if found is None:
-        return None
-    sol, w = found
-    return WeightedResult(solution=sol, assignment=check_feasible(inst, sol), weight=w)
+    sol = _search(inst, k, budget, weighted=True)
+    return None if sol is None else Result(sol, check_feasible(inst, sol), sol.weight(inst))

@@ -17,9 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from caphs import approx
-from caphs.core import Assignment, Instance, Solution
+from caphs.core import Assignment, Instance, Result, Solution
 from caphs.errors import BudgetExceeded, CaphsError, InvariantViolated, PreconditionViolated
-from caphs.exact import ExactResult, WeightedResult, _count_vectors, _limits
+from caphs.exact import _count_vectors, _limits
 from caphs.feasibility import _bought, assignment_ok, check_feasible
 from caphs.independence import is_conflicting
 
@@ -278,22 +278,22 @@ def _enumerate_feasible(inst: Instance, k: int, budget: int):
                 yield t, vec, sol, asg
 
 
-def enumerate_exact(inst: Instance, k: int, budget: int) -> ExactResult | None:
+def enumerate_exact(inst: Instance, k: int, budget: int) -> Result | None:
     """The exact solver that checks every copy vector of size at most k in
     (size, lexicographic) order and returns the first feasible one."""
     for _, _, sol, asg in _enumerate_feasible(inst, k, budget):
-        return ExactResult(solution=sol, assignment=asg)
+        return Result(solution=sol, assignment=asg, weight=sol.weight(inst))
     return None
 
 
-def enumerate_exact_weighted(inst: Instance, k: int, budget: int) -> WeightedResult | None:
+def enumerate_exact_weighted(inst: Instance, k: int, budget: int) -> Result | None:
     """The same enumeration keeping the first vector of each strictly
     smaller weight."""
     best = None
     for _, _, sol, asg in _enumerate_feasible(inst, k, budget):
         w = sol.weight(inst)
         if best is None or w < best.weight:
-            best = WeightedResult(solution=sol, assignment=asg, weight=w)
+            best = Result(solution=sol, assignment=asg, weight=w)
     return best
 
 

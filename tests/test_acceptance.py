@@ -138,7 +138,7 @@ def test_criterion_03_weighted_guarantee():
         exact = solve_exact_weighted(inst, 3)
         if exact is None:
             continue
-        cfg = SolverConfig(k=3, epsilon=Fraction(1, 2))
+        cfg = SolverConfig(epsilon=Fraction(1, 2))
         res = solve_approx(inst, 3, cfg=cfg, mode=GUIDED)
         assert res is not None
         assert assignment_ok(inst, res.solution, res.assignment)
@@ -191,7 +191,7 @@ def _optimum_seeded_tuple(inst, k, cfg, rng):
         extra = int(rng.integers(0, 3))
         parts.append(tuple(sorted([rep] + others[at : at + extra])))
         at += extra
-    t = good_tuple_from_opt(S, tuple(parts), opt.solution, asg, Search(inst, cfg))
+    t = good_tuple_from_opt(S, tuple(parts), opt.solution, asg, Search(inst, k, cfg))
     # Delete a demand picked by part, then by the class's first occurrence in the family.
     classes = equivalence_classes(inst, t.S)
     keys = [(i, cls) for i, row in enumerate(t.gamma) for cls in classes if cls in dict(row)]
@@ -217,7 +217,6 @@ def test_criterion_04_stress_soundness():
         inst = generate_instance(params, seed=trial)
         k = 2 + trial % 2
         cfg = SolverConfig(
-            k=k,
             rho=Fraction(1, 4),
             top_t=2,
             small_class_threshold=4,
@@ -241,7 +240,7 @@ def test_criterion_04_stress_soundness():
             elif r == 1:
                 tau2[s] = 0
         sols = []
-        ctx = Search(inst, cfg)
+        ctx = Search(inst, k, cfg)
         res = solve_extended(t, tau1, tau2, candidate_set(t, tau1, info_tuple(t, ctx), ctx), ctx)
         if res.solution is not None:
             sols.append(res.solution)

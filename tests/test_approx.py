@@ -81,7 +81,7 @@ def test_ceil43_values():
 def test_bucket_value_matches_naive_scan():
     for base in (Fraction(4, 3), Fraction(10, 9), Fraction(7, 6)):
         # The guided descent reads the demand for a coverage c off this ladder.
-        ctx = Search(_hand_instance(), SolverConfig(k=2, bucket_base=base))
+        ctx = Search(_hand_instance(), 2, SolverConfig(bucket_base=base))
         for c in range(1, 300):
             assert ctx.gamma_values(c)[-1] == naive_bucket(c, base)
 
@@ -143,27 +143,40 @@ def test_bucket_rejects_bad_input():
 
 
 def test_config_resolution_defaults():
-    cfg = SolverConfig(k=2).resolved(d=3)
+    cfg = SolverConfig().resolved(3, 2)
     assert cfg.rho == Fraction(1, 16)
     assert cfg.top_t == 3 * 2 ** 10
     assert cfg.small_class_threshold == 3 * 2 ** 11
     assert cfg.bucket_base == Fraction(7, 6)
-    assert cfg.resolved(d=3) == cfg  # idempotent
+    assert cfg.resolved(3, 2) == cfg  # idempotent
+
+
+BAD_CONFIG_FIELDS = [
+    {"rho": Fraction(2)},
+    {"rho": Fraction(0)},
+    {"bucket_base": Fraction(1)},
+    {"top_t": 0},
+    {"small_class_threshold": -1},
+    {"tuple_budget": -1},
+    {"recursion_budget": -1},
+    {"epsilon": Fraction(0)},
+    {"epsilon": Fraction(-1, 2)},
+    {"max_coloring_trials": 0},
+]
 
 
 def test_config_resolution_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(k=0).resolved(d=1)
-    with pytest.raises(ValueError):
-        SolverConfig(k=1, rho=Fraction(2)).resolved(d=1)
-    with pytest.raises(ValueError):
-        SolverConfig(k=1, bucket_base=Fraction(1)).resolved(d=1)
-    with pytest.raises(ValueError):
-        SolverConfig(k=1, tuple_budget=-1).resolved(d=1)
-    with pytest.raises(ValueError):
-        SolverConfig(k=1, epsilon=Fraction(-1, 2)).resolved(d=1)
-    with pytest.raises(ValueError):
-        SolverConfig(k=1, max_coloring_trials=0).resolved(d=1)
+    # A config checks its fields when built, through replace() too, so every
+    # config that exists is valid; resolved() checks only the size and d.
+    for bad in BAD_CONFIG_FIELDS:
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
+        with pytest.raises(ValueError):
+            replace(SolverConfig(), **bad)
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        SolverConfig().resolved(1, 0)
+    with pytest.raises(ValueError, match="d must be at least 1"):
+        SolverConfig().resolved(0, 1)
 
 
 def test_annotated_tuple_validation():
@@ -229,7 +242,7 @@ def test_info_tuple_filters_and_scores():
         pi={(3,): 3, (): 3},
         gamma=((((3,), 1), ((), 1)),),
     )
-    ctx = Search(inst, SolverConfig(k=2))
+    ctx = Search(inst, 2)
     # cap filter drops 0 (cap 1 < demand 2); incidence drops 2 (no (3,) sets).
     assert info_tuple(t, ctx) == ((1,),)
     xprime, n_of, score = eager_info_tuple(t, ctx)
@@ -250,11 +263,11 @@ def test_candidate_set_threshold_branches():
         pi={(3,): 3},
         gamma=((((3,), 1),),),
     )
-    ctx = Search(inst, SolverConfig(k=2))
+    ctx = Search(inst, 2)
     xprime = info_tuple(t, ctx)
     whole = candidate_set(t, {3: 0}, xprime, ctx)
     assert whole == ((1, 4),)
-    narrow = Search(inst, SolverConfig(k=2, top_t=1, small_class_threshold=0))
+    narrow = Search(inst, 2, SolverConfig(top_t=1, small_class_threshold=0))
     top1 = candidate_set(t, {3: 0}, xprime, narrow)
     assert len(top1[0]) == 1
     # A star pointed elsewhere contributes nothing when the part is large.
@@ -293,11 +306,10 @@ def scored_tuples(draw):
     t = AnnotatedTuple(S=S, parts=tuple(parts), pi=pi, gamma=gamma)
     tau1 = {s: draw(st.integers(0, r - 1)) for s in S}
     cfg = SolverConfig(
-        k=len(S) + r,
         small_class_threshold=draw(st.integers(0, 2)),
         top_t=draw(st.integers(1, 3)),
     )
-    return t, tau1, Search(inst, cfg)
+    return t, tau1, Search(inst, len(S) + r, cfg)
 
 
 @given(scored_tuples())
@@ -308,9 +320,9 @@ def test_lazy_scores_match_eager_ranking(case):
     assert candidate_set(t, tau1, xprime, ctx) == ranked_candidate_set(t, tau1, ctx)
 
 
-def _close(t, tau1, tau2, inst, cfg):
+def _close(t, tau1, tau2, inst, k):
     """solve_extended on (t, tau1, tau2) with the candidate set its callers hand it."""
-    ctx = Search(inst, cfg)
+    ctx = Search(inst, k)
     return solve_extended(t, tau1, tau2, candidate_set(t, tau1, info_tuple(t, ctx), ctx), ctx)
 
 
@@ -322,7 +334,7 @@ def test_solve_extended_success():
         pi={(3,): 3},
         gamma=((((3,), 1),),),
     )
-    res = _close(t, {3: 0}, {3: 0}, inst, SolverConfig(k=2))
+    res = _close(t, {3: 0}, {3: 0}, inst, 2)
     assert res.solution is not None
     assert res.solution.copies == {1: 1, 3: 1, 4: 1}
     assert res.reason is None
@@ -335,16 +347,16 @@ def test_solve_extended_failure_reasons():
     # Quota two from a one-candidate part cannot be met.
     t_small = AnnotatedTuple(S=(3,), parts=((1,),), pi=pi, gamma=((((3,), 1),),))
     taus = ({3: 0}, {3: 0})
-    assert _close(t_small, *taus, inst, SolverConfig(k=2)).reason == INDEPENDENCE_FAIL
+    assert _close(t_small, *taus, inst, 2).reason == INDEPENDENCE_FAIL
     # An empty candidate list fails before the dominator is built.
-    ctx = Search(inst, SolverConfig(k=2))
+    ctx = Search(inst, 2)
     assert solve_extended(t_small, *taus, ((),), ctx).reason == INDEPENDENCE_FAIL
     # r >= 2 with tau1 = tau2 on some s is rejected outright.
     t_two = AnnotatedTuple(S=(3,), parts=((1,), (4,)), pi=pi, gamma=((((3,), 1),), ()))
-    assert _close(t_two, {3: 1}, {3: 1}, inst, SolverConfig(k=3)).reason == TAU_CLASH
+    assert _close(t_two, {3: 1}, {3: 1}, inst, 3).reason == TAU_CLASH
     # Arity mismatch is a usage error, not a reason.
     with pytest.raises(ValueError):
-        _close(t_small, *taus, inst, SolverConfig(k=5))
+        _close(t_small, *taus, inst, 5)
 
 
 def _two_hub_instance(draw) -> Instance:
@@ -414,7 +426,6 @@ def closing_runs(draw):
         bases.append((S, realized, pi))
     cases = _closing_cases(draw, bases, st.integers(0, 3).map(lambda r: split[:r]), st.integers(4, 12))
     cfg = SolverConfig(
-        k=1,
         rho=draw(st.sampled_from([Fraction(1), Fraction(3, 4), Fraction(1, 2)])),
         small_class_threshold=draw(st.integers(0, 6)),
         top_t=draw(st.integers(1, 3)),
@@ -423,23 +434,23 @@ def closing_runs(draw):
     realized = [(0,), (1,)]
     bases = [((0, 1), realized, {(0,): 0, (1,): 1}), ((0, 1), realized, {(0,): 0, (1,): 0})]
     hub_cases = _closing_cases(draw, bases, st.just(((2, 3),)), st.integers(2, 8))
-    hub_cfg = SolverConfig(k=1, rho=Fraction(1, 2), small_class_threshold=2, top_t=1)
+    hub_cfg = SolverConfig(rho=Fraction(1, 2), small_class_threshold=2, top_t=1)
     return [(inst, cfg, cases), (hubs, hub_cfg, hub_cases)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(closing_runs())
 def test_closing_on_shared_memos_matches_a_fresh_search(runs):
-    # One Search closes every case, re-resolved for each size as solve_approx
+    # One Search closes every case, resized for each size as solve_approx
     # does, so its quota and independence memos fill across cases and sizes;
     # each answer must equal that of a Search that closed nothing else.
     for inst, cfg, cases in runs:
-        shared = Search(inst, cfg)
+        shared = Search(inst, 1, cfg)
         for t, tau1, tau2 in cases * 2:
             k = len(t.S) + t.r
-            shared.cfg = cfg.resolved(inst.d, k=k)
+            shared.resize(k)
             got = []
-            for ctx in (shared, Search(inst, replace(cfg, k=k))):
+            for ctx in (shared, Search(inst, k, cfg)):
                 xpp = candidate_set(t, tau1, info_tuple(t, ctx), ctx) if t.r else ()
                 got.append(solve_extended(t, tau1, tau2, xpp, ctx))
             assert got[0] == got[1]
@@ -448,24 +459,24 @@ def test_closing_on_shared_memos_matches_a_fresh_search(runs):
 def test_solve_extended_base_case():
     inst = _hand_instance()
     ok = AnnotatedTuple(S=(1, 3), parts=(), pi={}, gamma=())
-    res = _close(ok, {}, {}, inst, SolverConfig(k=2))
+    res = _close(ok, {}, {}, inst, 2)
     assert res.solution.copies == {1: 1, 3: 1}
     bad = AnnotatedTuple(S=(1, 5), parts=(), pi={}, gamma=())
-    res2 = _close(bad, {}, {}, inst, SolverConfig(k=2))
+    res2 = _close(bad, {}, {}, inst, 2)
     assert res2.solution is None
     assert res2.reason == INFEASIBLE_OR_TOO_BIG
 
 
 def test_enumerate_tuples_counts_and_budget():
     inst = _hand_instance()
-    cfg = SolverConfig(k=2)
-    got = list(enumerate_tuples((3,), ((1, 4),), Search(inst, cfg)))
+    cfg = SolverConfig()
+    got = list(enumerate_tuples((3,), ((1, 4),), Search(inst, 2, cfg)))
     # One pi choice, gamma over {0} + rungs {1, 2, 3, 4} for the single class.
     assert len(got) == 5
     gammas = sorted(dict(t.gamma[0]).get((3,), 0) for t in got)
     assert gammas == [0, 1, 2, 3, 4]
     with pytest.raises(BudgetExceeded):
-        list(enumerate_tuples((3,), ((1, 4),), Search(inst, replace(cfg, tuple_budget=3))))
+        list(enumerate_tuples((3,), ((1, 4),), Search(inst, 2, replace(cfg, tuple_budget=3))))
 
 
 def test_enumerate_tuples_builds_no_row_before_its_charge():
@@ -477,7 +488,7 @@ def test_enumerate_tuples_builds_no_row_before_its_charge():
         family=tuple(E + (3,) for E in subsets for _ in range(3)),
         d=4,
     )
-    ctx = Search(inst, SolverConfig(k=5, tuple_budget=50))
+    ctx = Search(inst, 5, SolverConfig(tuple_budget=50))
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded, match="annotated-tuple"):
@@ -493,7 +504,7 @@ def test_enumerate_tuples_order_is_the_flat_product():
     # Rows per part come in the order of one product over (part, class) keys,
     # the last class of the last part fastest, so every charge stays in place.
     inst = _hand_instance()
-    ctx = Search(inst, SolverConfig(k=3))
+    ctx = Search(inst, 3)
     got = [t.gamma for t in enumerate_tuples((1,), ((3,), (4,)), ctx)]
     classes = equivalence_classes(inst, (1,))
     keys = [(i, cls) for i in range(2) for cls in sorted(classes)]
@@ -508,7 +519,7 @@ def test_enumerate_tuples_order_is_the_flat_product():
 
 def test_enumerate_tuples_base_case_is_canonical():
     inst = _hand_instance()
-    got = list(enumerate_tuples((1, 3), (), Search(inst, SolverConfig(k=2))))
+    got = list(enumerate_tuples((1, 3), (), Search(inst, 2)))
     assert len(got) == 1
     t = got[0]
     assert t.S == (1, 3)
@@ -518,7 +529,7 @@ def test_enumerate_tuples_base_case_is_canonical():
 
 def test_enumerate_tuples_leaf_builds_no_frame():
     # At |S| = k nothing reads pi or gamma, so the leaf needs no classes of S.
-    ctx = Search(_hand_instance(), SolverConfig(k=2))
+    ctx = Search(_hand_instance(), 2)
     (t,) = enumerate_tuples((3, 1), (), ctx)
     assert (t.S, t.pi, t.gamma) == ((1, 3), {}, ())
     assert ctx._frames == {}
@@ -528,7 +539,7 @@ def test_good_tuple_from_opt():
     inst = _hand_instance()
     opt = Solution({1: 1, 3: 1, 4: 1})
     asg = Assignment({0: 1, 1: 1, 2: 4, 3: 4})
-    ctx = Search(inst, SolverConfig(k=3))
+    ctx = Search(inst, 3)
     t = good_tuple_from_opt((3,), ((1,), (4,)), opt, asg, ctx)
     assert t.pi == {(3,): 3}
     assert t.gamma == ((((3,), 2),), (((3,), 2),))
@@ -574,7 +585,7 @@ def test_guided_weighted_stays_within_bound():
         got = solve_exact_weighted(inst, 3)
         if got is None:
             continue
-        cfg = SolverConfig(k=3, epsilon=Fraction(1, 2))
+        cfg = SolverConfig(epsilon=Fraction(1, 2))
         res = solve_approx(inst, 3, cfg=cfg, mode=GUIDED)
         assert res is not None
         assert res.weight <= Fraction(5, 2) * got.weight
@@ -591,10 +602,10 @@ def test_guided_none_when_infeasible():
 
 def test_guided_coloring_exhaustion_raises():
     inst = generate_instance(GEN, seed=7)
-    cfg = SolverConfig(k=4, seed=0, max_coloring_trials=1)
+    cfg = SolverConfig(seed=0, max_coloring_trials=1)
     with pytest.raises(NoColoringSeparates):
         solve_approx(inst, 4, cfg=cfg, mode=GUIDED)
-    good = SolverConfig(k=4, seed=4, max_coloring_trials=1)
+    good = SolverConfig(seed=4, max_coloring_trials=1)
     res = solve_approx(inst, 4, cfg=good, mode=GUIDED)
     assert res is not None and res.solution.size() == 4
 
@@ -629,7 +640,7 @@ def test_enumerate_budget_fires_at_pinned_charge_counts():
     inst = generate_instance(GEN_UNW, seed=4)
 
     def run(tuples, recursions):
-        cfg = SolverConfig(k=2, tuple_budget=tuples, recursion_budget=recursions)
+        cfg = SolverConfig(tuple_budget=tuples, recursion_budget=recursions)
         return solve_approx(inst, 2, cfg=cfg, mode=ENUMERATE)
 
     assert run(586, 381) is not None
@@ -674,7 +685,7 @@ def test_failed_subtree_memo_matches_plain_search(n, m, seed, k, epsilon, tuples
     # The memo may only save work: the same answer or the same exhausted
     # budget, and the same charges left on both budgets.
     inst = generate_instance({**GEN, "n": n, "m": m}, seed)
-    cfg = SolverConfig(k=k, tuple_budget=tuples, recursion_budget=recursions, epsilon=epsilon)
+    cfg = SolverConfig(tuple_budget=tuples, recursion_budget=recursions, epsilon=epsilon)
     got = _enumerate_outcome(inst, k, cfg)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(approx, "_search_below", plain_search_below)
@@ -714,7 +725,6 @@ def replay_runs(draw):
         inst = generate_instance({**GEN, "n": n, "m": m}, draw(st.integers(0, 10_000)))
         k = draw(st.integers(1, 3))
         cfg = SolverConfig(
-            k=k,
             small_class_threshold=draw(st.sampled_from([None, 0, 1, 2])),
             top_t=draw(st.integers(1, 2)),
             seed=draw(st.integers(0, 20)),
@@ -724,7 +734,6 @@ def replay_runs(draw):
         return inst, k, cfg
     inst = _two_hub_instance(draw)
     cfg = SolverConfig(
-        k=3,
         small_class_threshold=1,
         top_t=1,
         bucket_base=Fraction(4),
@@ -754,7 +763,7 @@ def _count_entries(monkeypatch) -> Counter:
     real = approx.enumerate_tuples
 
     def counting(S, parts, ctx):
-        entered[(ctx.cfg.k, tuple(sorted(S)), parts)] += 1
+        entered[(ctx.k, tuple(sorted(S)), parts)] += 1
         return real(S, parts, ctx)
 
     monkeypatch.setattr(approx, "enumerate_tuples", counting)
@@ -785,7 +794,7 @@ def test_failed_subtree_is_replayed_for_its_part_order_only(monkeypatch):
     ids = [e.id for e in inst2.elements]
     A, B = tuple(ids[::2]), tuple(ids[1::2])
     entered = _count_entries(monkeypatch)
-    ctx = Search(inst2, SolverConfig(k=2))
+    ctx = Search(inst2, 2)
 
     def spend(parts):
         before = (ctx.tuples, ctx.recursions)
@@ -804,6 +813,37 @@ def test_failed_subtree_is_replayed_for_its_part_order_only(monkeypatch):
     assert entered[(2, (), (A, B))] == 2
 
 
+def test_weight_windows_are_built_only_where_every_part_has_elements(monkeypatch):
+    # Weights 1..7 and 300 on four disjoint pairs: no solution of size 3, so
+    # enumerate mode at k = 2 and epsilon 1/2 runs out of recursions.  A part
+    # offers only the windows its elements lie in, so every window vector
+    # built is searched; walking every window up to the heaviest weight built
+    # 188 169 vectors for the same 369 searches.
+    inst = Instance(
+        elements=tuple(Element(id=i, cap=1, weight=w) for i, w in enumerate((1, 2, 3, 4, 5, 6, 7, 300))),
+        family=((0, 1), (2, 3), (4, 5), (6, 7)),
+        d=2,
+    )
+    built, searched = Counter(), Counter()
+    real_windows, real_search = approx._weight_windows, approx._search_below
+
+    def windows(*args):
+        built["vectors"] += 1
+        return real_windows(*args)
+
+    def search(S, parts, ctx):
+        if not S:
+            searched["roots"] += 1
+            assert all(parts)
+        return real_search(S, parts, ctx)
+
+    monkeypatch.setattr(approx, "_weight_windows", windows)
+    monkeypatch.setattr(approx, "_search_below", search)
+    with pytest.raises(BudgetExceeded, match="recursion"):
+        solve_approx(inst, 2, SolverConfig(epsilon=Fraction(1, 2)), mode=ENUMERATE)
+    assert built["vectors"] == searched["roots"] == 369
+
+
 def test_solve_approx_raises_when_postcondition_fails(monkeypatch):
     monkeypatch.setattr(approx, "_map_back", lambda sol2, back: Solution({}))
     with pytest.raises(InvariantViolated):
@@ -814,11 +854,10 @@ def test_solve_approx_validates_arguments():
     inst = _hand_instance()
     with pytest.raises(ValueError):
         solve_approx(inst, -1)
-    # k = 0 searches nothing: the hand instance has sets, so nothing is found,
-    # yet every other config field is still checked.
+    # k = 0 searches nothing: the hand instance has sets, so nothing is found.
     assert solve_approx(inst, 0) is None
     with pytest.raises(ValueError):
-        solve_approx(inst, 0, SolverConfig(k=0, tuple_budget=-1))
+        solve_approx(inst, 0, SolverConfig(tuple_budget=-1))
     with pytest.raises(ValueError):
         solve_approx(inst, 2, mode="fancy")
 

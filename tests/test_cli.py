@@ -148,6 +148,43 @@ def test_certify_row_shape(tmp_path, capsys):
     assert float(fields[7]) <= 4 / 3 + 1e-9
 
 
+def test_certify_and_bench_solve_exactly_once_per_row(tmp_path, capsys, monkeypatch):
+    # Guided mode takes the row's own exact optimum as its oracle.
+    from caphs import approx, cli
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = cli.solve_exact
+    monkeypatch.setattr(cli, "solve_exact", counting)
+    monkeypatch.setattr(approx, "solve_exact", counting)
+    path = gen_instance_file(tmp_path, capsys, seed=7)
+    code, _, _ = run(capsys, "certify", str(path), "--k", "4")
+    assert (code, len(calls)) == (0, 1)
+    calls.clear()
+    code, out, _ = run(capsys, "bench", "--count", "3")
+    rows = out.splitlines()[1:]
+    # One call per corpus seed tried, including those that yield no row.
+    attempts = int(rows[-1].split(",")[0].removeprefix("corpus:")) + 1
+    assert (code, len(rows)) == (0, 3)
+    assert len(calls) == attempts and attempts > len(rows)
+
+
+def test_certify_set_free_instance_prints_the_all_zero_row(tmp_path, capsys):
+    path = tmp_path / "setfree.json"
+    path.write_text(json.dumps({
+        "format": 1, "d": 1, "elements": [{"id": 0, "cap": 1, "mult": 1, "weight": 1}],
+        "family": [],
+    }))
+    for k, bound in (("0", 0), ("2", 3)):
+        code, out, _ = run(capsys, "certify", str(path), "--k", k)
+        assert code == 0, k
+        assert out == f"{path},{k},0,0,0,0,0,1.000000,1.000000,{bound}\n"
+
+
 def test_certify_infeasible_exits_one(tmp_path, capsys):
     path = gen_instance_file(tmp_path, capsys, seed=7)
     code, out, err = run(capsys, "certify", str(path), "--k", "2")

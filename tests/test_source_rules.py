@@ -150,3 +150,45 @@ def test_imports_sit_at_module_level():
         "        import json\n"
     )
     assert _local_imports(probe, "probe") == ["probe:3 f", "probe:5 g", "probe:9 h"]
+
+
+def _unfrozen_dataclasses(text: str, label: str) -> list[str]:
+    """Classes decorated with dataclass (bare, called or via the module) without frozen=True."""
+    found = []
+    for node in ast.walk(ast.parse(text, filename=label)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            target = call.func if call else dec
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+            if name != "dataclass":
+                continue
+            frozen = call and any(
+                kw.arg == "frozen" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+                for kw in call.keywords
+            )
+            if not frozen:
+                found.append(f"{label}:{node.lineno} {node.name}")
+    return found
+
+
+def test_every_dataclass_is_frozen():
+    # A config or result is checked once, when built; that holds only while
+    # no field can be reassigned afterwards.
+    found = [
+        entry
+        for path in sorted(SRC.glob("*.py"))
+        for entry in _unfrozen_dataclasses(path.read_text(encoding="utf-8"), path.name)
+    ]
+    assert not found, "dataclasses that are not frozen: " + ", ".join(found)
+    probe = (
+        "import dataclasses\nfrom dataclasses import dataclass\n"
+        "@dataclass\nclass A:\n    x: int\n"
+        "@dataclass(order=True)\nclass B:\n    x: int\n"
+        "@dataclasses.dataclass(frozen=False)\nclass C:\n    x: int\n"
+        "@dataclass(frozen=True)\nclass D:\n    x: int\n"
+        "@dataclasses.dataclass(frozen=True)\nclass E:\n    x: int\n"
+        "class F:\n    pass\n"
+    )
+    assert _unfrozen_dataclasses(probe, "probe") == ["probe:4 A", "probe:7 B", "probe:10 C"]

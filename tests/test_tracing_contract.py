@@ -40,7 +40,7 @@ def test_tracer_sees_every_approx_layer():
         assert approx.solve_approx(inst, 2, mode=ENUMERATE) is not None
         assert approx.solve_approx(inst, 2, mode=GUIDED) is not None
         # The weighted variant is the one that reaches weight_estimates.
-        weighted = SolverConfig(k=2, epsilon=Fraction(1, 2))
+        weighted = SolverConfig(epsilon=Fraction(1, 2))
         assert approx.solve_approx(inst, 2, weighted, mode=GUIDED) is not None
     finally:
         tracer.uninstall()
