@@ -21,16 +21,20 @@ same charge, with the same message, as a search without the memos.  A leaf
 (|S| = k) reads neither pi nor gamma, so enumerate_tuples builds no frame.
 
 The closing step charges nothing and runs afresh for each extended tuple;
-Search keeps its quotas by (r, tau pairs) and its conflicts by (S, pi, rho).
+Search keeps its quotas by (r, tau pairs) and its conflicts by (S, pi, k),
+since k fixes rho.  Before it builds a Solution, the closing step rejects a
+pick that leaves some set without a picked member or whose capacities sum
+below m, from the per-element set masks and capacities Search holds: exactly
+check_feasible's own early exits, so check_feasible decides the rest.
 
 X'_i is part i cut by capacity and class incidence.  X''_i, the candidates the
 closing step may pick from, is all of X'_i for a small part; only a part above
 small_class_threshold is ranked, so candidate_set scores those parts alone.
 
 Every layer takes the pieces of a tuple it reads (t, tau1, tau2, X'') and one
-Search last: the instance, the target size k, the config resolved for it,
-both budgets and the per-S memos of one search.  A direct call builds it with
-Search(inst, k, cfg); Search.resize changes k.
+Search last: the instance, its capacities and set masks, the target size k,
+the config resolved for it, both budgets and the per-S memos of one search.
+A direct call builds it with Search(inst, k, cfg); Search.resize changes k.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .colorweights import default_trials, random_colorings, weight_estimates
@@ -138,14 +142,15 @@ def bucket_values_upto(limit: int, base) -> list[int]:
     if limit < 1:
         return []
     base = Fraction(base)
-    if base <= 1:
+    a, b = base.numerator, base.denominator
+    if a <= b:
         raise ValueError("bucket base must exceed 1")
-    if limit * (base - 1) <= base:
+    if limit * (a - b) <= a:  # limit * (base - 1) <= base, in integers
         return list(range(1, limit + 1))
     num, den, out = 1, 1, []
     while num <= limit * den:
         out.append(-(-num // den))
-        num, den = num * base.numerator, den * base.denominator
+        num, den = num * a, den * b
     return list(dict.fromkeys(out))
 
 
@@ -157,19 +162,21 @@ class AnnotatedTuple:
     by class; a class the row omits has demand 0.  pi maps each realized
     class of S to an element of S, including the empty class when S is
     nonempty.  At r = 0 nothing reads pi or gamma, and enumerate_tuples
-    leaves both empty there.
+    leaves both empty there.  r, the number of parts, is set when built.
     """
 
     S: tuple[int, ...]
     parts: tuple[tuple[int, ...], ...]
     pi: dict
     gamma: tuple
+    r: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "S", tuple(sorted(self.S)))
         object.__setattr__(
             self, "parts", tuple(tuple(sorted(p)) for p in self.parts)
         )
+        object.__setattr__(self, "r", len(self.parts))
         seen = set(self.S)
         for p in self.parts:
             for v in p:
@@ -192,12 +199,8 @@ class AnnotatedTuple:
     def _trusted(cls, S, parts, pi, gamma) -> "AnnotatedTuple":
         """A tuple already canonical and valid, built without __post_init__."""
         t = object.__new__(cls)
-        t.__dict__.update(S=S, parts=parts, pi=pi, gamma=gamma)
+        t.__dict__.update(S=S, parts=parts, pi=pi, gamma=gamma, r=len(parts))
         return t
-
-    @property
-    def r(self) -> int:
-        return len(self.parts)
 
 
 @dataclass(frozen=True)
@@ -219,11 +222,15 @@ class Search:
     """The context every annotated-tuple layer of both modes takes: one search.
 
     Search(inst, k, cfg) searches for target size k: cfg (the defaults when
-    None) resolved for inst.d and k.  It takes cfg's two budgets and memoizes
-    what depends only on S (its classes, sorted realized classes and class
-    incidence) or on a class size and k, which fixes the bucket base (the
-    gamma values enumerate_tuples ranges over).  resize(k) is the one way to
-    change the target size; budgets and memos carry across sizes.
+    None) resolved for inst.d and k.  It takes cfg's two budgets and reads
+    inst once for what the layers look up per tuple: caps maps each element
+    id to its capacity, and hits maps it to the bitmask of the set indices
+    that contain it (all_sets has a bit per set).  It memoizes the config
+    resolved per size, what depends only on S (its classes, sorted realized
+    classes and class incidence) or on a class size and k, which fixes the
+    bucket base (the gamma values enumerate_tuples ranges over).  resize(k)
+    is the one way to change the target size; budgets and memos carry
+    across sizes.
 
     _failed maps the key of an enumerate-mode subtree that found nothing to
     the (tuple, recursion) charges it made: (size, sorted S, parts) from
@@ -234,16 +241,23 @@ class Search:
 
     The closing step is computed afresh each time; what it looks up is kept:
     _quotas maps (r, the (tau1(s), tau2(s)) pairs over sorted S) to the quota
-    vector, and _independence maps (S, sorted pi items, rho) to an
-    IndependenceContext with its conflict cache.
+    vector, and _independence maps (S, sorted pi items, k), k standing for
+    the rho it fixes, to an IndependenceContext with its conflict cache.
     """
 
     def __init__(self, inst: Instance, k: int, cfg: SolverConfig | None = None):
         self.inst = inst
         self._given = cfg if cfg is not None else SolverConfig()
+        self._configs: dict = {}
         self.resize(k)
         self.tuples = self._given.tuple_budget
         self.recursions = self._given.recursion_budget
+        self.caps = {e.id: e.cap for e in inst.elements}
+        self.hits = dict.fromkeys(self.caps, 0)
+        for j, members in enumerate(inst.family):
+            for x in members:
+                self.hits[x] |= 1 << j
+        self.all_sets = (1 << inst.m) - 1
         self._frames: dict = {}
         self._gammas: dict = {}
         self._failed: dict = {}
@@ -252,7 +266,9 @@ class Search:
 
     def resize(self, k: int):
         """Search for size k from now on, with the config resolved for it."""
-        self.cfg = self._given.resolved(self.inst.d, k)
+        if k not in self._configs:
+            self._configs[k] = self._given.resolved(self.inst.d, k)
+        self.cfg = self._configs[k]
         self.k = k
 
     def charge_tuple(self):
@@ -321,7 +337,7 @@ class Search:
 
     def independence(self, S: tuple[int, ...], pi_items: tuple) -> IndependenceContext:
         """The (S, pi, rho) conflict relation and its caches, one per search."""
-        key = (S, pi_items, self.cfg.rho)
+        key = (S, pi_items, self.k)  # k fixes rho; a Fraction hashes slowly
         if key not in self._independence:
             st = stars(self.frame(S)[0], dict(pi_items))
             self._independence[key] = IndependenceContext(stars=st, rho=self.cfg.rho)
@@ -333,20 +349,26 @@ def info_tuple(t: AnnotatedTuple, ctx: Search) -> tuple[tuple[int, ...], ...]:
 
     v stays in part i when its capacity covers the part's total demand and it
     lies in at least g sets of class cls for every (cls, g) in gamma row i.
+    A part without demands is kept whole.
     """
-    inst = ctx.inst
+    caps = ctx.caps
     inc = ctx.frame(t.S)[2]
     xprime = []
     for part, row in zip(t.parts, t.gamma):
-        demand = sum(g for _, g in row)
-        xprime.append(
-            tuple(
+        if not row:
+            xprime.append(part)
+            continue
+        if len(row) == 1:
+            ((cls, g),) = row
+            kept = [v for v in part if caps[v] >= g and inc.get((v, cls), 0) >= g]
+        else:
+            demand = sum(g for _, g in row)
+            kept = [
                 v
                 for v in part
-                if inst.element(v).cap >= demand
-                and all(inc.get((v, cls), 0) >= g for cls, g in row)
-            )
-        )
+                if caps[v] >= demand and all(inc.get((v, cls), 0) >= g for cls, g in row)
+            ]
+        xprime.append(tuple(kept))
     return tuple(xprime)
 
 
@@ -363,13 +385,16 @@ def candidate_set(
 
     and n(v, s) sums min(ceil(base * gamma(i, cls)), inc(v, cls)) over the
     classes pi sends to s.  Scores are computed here, for those parts and
-    stars only.
+    stars only; when no part is ranked, X'' is X' itself.
     """
-    inst, cfg = ctx.inst, ctx.cfg
+    cfg, caps = ctx.cfg, ctx.caps
+    thr = cfg.small_class_threshold
+    if max(map(len, xprime), default=0) <= thr:
+        return xprime
     inc = ctx.frame(t.S)[2]
     out = []
     for i, (xp, row) in enumerate(zip(xprime, t.gamma)):
-        if len(xp) <= cfg.small_class_threshold:
+        if len(xp) <= thr:
             out.append(xp)
             continue
         demand = sum(g for _, g in row)
@@ -384,7 +409,7 @@ def candidate_set(
 
             def score(v: int) -> int:
                 n_vs = sum(min(c, inc.get((v, cls), 0)) for cls, c in useful)
-                return max(0, min(n_vs, inst.element(v).cap - other))
+                return max(0, min(n_vs, caps[v] - other))
 
             chosen.update(sorted(xp, key=lambda v: (-score(v), v))[: cfg.top_t])
         out.append(tuple(sorted(chosen)))
@@ -401,6 +426,9 @@ def solve_extended(
     itself is the pick: this is the one leaf of both modes.  Returns a
     solution only when the pick passes check_feasible and stays within
     ceil(4k/3).  The quotas and the conflict relation come from ctx's memos.
+    A pick that leaves a set without a picked member, or whose capacities sum
+    below m, is rejected from ctx's set masks and capacities before a
+    Solution is built: those are check_feasible's own early exits.
     """
     if len(t.S) + t.r != ctx.k:
         raise ValueError("tuple arity does not match k")
@@ -419,9 +447,15 @@ def solve_extended(
         picked = find_independent_set(ind, xpp, quotas, ctx.inst)
     if picked is None:
         return ExtendedResult(solution=None, reason=INDEPENDENCE_FAIL)
-    sol = Solution({x: 1 for x in set(t.S) | set(picked)})
-    if sol.size() <= ceil43(ctx.k) and check_feasible(ctx.inst, sol) is not None:
-        return ExtendedResult(sol)
+    chosen = set(t.S) | set(picked)
+    hit = room = 0
+    for x in chosen:
+        hit |= ctx.hits[x]
+        room += ctx.caps[x]
+    if len(chosen) <= ceil43(ctx.k) and hit == ctx.all_sets and room >= ctx.inst.m:
+        sol = Solution({x: 1 for x in chosen})
+        if check_feasible(ctx.inst, sol) is not None:
+            return ExtendedResult(sol)
     return ExtendedResult(None, INFEASIBLE_OR_TOO_BIG)
 
 
@@ -442,20 +476,26 @@ def enumerate_tuples(S, parts, ctx: Search):
         return
     classes, realized, _ = ctx.frame(S)
     nonempty = [cls for cls in realized if cls]
-    # Rows are cut per tuple from one product: rows^r may dwarf the tuple budget.
+    # Rows are cut per tuple from one product, rows^r of which may dwarf the
+    # tuple budget; each distinct row is built once, after its first charge.
     n = len(realized)
+    cuts = [(i, i + n) for i in range(0, n * len(parts), n)]
     values = [ctx.gamma_values(len(classes[cls])) for cls in realized] * len(parts)
+    rows: dict = {}
     for choice in itertools.product(S, repeat=len(nonempty)):
         pi = dict(zip(nonempty, choice))
         if S and () in classes:
             pi[()] = min(S)
         for combo in itertools.product(*values):
-            gamma = tuple(
-                tuple((cls, g) for cls, g in zip(realized, combo[i * n : i * n + n]) if g)
-                for i in range(len(parts))
-            )
             ctx.charge_tuple()
-            yield AnnotatedTuple._trusted(S, parts, pi, gamma)
+            gamma = []
+            for a, b in cuts:
+                key = combo[a:b]
+                row = rows.get(key)
+                if row is None:  # the (class, demand) pairs with a positive demand
+                    row = rows[key] = tuple(itertools.compress(zip(realized, key), key))
+                gamma.append(row)
+            yield AnnotatedTuple._trusted(S, parts, pi, tuple(gamma))
 
 
 def good_tuple_from_opt(
@@ -495,7 +535,7 @@ def solve_annotated(t: AnnotatedTuple, ctx: Search) -> Solution | None:
         return solve_extended(t, {}, {}, (), ctx).solution
     xprime = info_tuple(t, ctx)
     thr = ctx.cfg.small_class_threshold
-    gamma = t.gamma if any(len(xp) > thr for xp in xprime) else ()
+    gamma = t.gamma if max(map(len, xprime)) > thr else ()
     key = (ctx.k, t.S, t.parts, tuple(sorted(t.pi.items())), xprime, gamma)
     if ctx.replayed(key):
         return None

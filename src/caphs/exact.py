@@ -47,27 +47,32 @@ def _search(inst: Instance, k: int, budget: int, weighted: bool):
     The key is (size, vector) or, when weighted, (weight, size, vector).
     Vectors run over the _limits order and never exceed its limits, so the
     search visits at most the _count_vectors candidates the budget is
-    checked against.
+    checked against.  No vector exceeds the sum of the limits either, so k
+    is cut to it first, and the search stops at the first empty level.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if not inst.family:
         return Solution(copies={})  # nothing to hit: no search, no precheck
     limits = _limits(inst, k)
+    k = min(k, sum(lim for _, lim in limits))  # the same vectors, so the same count
     count = _count_vectors(limits, k)
     if count > budget:
         raise BudgetExceeded(f"{count} candidate multisets exceed the budget of {budget}")
     pos = {x: p for p, (x, _) in enumerate(limits)}
     lims = [lim for _, lim in limits]
     caps = [inst.element(x).cap for x, _ in limits]
-    weights = [inst.element(x).weight for x, _ in limits]
-    # Per set, the positions of its members that can take it at all.
+    weights = [inst.element(x).weight if weighted else 0 for x, _ in limits]
+    # Per set, the positions of its members that can take it at all, and
+    # their bitmask.
     rows = [[pos[x] for x in s if caps[pos[x]] > 0] for s in inst.family]
+    masks = [sum(1 << p for p in row) for row in rows]
 
-    def deficit(vec):
-        """None when vec is feasible, else the positions to branch on."""
-        for row in rows:
-            if not any(vec[p] for p in row):
+    def deficit(vec, support):
+        """None when vec is feasible, else the positions to branch on.
+        support has bit p set when vec[p] > 0."""
+        for row, mask in zip(rows, masks):
+            if not support & mask:
                 return [p for p in row if vec[p] < lims[p]]
         room = {p: caps[p] * c for p, c in enumerate(vec) if c}
         _, scanned = _augment([[p for p in row if vec[p]] for row in rows], room)
@@ -76,15 +81,17 @@ def _search(inst: Instance, k: int, budget: int, weighted: bool):
         return {p for j in scanned for p in rows[j] if vec[p] < lims[p]}
 
     best = None  # the smallest (weight, size, vector) found; weight 0 for size
-    level = {(0,) * len(limits)}
+    # Each vector of a level maps to its (support bitmask, weight), both
+    # carried from its parent.
+    level = {(0,) * len(limits): (0, 0)}
     for t in range(k + 1):
-        nxt = set()
+        nxt = {}
         for vec in sorted(level):
-            w = sum(wt * c for wt, c in zip(weights, vec)) if weighted else 0
+            support, w = level[vec]
             key = (w, t, vec)
             if best is not None and key >= best:
                 continue
-            branch = deficit(vec)
+            branch = deficit(vec, support)
             if branch is None:
                 best = key
                 if not weighted:
@@ -92,8 +99,8 @@ def _search(inst: Instance, k: int, budget: int, weighted: bool):
                 continue
             if t < k and (best is None or w < best[0]):
                 for p in branch:
-                    nxt.add(vec[:p] + (vec[p] + 1,) + vec[p + 1:])
-        if best is not None and not weighted:
+                    nxt[vec[:p] + (vec[p] + 1,) + vec[p + 1:]] = (support | 1 << p, w + weights[p])
+        if (best is not None and not weighted) or not nxt:
             break
         level = nxt
     if best is None:

@@ -8,6 +8,7 @@ floating-point tolerances anywhere in this module.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -71,11 +72,16 @@ def find_independent_set(ctx: IndependenceContext, parts, quotas, inst: Instance
 
     def conflicting(a: int, b: int) -> bool:
         key = (a, b) if a < b else (b, a)
-        if key not in cache:
-            cache[key] = is_conflicting(ctx, key[0], key[1], inst)
-        return cache[key]
+        got = cache.get(key)
+        if got is None:
+            got = cache[key] = is_conflicting(ctx, key[0], key[1], inst)
+        return got
 
-    degree = {v: sum(1 for u in pool if u != v and conflicting(v, u)) for v in pool}
+    degree = dict.fromkeys(pool, 0)
+    for a, b in itertools.combinations(pool, 2):  # each unordered pair once, a < b
+        if conflicting(a, b):
+            degree[a] += 1
+            degree[b] += 1
     chosen: list[int] = []
     for part, quota in zip(parts, quotas):
         need = quota

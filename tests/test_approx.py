@@ -211,6 +211,38 @@ def test_annotated_tuple_demand_accounting():
     assert t.gamma == ((((), 1), ((7,), 2)), (((7,), 3),))
 
 
+def test_config_is_resolved_once_per_size_and_r_is_an_attribute(monkeypatch):
+    # Four singleton sets need all four elements, which sizes 1 and 2
+    # (ceil43 2 and 3) cannot close and size 3 (ceil43 4) can: the solve
+    # resizes its Search to 1, 2 and 3, after building it for 3.
+    resolved = Counter()
+    real = SolverConfig.resolved
+
+    def counting(cfg, d, k):
+        resolved[k] += 1
+        return real(cfg, d, k)
+
+    monkeypatch.setattr(SolverConfig, "resolved", counting)
+    inst = Instance(
+        elements=tuple(Element(id=i, cap=1) for i in range(4)),
+        family=((0,), (1,), (2,), (3,)),
+        d=1,
+    )
+    res = solve_approx(inst, 3, mode=ENUMERATE)
+    assert res is not None and res.solution.size() == 4
+    assert resolved == {1: 1, 2: 1, 3: 1}
+    ctx = Search(inst, 2)
+    for k in (1, 2, 1, 3, 2):
+        ctx.resize(k)
+        assert ctx.k == k and ctx.cfg == real(SolverConfig(), 1, k)
+    assert resolved == {1: 2, 2: 2, 3: 2}
+    # r is a plain attribute, set by the checked and the trusted constructor.
+    t = AnnotatedTuple(S=(1,), parts=((2,), (4,)), pi={(): 1}, gamma=((), ()))
+    (leaf,) = enumerate_tuples((1, 3), (), Search(_hand_instance(), 2))
+    child = next(iter(enumerate_tuples((3,), ((1, 4),), Search(_hand_instance(), 2))))
+    assert [vars(x)["r"] for x in (t, leaf, child)] == [2, 0, 1]
+
+
 def _hand_instance():
     # Four sets, all containing element 3; candidates 1 and 4 split them.
     return Instance(
@@ -454,6 +486,53 @@ def test_closing_on_shared_memos_matches_a_fresh_search(runs):
                 xpp = candidate_set(t, tau1, info_tuple(t, ctx), ctx) if t.r else ()
                 got.append(solve_extended(t, tau1, tau2, xpp, ctx))
             assert got[0] == got[1]
+
+
+@st.composite
+def closing_picks(draw):
+    """(instance, t, tau1, tau2, pick) for one closing, the pick of at most
+    ceil43(k) + 1 ids being what the independent set is made to return.
+
+    Element ids are sparse and may be negative; capacities may be 0.  At
+    r = 0 the pick is S itself; at r = 1 the one part holds every id
+    outside S, and the pick is drawn from all ids, S included.
+    """
+    ids = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=8, unique=True))
+    d = draw(st.integers(1, 3))
+    members = st.lists(st.sampled_from(ids), min_size=1, max_size=min(d, len(ids)), unique=True)
+    inst = Instance(
+        elements=tuple(Element(id=x, cap=draw(st.integers(0, 3))) for x in ids),
+        family=tuple(tuple(s) for s in draw(st.lists(members, max_size=8))),
+        d=d,
+    )
+    S = tuple(sorted(draw(st.sets(st.sampled_from(ids), max_size=len(ids) - 1))))
+    rest = tuple(x for x in ids if x not in S)
+    if S and draw(st.booleans()):
+        return inst, AnnotatedTuple(S=S, parts=(), pi={}, gamma=()), {}, {}, S
+    pi = {cls: min(S) for cls in equivalence_classes(inst, S)} if S else {}
+    t = AnnotatedTuple(S=S, parts=(rest,), pi=pi, gamma=((),))
+    size = ceil43(len(S) + 1) + 1
+    pick = draw(st.lists(st.sampled_from(ids), max_size=min(size, len(ids)), unique=True))
+    taus = dict.fromkeys(S, 0)
+    return inst, t, taus, dict(taus), tuple(sorted(pick))
+
+
+@settings(max_examples=300, deadline=None)
+@given(closing_picks())
+def test_closing_precheck_matches_check_feasible_alone(case):
+    # The set-mask and capacity precheck may only skip check_feasible calls
+    # whose answer it already knows: the same solution or the same reason as
+    # a closing that asks check_feasible about every pick.
+    inst, t, tau1, tau2, pick = case
+    k = len(t.S) + t.r
+    sol = Solution({x: 1 for x in set(t.S) | set(pick)})
+    if sol.size() <= ceil43(k) and check_feasible(inst, sol) is not None:
+        want = approx.ExtendedResult(sol)
+    else:
+        want = approx.ExtendedResult(None, INFEASIBLE_OR_TOO_BIG)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(approx, "find_independent_set", lambda *args: pick)
+        assert solve_extended(t, tau1, tau2, t.parts, Search(inst, k)) == want
 
 
 def test_solve_extended_base_case():

@@ -63,6 +63,22 @@ def test_solve_exact_reports_absence(tmp_path, capsys):
     assert json.loads(out) == {"found": False}
 
 
+def test_solve_exact_cost_does_not_grow_with_k_beyond_the_multiplicities(tmp_path, capsys):
+    # One element of capacity 0 and multiplicity 1: no vector buys more than
+    # one copy, so a huge k searches what k = 1 searches.
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({
+        "format": 1, "d": 1,
+        "elements": [{"id": 0, "cap": 0, "mult": 1, "weight": 1}],
+        "family": [[0]],
+    }))
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "solve-exact", str(path), "--k", "4000000")
+    assert time.perf_counter() - t0 < 1
+    assert code == 1
+    assert json.loads(out) == {"found": False}
+
+
 def test_check_rejects_infeasible_and_mult_violation(tmp_path, capsys):
     path = gen_instance_file(tmp_path, capsys, seed=7)
     sol_path = tmp_path / "bad.json"
