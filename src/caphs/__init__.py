@@ -45,7 +45,6 @@ from .reductions import (
     build_covering_family,
     csp_to_mdk,
     csp_to_mdk_covering,
-    csp_value,
     is_three_regular,
     mdk_to_cvc,
     mdk_to_wcvc,
@@ -55,7 +54,6 @@ from .reductions import (
     serialize_mdk,
     solve_mdk_exact,
     verify_covering_family,
-    verify_mdk,
 )
 
 __version__ = "0.1.0"

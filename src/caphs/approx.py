@@ -24,15 +24,17 @@ The closing step charges nothing and runs afresh for each extended tuple;
 Search keeps its quotas by (r, tau pairs) and its conflicts by (S, pi, k),
 since k fixes rho.  Before it builds a Solution, the closing step rejects a
 pick that leaves some set without a picked member or whose capacities sum
-below m, from the per-element set masks and capacities Search holds: exactly
+below m, from Instance.hits and the capacities Search holds: exactly
 check_feasible's own early exits, so check_feasible decides the rest.
 
-X'_i is part i cut by capacity and class incidence.  X''_i, the candidates the
-closing step may pick from, is all of X'_i for a small part; only a part above
-small_class_threshold is ranked, so candidate_set scores those parts alone.
+X'_i is part i cut by capacity and class incidence, where v lies in
+(inst.hits[v] & masks[cls]).bit_count() sets of class cls.  X''_i, the
+candidates the closing step may pick from, is all of X'_i for a small part;
+only a part above small_class_threshold is ranked, so candidate_set scores
+those parts alone.
 
 Every layer takes the pieces of a tuple it reads (t, tau1, tau2, X'') and one
-Search last: the instance, its capacities and set masks, the target size k,
+Search last: the instance, its capacities, the target size k,
 the config resolved for it, both budgets and the per-S memos of one search.
 A direct call builds it with Search(inst, k, cfg); Search.resize changes k.
 """
@@ -223,14 +225,12 @@ class Search:
 
     Search(inst, k, cfg) searches for target size k: cfg (the defaults when
     None) resolved for inst.d and k.  It takes cfg's two budgets and reads
-    inst once for what the layers look up per tuple: caps maps each element
-    id to its capacity, and hits maps it to the bitmask of the set indices
-    that contain it (all_sets has a bit per set).  It memoizes the config
-    resolved per size, what depends only on S (its classes, sorted realized
-    classes and class incidence) or on a class size and k, which fixes the
-    bucket base (the gamma values enumerate_tuples ranges over).  resize(k)
-    is the one way to change the target size; budgets and memos carry
-    across sizes.
+    inst once for caps, each element id's capacity (incidence is inst.hits).
+    It memoizes the config resolved per size, what depends only on S (its
+    classes, sorted realized classes and a set mask per class) or on a class
+    size and k, which fixes the bucket base (the gamma values enumerate_tuples
+    ranges over).  resize(k) is the one way to change the target size; budgets
+    and memos carry across sizes.
 
     _failed maps the key of an enumerate-mode subtree that found nothing to
     the (tuple, recursion) charges it made: (size, sorted S, parts) from
@@ -253,11 +253,6 @@ class Search:
         self.tuples = self._given.tuple_budget
         self.recursions = self._given.recursion_budget
         self.caps = {e.id: e.cap for e in inst.elements}
-        self.hits = dict.fromkeys(self.caps, 0)
-        for j, members in enumerate(inst.family):
-            for x in members:
-                self.hits[x] |= 1 << j
-        self.all_sets = (1 << inst.m) - 1
         self._frames: dict = {}
         self._gammas: dict = {}
         self._failed: dict = {}
@@ -301,18 +296,12 @@ class Search:
         self._failed[key] = (tuples - self.tuples, recursions - self.recursions)
 
     def frame(self, S: tuple[int, ...]):
-        """(classes, sorted realized classes, incidence) for a sorted S.
-
-        incidence[(v, cls)] counts the sets of class cls that contain v.
-        """
+        """(classes, sorted realized classes, a set-index bitmask per class) for a sorted S."""
         got = self._frames.get(S)
         if got is None:
             classes = equivalence_classes(self.inst, S)
-            family = self.inst.family
-            inc = Counter(
-                (v, cls) for cls, idxs in classes.items() for j in idxs for v in family[j]
-            )
-            got = self._frames[S] = (classes, sorted(classes), inc)
+            masks = {cls: sum(1 << j for j in idxs) for cls, idxs in classes.items()}
+            got = self._frames[S] = (classes, sorted(classes), masks)
         return got
 
     def gamma_values(self, size: int) -> list[int]:
@@ -348,27 +337,19 @@ def info_tuple(t: AnnotatedTuple, ctx: Search) -> tuple[tuple[int, ...], ...]:
     """X': each part cut to the elements that can meet its gamma demands.
 
     v stays in part i when its capacity covers the part's total demand and it
-    lies in at least g sets of class cls for every (cls, g) in gamma row i.
-    A part without demands is kept whole.
+    lies in at least g sets of class cls for every (cls, g) in gamma row i;
+    an unrealized class has mask 0, so no v meets a demand on it.
     """
-    caps = ctx.caps
-    inc = ctx.frame(t.S)[2]
+    caps, hits = ctx.caps, ctx.inst.hits
+    masks = ctx.frame(t.S)[2]
     xprime = []
     for part, row in zip(t.parts, t.gamma):
-        if not row:
-            xprime.append(part)
-            continue
-        if len(row) == 1:
-            ((cls, g),) = row
-            kept = [v for v in part if caps[v] >= g and inc.get((v, cls), 0) >= g]
-        else:
-            demand = sum(g for _, g in row)
-            kept = [
-                v
-                for v in part
-                if caps[v] >= demand and all(inc.get((v, cls), 0) >= g for cls, g in row)
-            ]
-        xprime.append(tuple(kept))
+        demand = sum(g for _, g in row)
+        need = [(masks.get(cls, 0), g) for cls, g in row]
+        xprime.append(tuple([
+            v for v in part
+            if caps[v] >= demand and all((hits[v] & mask).bit_count() >= g for mask, g in need)
+        ]))
     return tuple(xprime)
 
 
@@ -387,11 +368,11 @@ def candidate_set(
     classes pi sends to s.  Scores are computed here, for those parts and
     stars only; when no part is ranked, X'' is X' itself.
     """
-    cfg, caps = ctx.cfg, ctx.caps
+    cfg, caps, hits = ctx.cfg, ctx.caps, ctx.inst.hits
     thr = cfg.small_class_threshold
     if max(map(len, xprime), default=0) <= thr:
         return xprime
-    inc = ctx.frame(t.S)[2]
+    masks = ctx.frame(t.S)[2]
     out = []
     for i, (xp, row) in enumerate(zip(xprime, t.gamma)):
         if len(xp) <= thr:
@@ -404,11 +385,11 @@ def candidate_set(
                 continue
             star = [(cls, g) for cls, g in row if t.pi.get(cls) == s]
             other = demand - sum(g for _, g in star)
-            # Per class of star s, the incidence that counts toward n(v, s).
-            useful = [(cls, math.ceil(cfg.bucket_base * g)) for cls, g in star]
+            # Per class of star s, its mask and the incidence that counts toward n(v, s).
+            useful = [(masks.get(cls, 0), math.ceil(cfg.bucket_base * g)) for cls, g in star]
 
             def score(v: int) -> int:
-                n_vs = sum(min(c, inc.get((v, cls), 0)) for cls, c in useful)
+                n_vs = sum(min(c, (hits[v] & mask).bit_count()) for mask, c in useful)
                 return max(0, min(n_vs, caps[v] - other))
 
             chosen.update(sorted(xp, key=lambda v: (-score(v), v))[: cfg.top_t])
@@ -427,7 +408,7 @@ def solve_extended(
     solution only when the pick passes check_feasible and stays within
     ceil(4k/3).  The quotas and the conflict relation come from ctx's memos.
     A pick that leaves a set without a picked member, or whose capacities sum
-    below m, is rejected from ctx's set masks and capacities before a
+    below m, is rejected from inst.hits and ctx's capacities before a
     Solution is built: those are check_feasible's own early exits.
     """
     if len(t.S) + t.r != ctx.k:
@@ -450,9 +431,9 @@ def solve_extended(
     chosen = set(t.S) | set(picked)
     hit = room = 0
     for x in chosen:
-        hit |= ctx.hits[x]
+        hit |= ctx.inst.hits[x]
         room += ctx.caps[x]
-    if len(chosen) <= ceil43(ctx.k) and hit == ctx.all_sets and room >= ctx.inst.m:
+    if len(chosen) <= ceil43(ctx.k) and hit.bit_count() == ctx.inst.m and room >= ctx.inst.m:
         sol = Solution({x: 1 for x in chosen})
         if check_feasible(ctx.inst, sol) is not None:
             return ExtendedResult(sol)

@@ -4,6 +4,8 @@ An instance is a universe of elements (each with a capacity, a multiplicity,
 and a weight) plus an ordered multi-family of sets of size at most d.  The
 family index is the identity of a set occurrence: the same member list may
 appear many times and each occurrence must be covered separately.
+Instance.hits is the one element-to-set incidence: how many sets of a group
+(given as a bitmask of family indices) contain x is (hits[x] & group).bit_count().
 """
 
 from __future__ import annotations
@@ -72,6 +74,15 @@ class Instance:
     @cached_property
     def by_id(self) -> dict[int, Element]:
         return {e.id: e for e in self.elements}
+
+    @cached_property
+    def hits(self) -> dict[int, int]:
+        """Each element id's bitmask of the family indices of the sets containing it."""
+        out = dict.fromkeys(self.by_id, 0)
+        for j, members in enumerate(self.family):
+            for x in members:
+                out[x] |= 1 << j
+        return out
 
     def element(self, x: int) -> Element:
         try:

@@ -4,7 +4,9 @@ The search walks copy vectors (copies per element, ascending id) level by
 level from the all-zero vector, one copy more per step.  An infeasible
 vector is extended only at elements that can fix its deficit: the members of
 a set nothing can serve yet, or else the members of the sets a failed
-matching round scanned (a Hall violator).  Any feasible vector above an
+matching round scanned (a Hall violator).  Each vector carries the bitmask
+of the sets its bought members lie in, the OR of their Instance.hits masks,
+so the lowest unserved set is read off it.  Any feasible vector above an
 infeasible one buys more of some such element, so every feasible vector
 that is minimal under the componentwise order is reached, and with
 nonnegative weights every optimum below is such a vector.
@@ -13,6 +15,7 @@ nonnegative weights every optimum below is such a vector.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .core import Instance, Result, Solution
 from .errors import BudgetExceeded
@@ -23,21 +26,23 @@ DEFAULT_CANDIDATE_BUDGET = 10**6
 
 def _limits(inst: Instance, k: int) -> list[tuple[int, int]]:
     """(element id, clamped max copies) in ascending id order."""
-    out = []
-    for e in sorted(inst.elements, key=lambda e: e.id):
-        mult = k if e.mult is None else min(k, e.mult)
-        out.append((e.id, mult))
-    return out
+    return [(e.id, k if e.mult is None else min(k, e.mult))
+            for e in sorted(inst.elements, key=lambda e: e.id)]
 
 
 def _count_vectors(limits, k: int) -> int:
-    """Number of copies vectors with per-element bounds and total at most k, in O(n k)."""
-    ways = [1] + [0] * k
-    for _, lim in limits:
-        # nxt[t] sums ways[t - lim .. t]: a difference of prefix sums, O(k).
+    """Number of copies vectors with per-element bounds and total at most k: a DP
+    counts the vectors under the limits below k by total t, and the u limits
+    that reach k bound nothing, so they share the rest in C(k - t + u, u) ways."""
+    bounded = [lim for _, lim in limits if lim < k]
+    free = len(limits) - len(bounded)
+    top = min(k, sum(bounded))
+    ways = [1] + [0] * top
+    for lim in bounded:
+        # nxt[t] sums ways[t - lim .. t]: a difference of prefix sums.
         prefix = list(itertools.accumulate(ways, initial=0))
-        ways = [prefix[t + 1] - prefix[max(0, t - lim)] for t in range(k + 1)]
-    return sum(ways)
+        ways = [prefix[t + 1] - prefix[max(0, t - lim)] for t in range(top + 1)]
+    return sum(w * math.comb(k - t + free, free) for t, w in enumerate(ways))
 
 
 def _search(inst: Instance, k: int, budget: int, weighted: bool):
@@ -63,17 +68,17 @@ def _search(inst: Instance, k: int, budget: int, weighted: bool):
     lims = [lim for _, lim in limits]
     caps = [inst.element(x).cap for x, _ in limits]
     weights = [inst.element(x).weight if weighted else 0 for x, _ in limits]
-    # Per set, the positions of its members that can take it at all, and
-    # their bitmask.
+    hits = [inst.hits[x] for x, _ in limits]
+    # Per set, the positions of its members that can take it at all.
     rows = [[pos[x] for x in s if caps[pos[x]] > 0] for s in inst.family]
-    masks = [sum(1 << p for p in row) for row in rows]
 
-    def deficit(vec, support):
-        """None when vec is feasible, else the positions to branch on.
-        support has bit p set when vec[p] > 0."""
-        for row, mask in zip(rows, masks):
-            if not support & mask:
-                return [p for p in row if vec[p] < lims[p]]
+    def deficit(vec, served):
+        """None when vec is feasible, else the positions to branch on.  served
+        has a bit per set a bought member holds; only rows are branched on, so
+        every bought member has cap > 0."""
+        j = ((served + 1) & ~served).bit_length() - 1  # the lowest unserved set
+        if j < len(rows):
+            return [p for p in rows[j] if vec[p] < lims[p]]
         room = {p: caps[p] * c for p, c in enumerate(vec) if c}
         _, scanned = _augment([[p for p in row if vec[p]] for row in rows], room)
         if scanned is None:
@@ -81,17 +86,17 @@ def _search(inst: Instance, k: int, budget: int, weighted: bool):
         return {p for j in scanned for p in rows[j] if vec[p] < lims[p]}
 
     best = None  # the smallest (weight, size, vector) found; weight 0 for size
-    # Each vector of a level maps to its (support bitmask, weight), both
+    # Each vector of a level maps to its (served-sets bitmask, weight), both
     # carried from its parent.
     level = {(0,) * len(limits): (0, 0)}
     for t in range(k + 1):
         nxt = {}
         for vec in sorted(level):
-            support, w = level[vec]
+            served, w = level[vec]
             key = (w, t, vec)
             if best is not None and key >= best:
                 continue
-            branch = deficit(vec, support)
+            branch = deficit(vec, served)
             if branch is None:
                 best = key
                 if not weighted:
@@ -99,7 +104,7 @@ def _search(inst: Instance, k: int, budget: int, weighted: bool):
                 continue
             if t < k and (best is None or w < best[0]):
                 for p in branch:
-                    nxt[vec[:p] + (vec[p] + 1,) + vec[p + 1:]] = (support | 1 << p, w + weights[p])
+                    nxt[vec[:p] + (vec[p] + 1,) + vec[p + 1:]] = (served | hits[p], w + weights[p])
         if (best is not None and not weighted) or not nxt:
             break
         level = nxt

@@ -1,9 +1,10 @@
 """(S, pi, rho)-independence: the conflict predicate and greedy selection.
 
 Two elements conflict when, in some star A_s, the sets containing both make up
-more than a rho fraction of the smaller of their incidence counts.  rho is a
-Fraction and every comparison is done by cross-multiplication, so there are no
-floating-point tolerances anywhere in this module.
+more than a rho fraction of the smaller of their incidence counts.  Each count
+is a popcount: an element's Instance.hits mask cut by the star's set mask.
+rho is a Fraction and every comparison is done by cross-multiplication, so
+there are no floating-point tolerances anywhere in this module.
 """
 
 from __future__ import annotations
@@ -18,34 +19,34 @@ from .errors import QuotaInvalid
 
 @dataclass(frozen=True)
 class IndependenceContext:
-    """The (S, pi, rho) conflict relation on one instance; conflicts caches it per pair."""
+    """The (S, pi, rho) conflict relation on one instance; conflicts caches it
+    per pair, and masks maps each star to the bitmask of its set indices."""
 
     stars: dict[int, tuple[int, ...]]
     rho: Fraction
     conflicts: dict = field(default_factory=dict, compare=False, repr=False)
+    masks: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        seen: set[int] = set()
-        for idxs in self.stars.values():
+        seen = 0
+        masks = {}
+        for s, idxs in self.stars.items():
+            before = seen
             for j in idxs:
-                if j in seen:
+                if seen >> j & 1:
                     raise ValueError(f"set index {j} appears in two stars")
-                seen.add(j)
-
-
-def _incidence(inst: Instance, idxs, x: int) -> list[int]:
-    return [j for j in idxs if x in inst.family[j]]
+                seen |= 1 << j
+            masks[s] = seen ^ before
+        object.__setattr__(self, "masks", masks)
 
 
 def is_conflicting(ctx: IndependenceContext, x: int, y: int, inst: Instance) -> bool:
     """True iff some star witnesses |A_s(x) ∩ A_s(y)| > rho * min(|A_s(x)|, |A_s(y)|)."""
-    for s in sorted(ctx.stars):
-        ax = _incidence(inst, ctx.stars[s], x)
-        ay = _incidence(inst, ctx.stars[s], y)
-        both = len(set(ax) & set(ay))
-        if both == 0:
-            continue
-        if both * ctx.rho.denominator > ctx.rho.numerator * min(len(ax), len(ay)):
+    hx, hy = inst.hits[x], inst.hits[y]
+    num, den = ctx.rho.numerator, ctx.rho.denominator
+    for star in ctx.masks.values():
+        both = (hx & hy & star).bit_count()
+        if both and both * den > num * min((hx & star).bit_count(), (hy & star).bit_count()):
             return True
     return False
 

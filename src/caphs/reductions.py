@@ -74,21 +74,6 @@ class CspInstance:
         return len(self.constraints)
 
 
-def csp_value(csp: CspInstance, assignment) -> Fraction:
-    """Fraction of satisfied constraints under a total assignment.
-
-    assignment maps variable id to a value in 1..n (dict or sequence).  An
-    instance with no constraints has value 1.
-    """
-    if csp.m == 0:
-        return Fraction(1)
-    sat = 0
-    for c in csp.constraints:
-        if (assignment[c.u], assignment[c.v]) in c.allowed:
-            sat += 1
-    return Fraction(sat, csp.m)
-
-
 def is_three_regular(csp: CspInstance) -> bool:
     deg = [0] * csp.k
     for c in csp.constraints:
@@ -202,20 +187,6 @@ def parse_mdk(text: str) -> MdkInstance:
         k=doc["k"],
         target=tuple(doc["target"]),
         vectors=tuple(tuple(v) for v in doc["vectors"]),
-    )
-
-
-def verify_mdk(mdk: MdkInstance, picks) -> bool:
-    """Do the (deduplicated) picked vectors cover the target within budget k?"""
-    idxs = sorted(set(picks))
-    for j in idxs:
-        if not 0 <= j < len(mdk.vectors):
-            raise ValidationError(f"pick {j} out of range")
-    if len(idxs) > mdk.k:
-        return False
-    return all(
-        sum(mdk.vectors[j][i] for j in idxs) >= mdk.target[i]
-        for i in range(mdk.d)
     )
 
 

@@ -3,25 +3,35 @@
 Everything here is deliberately naive: straight-line enumeration, DFS and
 dense BFS with none of the package's pruning, bucketing, or matching machinery.
 It also holds the paper-lemma witnesses that no solver path calls (the (b+r)/3
-dominator construction and the conflict-pair count), the eager per-star
-scores that candidate_set computes lazily, and the enumerate-mode recursion
-without its failed-subtree memo or without both failure memos.
+dominator construction and the conflict-pair count), the checkers for CSP
+values and MDK picks, a conflict test that rescans the family per star, the
+eager per-star scores that candidate_set computes lazily, and the
+enumerate-mode recursion without its failed-subtree memo or without both
+failure memos.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
 from caphs import approx
-from caphs.core import Assignment, Instance, Result, Solution
-from caphs.errors import BudgetExceeded, CaphsError, InvariantViolated, PreconditionViolated
+from caphs.core import Assignment, Instance, Result, Solution, equivalence_classes
+from caphs.errors import (
+    BudgetExceeded,
+    CaphsError,
+    InvariantViolated,
+    PreconditionViolated,
+    ValidationError,
+)
 from caphs.exact import _count_vectors, _limits
 from caphs.feasibility import _bought, assignment_ok, check_feasible
 from caphs.independence import is_conflicting
+from caphs.reductions import Constraint, CspInstance, MdkInstance
 
 
 class OracleTooLarge(CaphsError):
@@ -257,6 +267,11 @@ def _iter_vectors(limits, total: int):
     yield from rec(0, total)
 
 
+def count_vectors_bruteforce(limits, k: int) -> int:
+    """Number of copies vectors under limits with total at most k, one by one."""
+    return sum(1 for t in range(k + 1) for _ in _iter_vectors(limits, t))
+
+
 def _enumerate_feasible(inst: Instance, k: int, budget: int):
     """Yield (size, vec, sol, asg) for every feasible candidate, ordered by
     size then lexicographic copies vector.  The budget refuses only an
@@ -335,6 +350,18 @@ def construct_small_dominator(g):
     return tuple(sorted(D))
 
 
+def conflicting_by_rescan(ctx, x: int, y: int, inst: Instance) -> bool:
+    """is_conflicting from incidence lists: per star, the set indices whose
+    member list in inst.family holds x, and those that hold y."""
+    for s in sorted(ctx.stars):
+        ax = [j for j in ctx.stars[s] if x in inst.family[j]]
+        ay = [j for j in ctx.stars[s] if y in inst.family[j]]
+        both = len(set(ax) & set(ay))
+        if both and both * ctx.rho.denominator > ctx.rho.numerator * min(len(ax), len(ay)):
+            return True
+    return False
+
+
 def count_conflicting_pairs(ctx, X, inst: Instance, k: int | None = None) -> int:
     """Number of unordered conflicting pairs within X under an IndependenceContext.
 
@@ -360,10 +387,13 @@ def eager_info_tuple(t, ctx):
     xprime[i] keeps the part-i candidates whose capacity and class incidence
     meet the gamma demands; n_of[(v, cls)] caps the useful incidence and
     score[(v, s)] is the residual value of v toward star s, for every kept v
-    and every s in S.
+    and every s in S.  The class incidence inc[(v, cls)] is counted here from
+    equivalence_classes, apart from the library's masks.
     """
     inst = ctx.inst
-    _, realized, inc = ctx.frame(t.S)
+    classes = equivalence_classes(inst, t.S)
+    realized = sorted(classes)
+    inc = Counter((v, cls) for cls, idxs in classes.items() for j in idxs for v in inst.family[j])
     base = ctx.cfg.bucket_base
     xprime = []
     n_of: dict = {}
@@ -490,6 +520,35 @@ def csp_satisfiable_bruteforce(csp) -> bool:
     return False
 
 
+def csp_value(csp: CspInstance, assignment) -> Fraction:
+    """Fraction of satisfied constraints under a total assignment.
+
+    assignment maps variable id to a value in 1..n (dict or sequence).  An
+    instance with no constraints has value 1.
+    """
+    if csp.m == 0:
+        return Fraction(1)
+    sat = 0
+    for c in csp.constraints:
+        if (assignment[c.u], assignment[c.v]) in c.allowed:
+            sat += 1
+    return Fraction(sat, csp.m)
+
+
+def verify_mdk(mdk: MdkInstance, picks) -> bool:
+    """Do the (deduplicated) picked vectors cover the target within budget k?"""
+    idxs = sorted(set(picks))
+    for j in idxs:
+        if not 0 <= j < len(mdk.vectors):
+            raise ValidationError(f"pick {j} out of range")
+    if len(idxs) > mdk.k:
+        return False
+    return all(
+        sum(mdk.vectors[j][i] for j in idxs) >= mdk.target[i]
+        for i in range(mdk.d)
+    )
+
+
 THREE_REGULAR_EDGES = {
     2: ((0, 1), (0, 1), (0, 1)),
     4: ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
@@ -498,8 +557,6 @@ THREE_REGULAR_EDGES = {
 
 def random_three_regular_csp(k: int, n: int, seed: int, satisfiable: bool):
     """Random 3-regular CSP, planted-satisfiable or rejection-sampled unsat."""
-    from caphs.reductions import Constraint, CspInstance
-
     edges = THREE_REGULAR_EDGES[k]
     rng = np.random.default_rng(seed)
     while True:

@@ -38,7 +38,6 @@ from caphs.reductions import (
     mdk_to_cvc,
     solve_mdk_exact,
     verify_covering_family,
-    verify_mdk,
 )
 
 from _oracles import (
@@ -49,6 +48,7 @@ from _oracles import (
     mdk_min_bruteforce,
     random_bipartite_mindeg2,
     random_three_regular_csp,
+    verify_mdk,
 )
 
 

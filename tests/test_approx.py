@@ -285,6 +285,9 @@ def test_info_tuple_filters_and_scores():
     # Class (0,) is not realized: it has no sets, so no element meets a demand on it.
     t_unrealized = replace(t, gamma=((((0,), 1),),))
     assert info_tuple(t_unrealized, ctx) == eager_info_tuple(t_unrealized, ctx)[0] == ((),)
+    # Beside a demand element 1 meets, a demand on the unrealized class still drops it.
+    t_mixed = replace(t, gamma=((((3,), 1), ((0,), 1)),))
+    assert info_tuple(t_mixed, ctx) == eager_info_tuple(t_mixed, ctx)[0] == ((),)
 
 
 def test_candidate_set_threshold_branches():

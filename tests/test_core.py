@@ -216,6 +216,19 @@ def test_equivalence_classes_partition_the_family():
         assert sorted(seen) == list(range(len(inst.family)))
 
 
+def test_hits_has_a_bit_per_set_holding_each_element():
+    inst = Instance(
+        elements=tuple(Element(id=x, cap=1) for x in (3, 40, 900)),
+        family=((40, 3), (900,), (3, 40), (3, 40)),
+        d=2,
+    )
+    assert inst.hits == {3: 0b1101, 40: 0b1101, 900: 0b0010}
+    for seed in range(8):
+        inst = generate_instance(GEN_PARAMS, seed=seed)
+        for x, mask in inst.hits.items():
+            assert mask == sum(1 << j for j, members in enumerate(inst.family) if x in members)
+
+
 def test_stars_requires_total_plurality():
     inst = generate_instance(GEN_PARAMS, seed=7)
     classes = equivalence_classes(inst, [1, 5])

@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from caphs.core import Element, Instance, generate_instance
 from caphs.errors import BudgetExceeded
-from caphs.exact import solve_exact, solve_exact_weighted
+from caphs.exact import _count_vectors, solve_exact, solve_exact_weighted
 from caphs.feasibility import assignment_ok
 
-from _oracles import min_hitting_bruteforce, min_weight_bruteforce
+from _oracles import count_vectors_bruteforce, min_hitting_bruteforce, min_weight_bruteforce
 
 GEN = {
     "n": 6,
@@ -131,7 +134,7 @@ def test_set_free_instance_needs_no_search():
 
 def test_candidate_count_takes_prefix_sums():
     # Three unbounded elements at k = 10 000 have comb(10 003, 3) copy vectors
-    # of total at most k.  The precheck counts them in O(n k) and refuses at once.
+    # of total at most k.  The precheck counts them in closed form and refuses at once.
     inst = Instance(
         elements=tuple(Element(id=i, cap=1, mult=None) for i in range(3)),
         family=((0, 1, 2),),
@@ -140,3 +143,33 @@ def test_candidate_count_takes_prefix_sums():
     count = math.comb(10_003, 3)
     with pytest.raises(BudgetExceeded, match=f"^{count} candidate multisets exceed the budget of 1000000$"):
         solve_exact(inst, 10_000)
+
+
+def test_candidate_count_is_flat_in_k_for_unbounded_elements():
+    # One cap-0 element of unbounded multiplicity has k + 1 copy vectors.  Its
+    # limit reaches k, so it bounds nothing and the count needs no table of
+    # length k: at k = 10**6 the refusal allocates well under a megabyte.
+    inst = Instance(elements=(Element(id=0, cap=0, mult=None),), family=((0,),), d=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded,
+                           match="^1000001 candidate multisets exceed the budget of 1000000$"):
+            solve_exact(inst, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@st.composite
+def count_cases(draw):
+    """(limits, k) with limits below, at and above k, zero included."""
+    k = draw(st.integers(0, 8))
+    lims = draw(st.lists(st.one_of(st.just(k), st.integers(0, 10)), max_size=5))
+    return [(x, lim) for x, lim in enumerate(lims)], k
+
+
+@given(count_cases())
+def test_candidate_count_matches_brute_force(case):
+    limits, k = case
+    assert _count_vectors(limits, k) == count_vectors_bruteforce(limits, k)

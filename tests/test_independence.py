@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from caphs.core import generate_instance
+from caphs.core import Element, Instance, generate_instance
 from caphs.errors import QuotaInvalid
 from caphs.independence import IndependenceContext, find_independent_set, is_conflicting
 
-from _oracles import count_conflicting_pairs
+from _oracles import conflicting_by_rescan, count_conflicting_pairs
 
 GEN = {
     "n": 10,
@@ -41,8 +43,6 @@ def test_stars_must_be_disjoint():
 
 def test_is_conflicting_threshold_is_strict():
     # Two elements sharing their single star set: overlap 1, min incidence 1.
-    from caphs.core import Element, Instance
-
     inst = Instance(
         elements=(Element(id=0, cap=1), Element(id=1, cap=1), Element(id=2, cap=1)),
         family=((0, 1), (0, 2)),
@@ -56,8 +56,6 @@ def test_is_conflicting_threshold_is_strict():
 
 
 def test_disjoint_incidence_never_conflicts():
-    from caphs.core import Element, Instance
-
     inst = Instance(
         elements=(Element(id=0, cap=1), Element(id=1, cap=1)),
         family=((0,), (1,)),
@@ -80,8 +78,6 @@ def test_conflict_count_respects_bound():
 
 
 def test_find_independent_set_quotas():
-    from caphs.core import Element, Instance
-
     inst = Instance(
         elements=tuple(Element(id=i, cap=1) for i in range(6)),
         family=((0, 1), (2, 3), (4, 5)),
@@ -98,8 +94,6 @@ def test_find_independent_set_quotas():
 
 
 def test_find_independent_set_exhaustion_returns_none():
-    from caphs.core import Element, Instance
-
     # Both candidates in the part conflict with each other under rho = 1/4,
     # so a quota of 2 cannot be met.
     inst = Instance(
@@ -133,3 +127,32 @@ def test_chosen_sets_are_pairwise_independent():
             for j in range(i + 1, len(chosen)):
                 assert not is_conflicting(ctx, chosen[i], chosen[j], inst)
     assert hits >= 10
+
+
+@st.composite
+def star_cases(draw):
+    """(instance, stars, rho): sparse ids, repeated sets, some sets in no star."""
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=2, max_size=6, unique=True))
+    member_lists = st.lists(st.sampled_from(ids), min_size=1, max_size=3, unique=True)
+    family = tuple(draw(st.lists(member_lists, max_size=10)))
+    inst = Instance(elements=tuple(Element(id=x, cap=1) for x in ids), family=family, d=3)
+    keys = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3, unique=True))
+    owner = draw(st.lists(st.integers(-1, len(keys) - 1), min_size=inst.m, max_size=inst.m))
+    stars = {s: tuple(j for j in range(inst.m) if owner[j] == i) for i, s in enumerate(keys)}
+    rho = Fraction(draw(st.integers(1, 6)), draw(st.integers(6, 12)))
+    return inst, stars, rho
+
+
+@given(star_cases())
+def test_conflicts_match_a_family_rescan(case):
+    # Every drawn relation is checked at its rho and at rho = 1, and again with
+    # one more star that holds no set.
+    inst, stars, rho = case
+    spare = max(e.id for e in inst.elements) + 1
+    for st_map in (stars, {**stars, spare: ()}):
+        for r in (rho, Fraction(1)):
+            ctx = IndependenceContext(stars=st_map, rho=r)
+            for x in inst.by_id:
+                for y in inst.by_id:
+                    want = conflicting_by_rescan(ctx, x, y, inst)
+                    assert is_conflicting(ctx, x, y, inst) == want

@@ -27,7 +27,6 @@ from caphs.reductions import (
     build_covering_family,
     csp_to_mdk,
     csp_to_mdk_covering,
-    csp_value,
     is_three_regular,
     mdk_to_cvc,
     mdk_to_wcvc,
@@ -37,10 +36,9 @@ from caphs.reductions import (
     serialize_mdk,
     solve_mdk_exact,
     verify_covering_family,
-    verify_mdk,
 )
 
-from _oracles import mdk_min_bruteforce, random_three_regular_csp
+from _oracles import csp_value, mdk_min_bruteforce, random_three_regular_csp, verify_mdk
 
 
 def all_pairs(n):
