@@ -1,20 +1,23 @@
 """Exact solvers by deficit branching: ground truth for certification and tests.
 
-The search walks copy vectors (copies per element, ascending id) level by
-level from the all-zero vector, one copy more per step.  An infeasible
-vector is extended only at elements that can fix its deficit: the members of
-a set nothing can serve yet, or else the members of the sets a failed
-matching round scanned (a Hall violator).  Each vector carries the bitmask
-of the sets its bought members lie in, the OR of their Instance.hits masks,
-so the lowest unserved set is read off it.  Any feasible vector above an
-infeasible one buys more of some such element, so every feasible vector
-that is minimal under the componentwise order is reached, and with
-nonnegative weights every optimum below is such a vector.
+The search runs best-first over copy vectors (copies per element, ascending
+id) from the all-zero vector, popping the smallest key (weight, size,
+vector) from one heap; size mode gives every element weight 0.  An
+infeasible vector is extended by one copy only at elements that can fix its
+deficit: the members of a set nothing can serve yet, or else the members of
+the sets a failed matching round scanned (a Hall violator).  Each vector
+carries the bitmask of the sets its bought members lie in, the OR of their
+Instance.hits masks, so the lowest unserved set is read off it.  Any
+feasible vector above an infeasible one buys more of some such element, so
+every feasible vector that is minimal under the componentwise order is
+reached, and with nonnegative weights every optimum is such a vector.  A
+child's key exceeds its parent's, so the first feasible vector popped is
+the optimum.
 """
 
 from __future__ import annotations
 
-import itertools
+import heapq
 import math
 
 from .core import Instance, Result, Solution
@@ -31,29 +34,33 @@ def _limits(inst: Instance, k: int) -> list[tuple[int, int]]:
 
 
 def _count_vectors(limits, k: int) -> int:
-    """Number of copies vectors with per-element bounds and total at most k: a DP
-    counts the vectors under the limits below k by total t, and the u limits
-    that reach k bound nothing, so they share the rest in C(k - t + u, u) ways."""
-    bounded = [lim for _, lim in limits if lim < k]
-    free = len(limits) - len(bounded)
-    top = min(k, sum(bounded))
-    ways = [1] + [0] * top
-    for lim in bounded:
-        # nxt[t] sums ways[t - lim .. t]: a difference of prefix sums.
-        prefix = list(itertools.accumulate(ways, initial=0))
-        ways = [prefix[t + 1] - prefix[max(0, t - lim)] for t in range(top + 1)]
-    return sum(w * math.comb(k - t + free, free) for t, w in enumerate(ways))
+    """Number of copies vectors with per-element bounds and total at most k,
+    by inclusion-exclusion: C(k - s + n, n) vectors of n elements have total
+    at most k - s, and each limit below k excludes those buying more than it,
+    so the sum runs over the subsets T of those limits with
+    s = sum of (lim + 1) over T at most k, signed (-1)^|T|.  A limit that
+    reaches k bounds nothing."""
+    signed = {0: 1}  # s -> the signed number of subsets T summing to s
+    for _, lim in limits:
+        if lim < k:
+            for s, c in list(signed.items()):
+                if s + lim + 1 <= k:
+                    signed[s + lim + 1] = signed.get(s + lim + 1, 0) - c
+    n = len(limits)
+    return sum(c * math.comb(k - s + n, n) for s, c in signed.items())
 
 
 def _search(inst: Instance, k: int, budget: int, weighted: bool):
-    """The feasible copy vector of size at most k with the smallest key, as a
-    Solution, or None.
+    """The feasible copy vector of size at most k with the smallest key
+    (weight, size, vector), as a Solution, or None; every weight is 0 unless
+    weighted.
 
-    The key is (size, vector) or, when weighted, (weight, size, vector).
     Vectors run over the _limits order and never exceed its limits, so the
     search visits at most the _count_vectors candidates the budget is
     checked against.  No vector exceeds the sum of the limits either, so k
-    is cut to it first, and the search stops at the first empty level.
+    is cut to it first.  A child's key is larger than its parent's, so every
+    parent of a vector pops before it: queued holds the vectors on the heap,
+    and a vector already popped is never pushed again.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -85,33 +92,23 @@ def _search(inst: Instance, k: int, budget: int, weighted: bool):
             return None
         return {p for j in scanned for p in rows[j] if vec[p] < lims[p]}
 
-    best = None  # the smallest (weight, size, vector) found; weight 0 for size
-    # Each vector of a level maps to its (served-sets bitmask, weight), both
-    # carried from its parent.
-    level = {(0,) * len(limits): (0, 0)}
-    for t in range(k + 1):
-        nxt = {}
-        for vec in sorted(level):
-            served, w = level[vec]
-            key = (w, t, vec)
-            if best is not None and key >= best:
-                continue
-            branch = deficit(vec, served)
-            if branch is None:
-                best = key
-                if not weighted:
-                    break  # the first feasible vector of the lowest level wins
-                continue
-            if t < k and (best is None or w < best[0]):
-                for p in branch:
-                    nxt[vec[:p] + (vec[p] + 1,) + vec[p + 1:]] = (served | hits[p], w + weights[p])
-        if (best is not None and not weighted) or not nxt:
-            break
-        level = nxt
-    if best is None:
-        return None
-    vec = best[2]
-    return Solution(copies={x: c for (x, _), c in zip(limits, vec) if c > 0})
+    # (weight, size, vector, served-sets bitmask); weight and mask are carried
+    # from the parent.
+    heap = [(0, 0, (0,) * len(limits), 0)]
+    queued = {heap[0][2]}
+    while heap:
+        w, t, vec, served = heapq.heappop(heap)
+        queued.remove(vec)
+        branch = deficit(vec, served)
+        if branch is None:
+            return Solution(copies={x: c for (x, _), c in zip(limits, vec) if c > 0})
+        if t < k:
+            for p in branch:
+                child = vec[:p] + (vec[p] + 1,) + vec[p + 1:]
+                if child not in queued:
+                    queued.add(child)
+                    heapq.heappush(heap, (w + weights[p], t + 1, child, served | hits[p]))
+    return None
 
 
 def solve_exact(inst: Instance, k: int, budget: int = DEFAULT_CANDIDATE_BUDGET) -> Result | None:

@@ -124,17 +124,12 @@ def parse_csp(text: str) -> CspInstance:
 
 @dataclass(frozen=True)
 class MdkInstance:
-    """Multi-dimensional knapsack: pick at most k vectors whose sum covers target.
-
-    labels, when present, name each vector for debugging; they are never
-    serialized and never affect semantics.
-    """
+    """Multi-dimensional knapsack: pick at most k vectors whose sum covers target."""
 
     d: int
     k: int
     target: tuple[int, ...]
     vectors: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "target", tuple(self.target))
@@ -154,8 +149,6 @@ class MdkInstance:
                 raise ValidationError("vector entries must be nonnegative ints")
         if any(not isinstance(x, int) or x < 0 for x in self.target):
             raise ValidationError("target entries must be nonnegative ints")
-        if self.labels is not None and len(self.labels) != len(self.vectors):
-            raise ValidationError("labels must match vectors one to one")
 
 
 def serialize_mdk(mdk: MdkInstance) -> str:
@@ -215,7 +208,6 @@ def csp_to_mdk(csp: CspInstance, Q: int | None = None) -> MdkInstance:
         return k + m + 4 * e
 
     vectors: list[tuple[int, ...]] = []
-    labels: list[str] = []
     for u in range(k):
         inc = _incident(csp, u)
         for a in range(1, csp.n + 1):
@@ -227,7 +219,6 @@ def csp_to_mdk(csp: CspInstance, Q: int | None = None) -> MdkInstance:
                 vec[block(e) + off] = Q + a
                 vec[block(e) + off + 1] = Q - a
             vectors.append(tuple(vec))
-            labels.append(f"var:{u}={a}")
     for e, c in enumerate(csp.constraints):
         for a, b in c.allowed:
             vec = [0] * d
@@ -237,14 +228,12 @@ def csp_to_mdk(csp: CspInstance, Q: int | None = None) -> MdkInstance:
             vec[block(e) + 2] = Q - b
             vec[block(e) + 3] = Q + b
             vectors.append(tuple(vec))
-            labels.append(f"edge:{e}:{a},{b}")
     target = [1] * (k + m) + [2 * Q] * (4 * m)
     return MdkInstance(
         d=d,
         k=k + m,
         target=tuple(target),
         vectors=tuple(vectors),
-        labels=tuple(labels),
     )
 
 
@@ -478,7 +467,6 @@ def csp_to_mdk_covering(
     d = kstar + 2 * len(shared)
 
     vectors: list[tuple[int, ...]] = []
-    labels: list[str] = []
     for i, hood in enumerate(hoods):
         count = csp.n ** len(hood)
         if count > budget:
@@ -503,14 +491,10 @@ def csp_to_mdk_covering(
                 vec[kstar + 2 * idx] = Q - sign * gamma[u]
                 vec[kstar + 2 * idx + 1] = Q + sign * gamma[u]
             vectors.append(tuple(vec))
-            labels.append(
-                "cov:%d:%s" % (i, ",".join(f"{u}={gamma[u]}" for u in hood))
-            )
     target = [1] * kstar + [2 * Q] * (2 * len(shared))
     return MdkInstance(
         d=d,
         k=kstar,
         target=tuple(target),
         vectors=tuple(vectors),
-        labels=tuple(labels),
     )

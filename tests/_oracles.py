@@ -7,7 +7,8 @@ dominator construction and the conflict-pair count), the checkers for CSP
 values and MDK picks, a conflict test that rescans the family per star, the
 eager per-star scores that candidate_set computes lazily, and the
 enumerate-mode recursion without its failed-subtree memo or without both
-failure memos.
+failure memos, and the exact search as it was before it went best-first
+(level by level, with a stopping rule per mode).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from caphs.errors import (
     ValidationError,
 )
 from caphs.exact import _count_vectors, _limits
-from caphs.feasibility import _bought, assignment_ok, check_feasible
+from caphs.feasibility import _augment, _bought, assignment_ok, check_feasible
 from caphs.independence import is_conflicting
 from caphs.reductions import Constraint, CspInstance, MdkInstance
 
@@ -310,6 +311,66 @@ def enumerate_exact_weighted(inst: Instance, k: int, budget: int) -> Result | No
         if best is None or w < best.weight:
             best = Result(solution=sol, assignment=asg, weight=w)
     return best
+
+
+def level_search_exact(inst: Instance, k: int, budget: int, weighted: bool) -> Result | None:
+    """The exact search level by level: every vector of size t, in
+    lexicographic order, before any of size t + 1.  Size mode stops at the
+    first feasible vector; weight mode keeps the smallest (weight, size,
+    vector) key found, skips vectors at or above it and extends only
+    vectors lighter than it.  Same precheck, branching and winner check as
+    caphs.exact."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if not inst.family:
+        return Result(Solution(copies={}), check_feasible(inst, Solution(copies={})), 0)
+    limits = _limits(inst, k)
+    k = min(k, sum(lim for _, lim in limits))
+    count = _count_vectors(limits, k)
+    if count > budget:
+        raise BudgetExceeded(f"{count} candidate multisets exceed the budget of {budget}")
+    pos = {x: p for p, (x, _) in enumerate(limits)}
+    lims = [lim for _, lim in limits]
+    caps = [inst.element(x).cap for x, _ in limits]
+    weights = [inst.element(x).weight if weighted else 0 for x, _ in limits]
+    hits = [inst.hits[x] for x, _ in limits]
+    rows = [[pos[x] for x in s if caps[pos[x]] > 0] for s in inst.family]
+
+    def deficit(vec, served):
+        j = ((served + 1) & ~served).bit_length() - 1
+        if j < len(rows):
+            return [p for p in rows[j] if vec[p] < lims[p]]
+        room = {p: caps[p] * c for p, c in enumerate(vec) if c}
+        _, scanned = _augment([[p for p in row if vec[p]] for row in rows], room)
+        if scanned is None:
+            return None
+        return {p for j in scanned for p in rows[j] if vec[p] < lims[p]}
+
+    best = None
+    level = {(0,) * len(limits): (0, 0)}
+    for t in range(k + 1):
+        nxt = {}
+        for vec in sorted(level):
+            served, w = level[vec]
+            key = (w, t, vec)
+            if best is not None and key >= best:
+                continue
+            branch = deficit(vec, served)
+            if branch is None:
+                best = key
+                if not weighted:
+                    break
+                continue
+            if t < k and (best is None or w < best[0]):
+                for p in branch:
+                    nxt[vec[:p] + (vec[p] + 1,) + vec[p + 1:]] = (served | hits[p], w + weights[p])
+        if (best is not None and not weighted) or not nxt:
+            break
+        level = nxt
+    if best is None:
+        return None
+    sol = Solution(copies={x: c for (x, _), c in zip(limits, best[2]) if c > 0})
+    return Result(sol, check_feasible(inst, sol), sol.weight(inst))
 
 
 def construct_small_dominator(g):

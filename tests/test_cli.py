@@ -93,6 +93,26 @@ def test_check_rejects_infeasible_and_mult_violation(tmp_path, capsys):
     assert "reason" in json.loads(out)
 
 
+def test_check_rejects_a_stored_assignment_to_a_non_member(tmp_path, capsys):
+    # Both elements are bought and each set is charged once, so only
+    # membership fails: set 0 = {0} is charged to element 1.
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({
+        "format": 1, "d": 1,
+        "elements": [{"id": 0, "cap": 1, "mult": 1, "weight": 1},
+                     {"id": 1, "cap": 1, "mult": 1, "weight": 1}],
+        "family": [[0], [1]],
+    }))
+    sol_path = tmp_path / "swapped.json"
+    sol_path.write_text(serialize_solution(Solution({0: 1, 1: 1}), Assignment({0: 1, 1: 0})))
+    code, out, _ = run(capsys, "check", str(path), str(sol_path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["feasible"] is True
+    assert doc["stored_assignment_valid"] is False
+    assert '"stored_assignment_valid": false' in out
+
+
 def test_solve_approx_outputs_bounds(tmp_path, capsys):
     path = gen_instance_file(tmp_path, capsys, seed=7)
     code, out, _ = run(capsys, "solve-approx", str(path), "--k", "4")

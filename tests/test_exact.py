@@ -161,6 +161,24 @@ def test_candidate_count_is_flat_in_k_for_unbounded_elements():
     assert peak < 1 << 20
 
 
+def test_candidate_count_is_flat_in_k_for_bounded_elements():
+    # Two cap-0 elements of multiplicity 999 999: both limits are below k, so
+    # each bounds the count, which inclusion-exclusion gets from one
+    # correction term per subset of them, C(k + 2, 2) - 2 * C(2, 2), with no
+    # table of length k.
+    inst = Instance(elements=tuple(Element(id=i, cap=0, mult=999_999) for i in range(2)),
+                    family=((0, 1),), d=2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded,
+                           match="^500001499999 candidate multisets exceed the budget of 1000000$"):
+            solve_exact(inst, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @st.composite
 def count_cases(draw):
     """(limits, k) with limits below, at and above k, zero included."""

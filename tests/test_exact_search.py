@@ -1,19 +1,24 @@
-"""Differential property: the deficit-branching search returns exactly what
-checking every copy vector in (size, lexicographic) order returns."""
+"""Differential properties: the best-first deficit-branching search returns
+exactly what checking every copy vector in (size, lexicographic) order
+returns, and exactly what the level-by-level search it replaced returns."""
+
+import functools
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from caphs import exact
 from caphs.core import Element, Instance
 from caphs.errors import BudgetExceeded
 from caphs.exact import solve_exact, solve_exact_weighted
+from caphs.feasibility import _augment
 
-from _oracles import enumerate_exact, enumerate_exact_weighted
+from _oracles import enumerate_exact, enumerate_exact_weighted, level_search_exact
 
 
 @st.composite
-def instances(draw):
-    n = draw(st.integers(min_value=1, max_value=10))
+def instances(draw, max_n=10):
+    n = draw(st.integers(min_value=1, max_value=max_n))
     d = draw(st.integers(min_value=1, max_value=3))
     elements = tuple(
         Element(
@@ -37,8 +42,9 @@ def _outcome(solver, inst, k, budget):
         return BudgetExceeded
 
 
-# The heavy element 2 alone is the first feasible vector reached; the lighter
-# {0, 1} is found only by extending vectors visited after it.
+# Level by level, the heavy element 2 alone is the first feasible vector
+# reached; the lighter {0, 1} is found only by extending vectors visited
+# after it.
 LIGHTER_PAIR = Instance(
     elements=(Element(id=0, cap=1, weight=2), Element(id=1, cap=1, weight=3),
               Element(id=2, cap=2, weight=10)),
@@ -61,3 +67,25 @@ def test_search_matches_enumeration(inst, k, budget):
         # Results are frozen dataclasses: solution, assignment and weight
         # must all be equal, or both calls must exceed the budget.
         assert _outcome(solver, inst, k, budget) == _outcome(reference, inst, k, budget)
+
+
+@settings(max_examples=200, deadline=None)
+@example(LIGHTER_PAIR, 2)
+@given(instances(max_n=14), st.integers(min_value=0, max_value=6))
+def test_search_matches_the_level_by_level_search(inst, k):
+    # A budget no instance here reaches, so only the search orders differ.
+    budget = 10**9
+    for solver, weighted in ((solve_exact, False), (solve_exact_weighted, True)):
+        reference = functools.partial(level_search_exact, weighted=weighted)
+        assert _outcome(solver, inst, k, budget) == _outcome(reference, inst, k, budget)
+
+
+def test_weight_mode_stops_at_its_first_feasible_vector(monkeypatch):
+    # The level-by-level search also checked the heavy element 2 alone.  Best
+    # first pops the empty vector, {0}, then {0, 1}; only the last serves
+    # every set, so only it needs a matching round.
+    calls = []
+    monkeypatch.setattr(exact, "_augment", lambda *args: calls.append(args) or _augment(*args))
+    got = solve_exact_weighted(LIGHTER_PAIR, 2)
+    assert (got.solution.copies, got.weight) == ({0: 1, 1: 1}, 5)
+    assert len(calls) == 1

@@ -152,9 +152,8 @@ def test_csp_to_mdk_structure():
     assert len(mdk.vectors) == 2 * 2 + 3 * 4
     Q = 10 * csp.n
     assert mdk.target == (1,) * 5 + (2 * Q,) * 12
-    # var:0=1 occupies guard 0 and writes Q+1 / Q-1 at offset 0 of each block.
+    # Vector 0 (variable 0 = 1) occupies guard 0 and writes Q+1 / Q-1 at offset 0 of each block.
     v = mdk.vectors[0]
-    assert mdk.labels[0] == "var:0=1"
     assert v[0] == 1 and v[1] == 0
     for e in range(3):
         blk = 5 + 4 * e
@@ -183,12 +182,9 @@ def test_mdk_solution_decodes_to_satisfying_assignment():
     mdk = csp_to_mdk(csp)
     picks = solve_mdk_exact(mdk)
     assert picks is not None
-    values = {}
-    for j in picks:
-        label = mdk.labels[j]
-        if label.startswith("var:"):
-            u, a = label[4:].split("=")
-            values[int(u)] = int(a)
+    # The first k * n vectors are the variables', n per variable: vector j
+    # sets variable j // n to value j % n + 1.
+    values = {j // csp.n: j % csp.n + 1 for j in picks if j < csp.k * csp.n}
     assert len(values) == csp.k
     assert csp_value(csp, values) == 1
 

@@ -1,6 +1,6 @@
 """Property tests: every JSON document format reads back what it wrote."""
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from caphs.core import (
@@ -17,11 +17,14 @@ from caphs.reductions import (
     Constraint,
     CspInstance,
     MdkInstance,
+    csp_to_mdk,
     parse_csp,
     parse_mdk,
     serialize_csp,
     serialize_mdk,
 )
+
+from _oracles import random_three_regular_csp
 
 ids = st.integers(min_value=-50, max_value=50)
 counts = st.integers(min_value=0, max_value=20)
@@ -94,6 +97,6 @@ def test_csp_document_round_trip(csp):
 
 
 @given(mdks())
+@example(csp_to_mdk(random_three_regular_csp(4, 3, seed=3, satisfiable=True)))
 def test_mdk_document_round_trip(mdk):
-    # labels are never serialized, so only label-free instances read back equal
     assert parse_mdk(serialize_mdk(mdk)) == mdk
