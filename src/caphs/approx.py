@@ -12,13 +12,14 @@ tries every tuple, every (tau1, tau2) and every candidate of X'' as the next
 commitment; guided (_solve_guided) takes all three from an exact solution.
 
 The enumeration remembers every subtree that failed, with the tuple and
-recursion charges it made, keyed by what the subtree reads: (size, S, parts)
-for the tuples on them, and for one tuple with r >= 1 (size, S, parts, pi,
-X', then gamma or ()), gamma only when candidate_set reads it: when some
-X'_i is ranked.  Meeting a key again subtracts its charges when both budgets
-cover them and otherwise searches it again, so BudgetExceeded fires at the
-same charge, with the same message, as a search without the memos.  A leaf
-(|S| = k) reads neither pi nor gamma, so enumerate_tuples builds no frame.
+recursion charges it made, keyed by what the subtree reads: (S, parts) for
+the tuples on them, and for one tuple with r >= 1 (S, parts, pi, X', then
+gamma or ()), gamma only when candidate_set reads it: when some X'_i is
+ranked.  Every key recorded has |S| + len(parts) = k, so none holds k.
+Meeting a key again subtracts its charges when both budgets cover them and
+otherwise searches it again, so BudgetExceeded fires at the same charge, with
+the same message, as a search without the memos.  A leaf (|S| = k) reads
+neither pi nor gamma, so enumerate_tuples builds no frame.
 
 The closing step charges nothing and runs afresh for each extended tuple;
 Search keeps its quotas by (r, tau pairs) and its conflicts by (S, pi, k),
@@ -233,11 +234,11 @@ class Search:
     and memos carry across sizes.
 
     _failed maps the key of an enumerate-mode subtree that found nothing to
-    the (tuple, recursion) charges it made: (size, sorted S, parts) from
-    _search_below, and (size, S, parts, sorted pi items, X', then gamma or ())
+    the (tuple, recursion) charges it made: (sorted S, parts) from
+    _search_below, and (S, parts, sorted pi items, X', then gamma or ())
     from solve_annotated.  replayed() and record_failure() are the one rule
-    both apply.  Only failures are stored, and every entry
-    charged at least one tuple itself, so there are at most tuple_budget.
+    both apply.  Only failures are stored, and every entry charged at least
+    one tuple itself, so there are at most tuple_budget.
 
     The closing step is computed afresh each time; what it looks up is kept:
     _quotas maps (r, the (tau1(s), tau2(s)) pairs over sorted S) to the quota
@@ -506,9 +507,8 @@ def good_tuple_from_opt(
 def solve_annotated(t: AnnotatedTuple, ctx: Search) -> Solution | None:
     """Enumerate mode: per charged (tau1, tau2), commit each candidate of X'', then close.
 
-    A tuple with r >= 1 that failed before is replayed by what its subtree
-    reads: size, S, parts, pi, X' and, only when some X'_i is ranked (longer
-    than small_class_threshold), gamma.
+    A tuple with r >= 1 that failed before is replayed by what its subtree reads:
+    S, parts, pi, X' and, when some X'_i is longer than small_class_threshold, gamma.
     """
     if len(t.S) + t.r != ctx.k:
         raise ValueError("tuple arity does not match k")
@@ -517,7 +517,7 @@ def solve_annotated(t: AnnotatedTuple, ctx: Search) -> Solution | None:
     xprime = info_tuple(t, ctx)
     thr = ctx.cfg.small_class_threshold
     gamma = t.gamma if max(map(len, xprime)) > thr else ()
-    key = (ctx.k, t.S, t.parts, tuple(sorted(t.pi.items())), xprime, gamma)
+    key = (t.S, t.parts, tuple(sorted(t.pi.items())), xprime, gamma)
     if ctx.replayed(key):
         return None
     tuples, recursions = ctx.tuples, ctx.recursions
@@ -544,10 +544,10 @@ def solve_annotated(t: AnnotatedTuple, ctx: Search) -> Solution | None:
 def _search_below(S, parts, ctx: Search) -> Solution | None:
     """Enumerate mode: charge a recursion, then solve, per annotated tuple on (S, parts).
 
-    A subtree that failed before at this size is replayed (Search.replayed)
-    instead of searched again.
+    A subtree that failed before is replayed (Search.replayed) instead of
+    searched again.
     """
-    key = (ctx.k, tuple(sorted(S)), parts)
+    key = (tuple(sorted(S)), parts)
     if ctx.replayed(key):
         return None
     tuples, recursions = ctx.tuples, ctx.recursions

@@ -132,7 +132,7 @@ def test_set_free_instance_needs_no_search():
         solve_exact(Instance(elements=elements, family=((0,),), d=1), 3)
 
 
-def test_candidate_count_takes_prefix_sums():
+def test_candidate_count_of_unbounded_elements_is_one_binomial():
     # Three unbounded elements at k = 10 000 have comb(10 003, 3) copy vectors
     # of total at most k.  The precheck counts them in closed form and refuses at once.
     inst = Instance(

@@ -39,9 +39,7 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    # __init__.py imports only to re-export, so it is the one exemption.
-    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
-    paths += sorted(TESTS.glob("*.py"))
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
     found = [entry for path in paths for entry in _unused_imports(path)]
     assert not found, "unused imports: " + ", ".join(found)
     assert any(p.name == "test_source_rules.py" for p in paths)  # the tests glob found this file

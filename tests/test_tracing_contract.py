@@ -1,6 +1,9 @@
 """perfbench/tracing.py wraps caphs functions by attribute name; keep them reachable."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +12,41 @@ from caphs import approx
 from caphs.approx import ENUMERATE, GUIDED, SolverConfig
 from caphs.core import Element, Instance
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
+
+# Run in a fresh interpreter, with argv [src dir, tracing.py]; prints JSON.
+CHILD = """
+import importlib.util, json, sys
+sys.path.insert(0, sys.argv[1])
+import caphs.cli
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[2])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+owners = {key: mod for key, mod in sys.modules.items() if key.split(".")[0] == "caphs"}
+owners["caphs.approx.SolverConfig"] = caphs.approx.SolverConfig
+
+def lookup(mod, path):
+    obj = owners.get("caphs." + mod)
+    for part in path.split("."):
+        obj = getattr(obj, part, None)
+    return obj
+
+names = [f"{mod}.{path}" for mod, path, _ in tracing.TARGETS]
+before = {key: dict(vars(owner)) for key, owner in owners.items()}
+originals = [lookup(mod, path) for mod, path, _ in tracing.TARGETS]
+tracer = tracing.Tracer()
+tracer.install()
+wrapped = [getattr(lookup(mod, path), "__wrapped__", None) for mod, path, _ in tracing.TARGETS]
+tracer.uninstall()
+print(json.dumps({
+    "targets": len(names),
+    "unresolved": [n for n, fn in zip(names, originals) if fn is None],
+    "unbound": [n for n, fn, w in zip(names, originals, wrapped) if w is not fn],
+    "changed": [f"{key}.{attr}" for key, attrs in before.items() for attr, value in attrs.items()
+                if vars(owners[key]).get(attr) is not value],
+}))
+"""
 
 
 def _load_tracing():
@@ -51,3 +88,18 @@ def test_tracer_sees_every_approx_layer():
     missing = [name for name in targets if tracer.calls.get(name, 0) < 1]
     assert missing == []
     assert approx.info_tuple is original
+
+
+def test_every_tracer_target_resolves_after_importing_the_cli():
+    # perfbench/measure.py imports caphs.cli and the tracer finds each
+    # target's module in sys.modules, so that import must load all of them.
+    # Installing rebinds every target to a wrapper of it; uninstalling puts
+    # back every attribute of every caphs module, by identity.
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(ROOT / "src"), str(TRACING)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got.pop("targets") > 0
+    assert got == {"unresolved": [], "unbound": [], "changed": []}
