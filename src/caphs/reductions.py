@@ -240,55 +240,72 @@ def csp_to_mdk(csp: CspInstance, Q: int | None = None) -> MdkInstance:
 def solve_mdk_exact(mdk: MdkInstance, node_budget: int = 2_000_000):
     """Smallest vector subset of size at most mdk.k covering the target, or None.
 
-    Iterative deepening over the solution size with branching on the unmet
-    dimension that has fewest remaining candidates, plus a disjoint-support
-    lower bound.  Deterministic; raises BudgetExceeded past node_budget.
+    Iterative deepening over the solution size s = 0, 1, ..., mdk.k; the
+    answer is the first subset found at the smallest size, as sorted vector
+    indices.  Each node branches on the unmet dimension with the fewest
+    remaining candidates (vectors not yet picked that are positive there),
+    ties going to the lowest dimension, and tries its candidates by ascending
+    vector index.  A node with an unmet dimension that has no candidate, or
+    whose disjoint-support lower bound exceeds s, is a dead end.  Candidate
+    sets are bitmasks over the vector indices.  Deterministic; node_budget
+    counts the DFS calls over all deepening rounds together, and the call
+    past it raises BudgetExceeded.
     """
-    nvec = len(mdk.vectors)
-    cols = [sum(v[i] for v in mdk.vectors) for i in range(mdk.d)]
-    if any(cols[i] < mdk.target[i] for i in range(mdk.d)):
+    vectors, target, d = mdk.vectors, mdk.target, mdk.d
+    support = [0] * d
+    cols = [0] * d
+    for j, vec in enumerate(vectors):
+        bit = 1 << j
+        for i, x in enumerate(vec):
+            if x:
+                support[i] |= bit
+                cols[i] += x
+    if any(c < t for c, t in zip(cols, target)):
         return None
-    nodes = [0]
+    dims = range(d)
+    nodes = 0
 
-    def dfs(used: list[int], sums: list[int], limit: int):
-        nodes[0] += 1
-        if nodes[0] > node_budget:
+    def dfs(used: list[int], taken: int, sums: list[int], limit: int):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
             raise BudgetExceeded(f"mdk search exceeded {node_budget} nodes")
-        unmet = [i for i in range(mdk.d) if sums[i] < mdk.target[i]]
+        unmet = [i for i in dims if sums[i] < target[i]]
         if not unmet:
             return list(used)
-        if len(used) == limit:
+        room = limit - len(used)
+        if not room:
             return None
-        in_use = set(used)
-        cands: dict[int, list[int]] = {}
+        free = ~taken
+        order = []
         for i in unmet:
-            cands[i] = [
-                j for j in range(nvec) if j not in in_use and mdk.vectors[j][i] > 0
-            ]
-            if not cands[i]:
+            cands = support[i] & free
+            if not cands:
                 return None
-        order = sorted(unmet, key=lambda i: (len(cands[i]), i))
-        covered: set[int] = set()
+            order.append((cands.bit_count(), i, cands))
+        order.sort()
+        covered = 0
         lb = 0
-        for i in order:
-            cs = set(cands[i])
-            if not cs & covered:
+        for _, _, cands in order:
+            if not cands & covered:
                 lb += 1
-                covered |= cs
-        if len(used) + lb > limit:
-            return None
-        pivot = order[0]
-        for j in cands[pivot]:
+                if lb > room:
+                    return None
+                covered |= cands
+        cands = order[0][2]
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            j = low.bit_length() - 1
             used.append(j)
-            new_sums = [sums[i] + mdk.vectors[j][i] for i in range(mdk.d)]
-            got = dfs(used, new_sums, limit)
+            got = dfs(used, taken | low, [a + b for a, b in zip(sums, vectors[j])], limit)
             if got is not None:
                 return got
             used.pop()
         return None
 
     for s in range(mdk.k + 1):
-        got = dfs([], [0] * mdk.d, s)
+        got = dfs([], 0, [0] * d, s)
         if got is not None:
             return tuple(sorted(got))
     return None
@@ -304,20 +321,19 @@ def _cvc_instance(mdk: MdkInstance, weighted: bool) -> Instance:
     weighted, 1 / 0 / heavier than any feasible budget for the three kinds.
     """
     nvec = len(mdk.vectors)
-    cols = [sum(v[i] for v in mdk.vectors) for i in range(mdk.d)]
+    cols = [0] * mdk.d
+    family = [(nvec + i, nvec + mdk.d + i) for i in range(mdk.d)]
+    for v, vec in enumerate(mdk.vectors):
+        for i, c in enumerate(vec):
+            if c:
+                cols[i] += c
+                family += [(v, nvec + i)] * c
     for i in range(mdk.d):
         if mdk.target[i] > cols[i]:
             raise TargetExceedsColumnSum(
                 f"dimension {i}: target {mdk.target[i]} > column sum {cols[i]}"
             )
-    m_cvc = mdk.d + sum(cols)
-    family: list[tuple[int, int]] = []
-    for i in range(mdk.d):
-        family.append((nvec + i, nvec + mdk.d + i))
-    for v in range(nvec):
-        for i in range(mdk.d):
-            for _ in range(mdk.vectors[v][i]):
-                family.append((v, nvec + i))
+    m_cvc = len(family)
     if weighted:
         w_vec, w_forced, w_twin = 1, 0, (nvec + 2 * mdk.d) * m_cvc + 1
     else:
@@ -473,11 +489,8 @@ def csp_to_mdk_covering(
             raise EnumerationBudgetExceeded(
                 f"neighborhood {i} has {count} assignments, budget {budget}"
             )
-        local = [
-            c
-            for c in csp.constraints
-            if c.u in set(hood) and c.v in set(hood)
-        ]
+        members = set(hood)
+        local = [c for c in csp.constraints if c.u in members and c.v in members]
         for values in itertools.product(range(1, csp.n + 1), repeat=len(hood)):
             gamma = dict(zip(hood, values))
             if any((gamma[c.u], gamma[c.v]) not in c.allowed for c in local):

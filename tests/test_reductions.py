@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -369,3 +371,52 @@ def test_csp_to_mdk_covering_budget():
     csp = covered_csp()
     with pytest.raises(EnumerationBudgetExceeded):
         csp_to_mdk_covering(csp, ((0, 1, 2, 3),), budget=4)
+
+
+# The four CSPs of perfbench/corpus.reduce_pairs(11): (satisfiable, unsatisfiable) twice.
+REDUCE_PAIRS_SEED11 = (
+    ((1, 1), (2, 2)), ((1, 2), (2, 2)), ((2, 1), (2, 2)),
+    ((1, 2), (2, 2)), ((1, 1), (2, 1)), ((2, 1), (2, 2)),
+    ((1, 1), (1, 2)), ((1, 1), (1, 2)), ((1, 2), (2, 2)),
+    ((1, 2), (2, 2)), ((1, 2), (2, 1)), ((2, 1), (2, 2)),
+)
+# (picks, node count) of solve_mdk_exact on each, mapped with Q = n + 1.
+REDUCE_PAIRS_SEED11_SOLVED = (
+    ((1, 3, 5, 7, 9), 26),
+    (None, 24),
+    ((0, 3, 5, 7, 8), 20),
+    (None, 26),
+)
+SMALL_MDK_DIGEST = "a2bea8dff8cb773082d659473dd846be53b2777e8f1a8e5e39907eca00bc0cfd"
+
+
+def smallest_budget(mdk):
+    """(picks, N): the answer and the fewest nodes that reach it."""
+    budget = 0
+    while True:
+        try:
+            return solve_mdk_exact(mdk, node_budget=budget), budget
+        except BudgetExceeded:
+            budget += 1
+
+
+def test_solve_mdk_exact_pins_picks_and_node_counts():
+    # The search order is part of the contract: the same picks on ties and
+    # BudgetExceeded at the same node, not only an optimum of the same size.
+    for i, (picks, nodes) in enumerate(REDUCE_PAIRS_SEED11_SOLVED):
+        allowed = REDUCE_PAIRS_SEED11[3 * i : 3 * i + 3]
+        csp = CspInstance(k=2, n=2, constraints=tuple(Constraint(0, 1, a) for a in allowed))
+        mdk = csp_to_mdk(csp, Q=csp.n + 1)
+        assert solve_mdk_exact(mdk, node_budget=nodes) == picks
+        with pytest.raises(BudgetExceeded):
+            solve_mdk_exact(mdk, node_budget=nodes - 1)
+    rng = random.Random(21)
+    rows = []
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        nvec = rng.randint(1, 6)
+        vectors = tuple(tuple(rng.randint(0, 3) for _ in range(d)) for _ in range(nvec))
+        target = tuple(rng.randint(0, 3) for _ in range(d))
+        mdk = MdkInstance(d=d, k=rng.randint(0, nvec), target=target, vectors=vectors)
+        rows.append(smallest_budget(mdk))
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SMALL_MDK_DIGEST
