@@ -367,12 +367,10 @@ def candidate_set(
 
     and n(v, s) sums min(ceil(base * gamma(i, cls)), inc(v, cls)) over the
     classes pi sends to s.  Scores are computed here, for those parts and
-    stars only; when no part is ranked, X'' is X' itself.
+    stars only; when no part is ranked, X'' equals X'.
     """
     cfg, caps, hits = ctx.cfg, ctx.caps, ctx.inst.hits
     thr = cfg.small_class_threshold
-    if max(map(len, xprime), default=0) <= thr:
-        return xprime
     masks = ctx.frame(t.S)[2]
     out = []
     for i, (xp, row) in enumerate(zip(xprime, t.gamma)):
@@ -577,28 +575,26 @@ def _oracle_reps(S, parts, opt: Solution) -> list[int]:
 def _solve_guided(
     t: AnnotatedTuple, opt: Solution, asg: Assignment, ctx: Search
 ) -> Solution | None:
-    """Guided mode: tau1, tau2 send each s to the two parts whose oracle elements
-    cover most of star s; the first oracle element left in X'' is committed,
-    else t is closed."""
-    if t.r == 0:
-        return solve_extended(t, {}, {}, (), ctx).solution
-    rep = _oracle_reps(t.S, t.parts, opt)
-    st = stars(ctx.frame(t.S)[0], t.pi)
-    r = t.r
-    tau1: dict = {}
-    tau2: dict = {}
-    for s in t.S:
-        held = Counter(asg.target.get(j) for j in st.get(s, ()))
-        cover = [held[v] for v in rep]
-        ranked = sorted(range(r), key=lambda i: (-cover[i], i))
-        tau1[s], tau2[s] = ranked[0], ranked[min(1, r - 1)]
-    xpp = candidate_set(t, tau1, info_tuple(t, ctx), ctx)
-    hit = next((i for i in range(r) if rep[i] in xpp[i]), None)
-    if hit is not None:
-        s2 = t.S + (rep[hit],)
-        parts2 = t.parts[:hit] + t.parts[hit + 1 :]
-        return _solve_guided(good_tuple_from_opt(s2, parts2, opt, asg, ctx), opt, asg, ctx)
-    return solve_extended(t, tau1, tau2, xpp, ctx).solution
+    """Guided mode, one step per pass while t has parts: tau1, tau2 send each s
+    to the two parts whose oracle elements cover most of star s; the first oracle
+    element left in X'' is committed (t becomes the tuple the optimum induces
+    below it), else t is closed.  The r = 0 leaf is closed after the loop."""
+    while t.r:
+        rep = _oracle_reps(t.S, t.parts, opt)
+        st = stars(ctx.frame(t.S)[0], t.pi)
+        tau1, tau2 = {}, {}
+        for s in t.S:
+            held = Counter(asg.target.get(j) for j in st.get(s, ()))
+            cover = [held[v] for v in rep]
+            ranked = sorted(range(t.r), key=lambda i: (-cover[i], i))
+            tau1[s], tau2[s] = ranked[0], ranked[min(1, t.r - 1)]
+        xpp = candidate_set(t, tau1, info_tuple(t, ctx), ctx)
+        hit = next((i for i in range(t.r) if rep[i] in xpp[i]), None)
+        if hit is None:
+            return solve_extended(t, tau1, tau2, xpp, ctx).solution
+        rest = t.parts[:hit] + t.parts[hit + 1 :]
+        t = good_tuple_from_opt(t.S + (rep[hit],), rest, opt, asg, ctx)
+    return solve_extended(t, {}, {}, (), ctx).solution
 
 
 def expand_multiplicities(inst: Instance, k: int) -> Expansion:
@@ -711,13 +707,12 @@ def _guided(inst: Instance, k: int, cfg: SolverConfig, oracle: Result) -> Result
     ctx = Search(inst2, ell, cfg)
     opt2, asg2 = _lift_oracle(inst2, exp.copy_ids, oracle.solution, oracle.assignment)
     colorings = _colorings(inst2, cfg, ell)
-    parts = None
     for cand in colorings:
         hit = {i for i, part in enumerate(cand) for v in part if v in opt2.copies}
         if len(hit) == ell:
             parts = tuple(tuple(sorted(p)) for p in cand)
             break
-    if parts is None:
+    else:
         raise NoColoringSeparates(
             f"no coloring among {len(colorings)} separated the oracle solution"
         )
@@ -726,8 +721,7 @@ def _guided(inst: Instance, k: int, cfg: SolverConfig, oracle: Result) -> Result
         w_star = opt2.weight(inst2)
         W = next(w for w in weight_estimates(inst2) if w >= w_star)
         delta = _window_width(cfg.epsilon, W, ell, inst2.n)
-        reps = [next(v for v in p if v in opt2.copies) for p in parts]
-        bvec = [inst2.element(v).weight // delta for v in reps]
+        bvec = [inst2.element(v).weight // delta for v in _oracle_reps((), parts, opt2)]
         parts = _weight_windows(inst2, parts, bvec, delta)
     root = good_tuple_from_opt((), parts, opt2, asg2, ctx)
     sol2 = _solve_guided(root, opt2, asg2, ctx)

@@ -692,6 +692,75 @@ def test_guided_coloring_exhaustion_raises():
     assert res is not None and res.solution.size() == 4
 
 
+def _record_guided(monkeypatch, inst, k, cfg):
+    """Guided mode's answer on (inst, k) and its descent: the tuples
+    good_tuple_from_opt built, the (tau1, X'') of each candidate_set call and
+    the (tuple, tau1, tau2, X'') of each closing attempt, in call order."""
+    steps = {"tuples": [], "candidates": [], "closings": []}
+
+    def recording(name, real, keep):
+        def wrapped(*args):
+            out = real(*args)
+            steps[name].append(keep(args, out))
+            return out
+
+        monkeypatch.setattr(approx, real.__name__, wrapped)
+
+    recording("tuples", approx.good_tuple_from_opt, lambda a, out: (out, a[-1]))
+    recording("candidates", approx.candidate_set, lambda a, out: (a[1], out))
+    recording("closings", approx.solve_extended, lambda a, out: a[:4])
+    res = solve_approx(inst, k, cfg, mode=GUIDED)
+    monkeypatch.undo()
+    return res, steps
+
+
+@pytest.mark.parametrize(
+    "overrides, answered",
+    [({}, 39), ({"small_class_threshold": 2, "top_t": 1}, 32)],
+    ids=["defaults", "ranked"],
+)
+def test_every_guided_step_is_a_guess_enumerate_makes(monkeypatch, overrides, answered):
+    # Guided mode reads each step off an exact optimum; every such step must be
+    # one the enumeration also takes: its root and child tuples are yielded by
+    # enumerate_tuples, tau1 and tau2 are total maps into the parts, and each
+    # committed oracle element lies in its part of X''.  Under the override
+    # some parts are ranked, so X'' is cut below X'.
+    cfg = SolverConfig(tuple_budget=10**9, recursion_budget=10**9, **overrides)
+    got = 0
+    for n, seed, k in itertools.product((4, 5, 6), range(10), (1, 2, 3)):
+        inst = generate_instance({**GEN_UNW, "n": n, "m": n}, seed=seed)
+        res, steps = _record_guided(monkeypatch, inst, k, cfg)
+        if res is None:
+            continue
+        got += 1
+        tuples = [t for t, _ in steps["tuples"]]
+        guided_ctx = steps["tuples"][0][1]
+        ctx = Search(guided_ctx.inst, guided_ctx.k, cfg)  # the clone instance at guided's size
+        root, leaf = tuples[0], tuples[-1]
+        assert root.S == () and root in enumerate_tuples((), root.parts, ctx)
+        for t, child, (tau1, xpp) in zip(tuples, tuples[1:], steps["candidates"]):
+            assert tau1.keys() == set(t.S) and set(tau1.values()) <= set(range(t.r))
+            (v,) = set(child.S) - set(t.S)
+            (i,) = [i for i, part in enumerate(t.parts) if v in part]
+            assert v in xpp[i]
+            rest = t.parts[:i] + t.parts[i + 1 :]
+            assert child.parts == rest
+            if child.r:
+                assert child in enumerate_tuples(t.S + (v,), rest, ctx)
+            else:  # nothing reads pi or gamma at r = 0
+                (only,) = enumerate_tuples(t.S + (v,), rest, ctx)
+                assert (only.S, only.parts) == (child.S, child.parts)
+        ((closed, tau1, tau2, xpp),) = steps["closings"]
+        assert closed is leaf
+        if leaf.r:
+            assert (tau1, xpp) == steps["candidates"][-1]
+            for tau in (tau1, tau2):
+                assert tau.keys() == set(leaf.S) and set(tau.values()) <= set(range(leaf.r))
+        assert solve_approx(inst, k, cfg, mode=ENUMERATE) is not None
+    # Pinned so that a change that makes guided answer less cannot pass vacuously.
+    assert got == answered
+
+
 def test_enumerate_mode_small_instances():
     inst = Instance(
         elements=(Element(id=0, cap=2), Element(id=1, cap=1)),
