@@ -25,8 +25,8 @@ The closing step charges nothing and runs afresh for each extended tuple;
 Search keeps its quotas by (r, tau pairs) and its conflicts by (S, pi, k),
 since k fixes rho.  Before it builds a Solution, the closing step rejects a
 pick that leaves some set without a picked member or whose capacities sum
-below m, from Instance.hits and the capacities Search holds: exactly
-check_feasible's own early exits, so check_feasible decides the rest.
+below m, from Instance.hits and the capacities Search holds: the only check
+of those two rules.  check_feasible's matching decides the rest.
 
 X'_i is part i cut by capacity and class incidence, where v lies in
 (inst.hits[v] & masks[cls]).bit_count() sets of class cls.  X''_i, the
@@ -55,6 +55,7 @@ from .core import (
     Instance,
     Result,
     Solution,
+    copy_limit,
     equivalence_classes,
     stars,
 )
@@ -408,7 +409,7 @@ def solve_extended(
     ceil(4k/3).  The quotas and the conflict relation come from ctx's memos.
     A pick that leaves a set without a picked member, or whose capacities sum
     below m, is rejected from inst.hits and ctx's capacities before a
-    Solution is built: those are check_feasible's own early exits.
+    Solution is built; check_feasible's matching decides the rest.
     """
     if len(t.S) + t.r != ctx.k:
         raise ValueError("tuple arity does not match k")
@@ -598,7 +599,7 @@ def _solve_guided(
 
 
 def expand_multiplicities(inst: Instance, k: int) -> Expansion:
-    """Clone each element min(k, mult) times with multiplicity one.
+    """Clone each element copy_limit(el, k) times with multiplicity one.
 
     Set membership is inherited by every clone, so sets grow up to d*k wide;
     the clone instance's d is its widest set (d itself when there is none).
@@ -608,23 +609,13 @@ def expand_multiplicities(inst: Instance, k: int) -> Expansion:
     new_elements = []
     back: dict = {}
     copy_ids: dict = {}
-    nxt = 0
     for el in inst.elements:
-        copies = min(k, el.mult) if el.mult is not None else k
-        copy_ids[el.id] = []
-        for _ in range(copies):
-            new_elements.append(
-                Element(id=nxt, cap=el.cap, mult=1, weight=el.weight)
-            )
-            back[nxt] = el.id
-            copy_ids[el.id].append(nxt)
-            nxt += 1
-    family2 = []
-    for fs in inst.family:
-        members: list[int] = []
-        for x in fs:
-            members.extend(copy_ids[x])
-        family2.append(tuple(sorted(members)))
+        start = len(back)
+        copy_ids[el.id] = list(range(start, start + copy_limit(el, k)))
+        for x in copy_ids[el.id]:
+            new_elements.append(Element(id=x, cap=el.cap, mult=1, weight=el.weight))
+            back[x] = el.id
+    family2 = [tuple(sorted(x for y in fs for x in copy_ids[y])) for fs in inst.family]
     d2 = max((len(fs) for fs in family2), default=inst.d)
     inst2 = Instance(elements=tuple(new_elements), family=tuple(family2), d=d2)
     return Expansion(instance=inst2, back=back, copy_ids=copy_ids)

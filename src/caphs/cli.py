@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from fractions import Fraction
@@ -19,6 +18,7 @@ from fractions import Fraction
 from .approx import ENUMERATE, GUIDED, SolverConfig, _guided, ceil43, solve_approx
 from .core import (
     generate_instance,
+    json_text,
     parse_instance,
     parse_solution,
     serialize_instance,
@@ -52,7 +52,7 @@ def _read(path: str) -> str:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, ensure_ascii=False))
+    sys.stdout.write(json_text(obj))
 
 
 def _ratio(a: int, b: int) -> float:

@@ -22,7 +22,7 @@ from .errors import MalformedInput, PartialPlurality, UnknownElement, Validation
 FORMAT_VERSION = 1
 
 # Multiplicity sentinel: an element with mult=None may be bought any number of
-# times.  Algorithms clamp it to min(k, mult) before use.
+# times.  Algorithms clamp it with copy_limit before use.
 UNBOUNDED = None
 
 
@@ -40,6 +40,11 @@ class Element:
             raise ValidationError(f"element {self.id}: negative weight {self.weight}")
         if self.mult is not None and self.mult < 1:
             raise ValidationError(f"element {self.id}: multiplicity {self.mult} < 1")
+
+
+def copy_limit(e: Element, k: int) -> int:
+    """The most copies of e a size-k solution buys: min(k, mult), or k if unbounded."""
+    return k if e.mult is None else min(k, e.mult)
 
 
 @dataclass(frozen=True)
@@ -236,6 +241,11 @@ def generate_instance(params: dict, seed: int) -> Instance:
     return Instance(elements=tuple(elements), family=tuple(family), d=d)
 
 
+def json_text(obj) -> str:
+    """Every document's output format: 2-space indent, non-ASCII kept, newline-terminated."""
+    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
 def serialize_instance(inst: Instance) -> str:
     """Instance JSON: format, d, elements (id/cap/mult/weight), family.
 
@@ -250,7 +260,7 @@ def serialize_instance(inst: Instance) -> str:
         ],
         "family": [list(s) for s in inst.family],
     }
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    return json_text(obj)
 
 
 def solution_document(sol: Solution, asg: Assignment | None = None) -> dict:
@@ -264,7 +274,7 @@ def solution_document(sol: Solution, asg: Assignment | None = None) -> dict:
 
 def serialize_solution(sol: Solution, asg: Assignment | None = None) -> str:
     """Solution JSON: the solution_document, newline-terminated."""
-    return json.dumps(solution_document(sol, asg), indent=2, ensure_ascii=False) + "\n"
+    return json_text(solution_document(sol, asg))
 
 
 def parse_solution(text: str) -> tuple[Solution, Assignment | None]:
@@ -290,15 +300,17 @@ def _id_keyed(obj: dict, key_error: str, value_error: str) -> dict[int, int]:
             canonical = str(int(key)) == key
         except ValueError:
             canonical = False
-        _expect(canonical, key_error.format(key))
+        _expect(canonical, key_error, key)
         _expect(_is_int(v), value_error)
         out[int(key)] = v
     return out
 
 
-def _expect(cond: bool, msg: str):
+def _expect(cond: bool, msg: str, *args):
+    """MalformedInput unless cond, with msg formatted with args only then, so
+    a check run per item of a document builds no message."""
     if not cond:
-        raise MalformedInput(msg)
+        raise MalformedInput(msg.format(*args) if args else msg)
 
 
 def _load_object(text: str, what: str) -> dict:

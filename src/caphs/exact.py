@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from .core import Instance, Result, Solution
+from .core import Instance, Result, Solution, copy_limit
 from .errors import BudgetExceeded
 from .feasibility import _augment, check_feasible
 
@@ -28,9 +28,8 @@ DEFAULT_CANDIDATE_BUDGET = 10**6
 
 
 def _limits(inst: Instance, k: int) -> list[tuple[int, int]]:
-    """(element id, clamped max copies) in ascending id order."""
-    return [(e.id, k if e.mult is None else min(k, e.mult))
-            for e in sorted(inst.elements, key=lambda e: e.id)]
+    """(element id, copy_limit) in ascending id order."""
+    return [(e.id, copy_limit(e, k)) for e in sorted(inst.elements, key=lambda e: e.id)]
 
 
 def _count_vectors(limits, k: int) -> int:

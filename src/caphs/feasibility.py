@@ -113,10 +113,7 @@ def check_feasible(inst: Instance, sol: Solution) -> Assignment | None:
         An Assignment covering every set occurrence, or None iff no
         b-matching saturates all m sets.
     """
-    members, room = build_network(inst, sol)
-    if sum(room.values()) < inst.m or not all(members):
-        return None
-    target, _ = _augment(members, room)
+    target, _ = _augment(*build_network(inst, sol))
     if target is None:
         return None
     asg = Assignment(target=dict(sorted(target.items())))

@@ -12,18 +12,17 @@ randomness only enters when sampling covering families.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import FORMAT_VERSION, Element, Instance, _check_format, _is_int, _load_object
+from .core import FORMAT_VERSION, Element, Instance, json_text
+from .core import _check_format, _expect, _is_int, _load_object
 from .errors import (
     BudgetExceeded,
     EnumerationBudgetExceeded,
-    MalformedInput,
     NotThreeRegular,
     ParameterViolation,
     TargetExceedsColumnSum,
@@ -92,31 +91,26 @@ def serialize_csp(csp: CspInstance) -> str:
             for c in csp.constraints
         ],
     }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return json_text(doc)
 
 
 def parse_csp(text: str) -> CspInstance:
     doc = _load_object(text, "csp document")
     _check_format(doc.get("format"))
     for key in ("k", "n", "constraints"):
-        if key not in doc:
-            raise MalformedInput(f"csp document misses key {key!r}")
-    if not _is_int(doc["k"]) or not _is_int(doc["n"]):
-        raise MalformedInput("k and n must be integers")
-    if not isinstance(doc["constraints"], list):
-        raise MalformedInput("constraints must be a list")
+        _expect(key in doc, f"csp document misses key {key!r}")
+    _expect(_is_int(doc["k"]) and _is_int(doc["n"]), "k and n must be integers")
+    _expect(isinstance(doc["constraints"], list), "constraints must be a list")
     cons = []
     for ent in doc["constraints"]:
-        if not isinstance(ent, dict) or not {"u", "v", "allowed"} <= set(ent):
-            raise MalformedInput(f"bad constraint entry: {ent!r}")
-        if not _is_int(ent["u"]) or not _is_int(ent["v"]):
-            raise MalformedInput("constraint endpoints must be integers")
-        if not isinstance(ent["allowed"], list):
-            raise MalformedInput("allowed must be a list of pairs")
+        _expect(isinstance(ent, dict) and {"u", "v", "allowed"} <= set(ent),
+                "bad constraint entry: {!r}", ent)
+        _expect(_is_int(ent["u"]) and _is_int(ent["v"]), "constraint endpoints must be integers")
+        _expect(isinstance(ent["allowed"], list), "allowed must be a list of pairs")
         pairs = []
         for p in ent["allowed"]:
-            if not (isinstance(p, list) and len(p) == 2 and all(_is_int(x) for x in p)):
-                raise MalformedInput(f"bad allowed pair: {p!r}")
+            _expect(isinstance(p, list) and len(p) == 2 and all(_is_int(x) for x in p),
+                    "bad allowed pair: {!r}", p)
             pairs.append((p[0], p[1]))
         cons.append(Constraint(u=ent["u"], v=ent["v"], allowed=tuple(pairs)))
     return CspInstance(k=doc["k"], n=doc["n"], constraints=tuple(cons))
@@ -159,22 +153,20 @@ def serialize_mdk(mdk: MdkInstance) -> str:
         "target": list(mdk.target),
         "vectors": [list(v) for v in mdk.vectors],
     }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return json_text(doc)
 
 
 def parse_mdk(text: str) -> MdkInstance:
     doc = _load_object(text, "mdk document")
     _check_format(doc.get("format"))
     for key in ("d", "k", "target", "vectors"):
-        if key not in doc:
-            raise MalformedInput(f"mdk document misses key {key!r}")
-    if not _is_int(doc["d"]) or not _is_int(doc["k"]):
-        raise MalformedInput("d and k must be integers")
-    if not isinstance(doc["target"], list) or not isinstance(doc["vectors"], list):
-        raise MalformedInput("target and vectors must be lists")
+        _expect(key in doc, f"mdk document misses key {key!r}")
+    _expect(_is_int(doc["d"]) and _is_int(doc["k"]), "d and k must be integers")
+    _expect(isinstance(doc["target"], list) and isinstance(doc["vectors"], list),
+            "target and vectors must be lists")
     for row in [doc["target"]] + doc["vectors"]:
-        if not isinstance(row, list) or not all(_is_int(x) for x in row):
-            raise MalformedInput("target and every vector must be lists of integers")
+        _expect(isinstance(row, list) and all(_is_int(x) for x in row),
+                "target and every vector must be lists of integers")
     return MdkInstance(
         d=doc["d"],
         k=doc["k"],

@@ -3,13 +3,16 @@ tests/test_behaviour_digest.py pins, one SHA-256 per command family.
 
     PYTHONPATH=src python tests/regen_behaviour_digest.py
 
-Every family runs through cli.main in this process, on each instance of the
-corpus at k = 0..4, reading the instance from stdin.  The corpus is
-`caphs gen --d 3` with n = 3..6, m = n and n + 2, seeds 0..5, unit and 1..9
-weights.  A family's digest hashes each run's arguments, exit code and
-stdout, in corpus order, so a moved answer, tie-break or budget cut-off
-moves it.  A change that moves a family on purpose reruns this script and
-names the moved family and the reason in CHANGES.md.
+Every family runs through cli.main in this process.  Most run on each
+instance of the corpus at k = 0..4 (some at k = 0..3), reading the instance
+from stdin.  The corpus is `caphs gen --d 3` with n = 3..6, m = n and n + 2,
+seeds 0..5, unit and 1..9 weights.  The other families run fixed argument
+lists: `bench`, the reproducers of two open defects, instances without sets
+or without elements, and invalid option values.  A family's digest hashes
+each run's arguments, exit code and stdout, in order, so a moved answer,
+tie-break, error or budget cut-off moves it.  A change that moves a family
+on purpose reruns this script and names the moved family and the reason in
+CHANGES.md.
 """
 
 from __future__ import annotations
@@ -33,24 +36,113 @@ def _override(*pairs: str) -> list[str]:
     return [arg for kv in pairs for arg in ("--override-const", kv)]
 
 
-# Family name -> (subcommand, its options).  The instance is "-" (stdin).
+def _on_corpus(cmd: str, opts: list[str], ks=KS):
+    """The runs of cmd with opts on every corpus instance at each k in ks."""
+    return lambda docs: [([cmd, "-", *opts, "--k", str(k)], doc) for doc in docs for k in ks]
+
+
+def _instance(caps: list[int], family: list[list[int]], d: int = 3) -> str:
+    """An instance document with elements 0..len(caps)-1 of mult 1 and weight 1."""
+    elements = [{"id": x, "cap": c, "mult": 1, "weight": 1} for x, c in enumerate(caps)]
+    return json.dumps({"d": d, "elements": elements, "family": family})
+
+
+# The argument lists before the instance of every solving command.
+_SOLVERS = (
+    ["solve-exact"],
+    ["solve-exact", "--weighted"],
+    ["solve-approx"],
+    ["solve-approx", *_ENUMERATE],
+    ["certify"],
+)
+
+
+def _solved(doc: str, ks):
+    """The runs of each solving command on doc at each k in ks."""
+    return [([*solver, "-", "--k", str(k)], doc) for solver in _SOLVERS for k in ks]
+
+
+# ROADMAP item 2: enumerate with epsilon 1/2 answers weight 16 at k = 3,
+# where the weighted optimum and guided mode weigh 3.
+_WEIGHT_BOUND_ARGS = ["gen", "--n", "5", "--m", "5", "--d", "3", "--seed", "19", "--weighted"]
+
+
+def _weight_bound_runs(docs):
+    doc = run(_WEIGHT_BOUND_ARGS)[1]
+    eps = ["--epsilon", "1/2"]
+    return [
+        (argv + ["--k", str(k)], doc)
+        for k in (2, 3)
+        for argv in (["solve-exact", "-", "--weighted"], ["solve-approx", "-", *eps],
+                     ["solve-approx", "-", *_ENUMERATE, *eps])
+    ]
+
+
+# ROADMAP item 3: {0} covers every set, but guided mode loses it at k = 1
+# and certify raises InvariantViolated at k = 1 and 2.
+_LOST_OPTIMUM = _instance(
+    [7] + [6] * 7, [[0] + [x for x in range(1, 8) if x != j] for j in range(1, 8)], d=7
+)
+
+_EMPTY = [_instance([1], []), _instance([], [])]
+
+
+def _invalid_runs(docs):
+    doc = docs[0]
+    k2 = ["-", "--k", "2"]
+    runs = [([*solver, "-", "--k", "-1"], doc) for solver in _SOLVERS]
+    for mode in ([], _ENUMERATE):
+        bad = [["--budget", "-1"], ["--epsilon", "0"]] + [
+            _override(kv) for kv in ("rho=0", "bucket_base=1", "top_t=0",
+                                     "max_coloring_trials=0", "no_such_key=1")
+        ]
+        runs += [(["solve-approx", *k2, *mode, *opts], doc) for opts in bad]
+    return runs
+
+
+# Family name -> a function from the corpus documents to the family's runs,
+# each an (argv, stdin) pair.
 FAMILIES = {
-    "solve-exact": ("solve-exact", []),
-    "solve-exact --weighted": ("solve-exact", ["--weighted"]),
-    "guided": ("solve-approx", []),
-    "guided --epsilon 1/2": ("solve-approx", ["--epsilon", "1/2"]),
-    "guided ranked": ("solve-approx", _override("small_class_threshold=0", "top_t=1")),
-    "guided rho bucket_base seed": (
+    "solve-exact": _on_corpus("solve-exact", []),
+    "solve-exact --weighted": _on_corpus("solve-exact", ["--weighted"]),
+    "guided": _on_corpus("solve-approx", []),
+    "guided --epsilon 1/2": _on_corpus("solve-approx", ["--epsilon", "1/2"]),
+    "guided ranked": _on_corpus("solve-approx", _override("small_class_threshold=0", "top_t=1")),
+    "guided rho bucket_base seed": _on_corpus(
         "solve-approx", _override("rho=1/2", "bucket_base=2") + ["--seed", "3"]
     ),
-    "enumerate": ("solve-approx", _ENUMERATE),
-    "enumerate ranked budget 400": (
+    "enumerate": _on_corpus("solve-approx", _ENUMERATE),
+    "enumerate ranked budget 400": _on_corpus(
         "solve-approx",
         _ENUMERATE + ["--budget", "400"] + _override("small_class_threshold=1", "top_t=1"),
     ),
-    "enumerate budget 50": ("solve-approx", _ENUMERATE + ["--budget", "50"]),
-    "enumerate budget 200": ("solve-approx", _ENUMERATE + ["--budget", "200"]),
-    "certify": ("certify", []),
+    "enumerate budget 50": _on_corpus("solve-approx", _ENUMERATE + ["--budget", "50"]),
+    "enumerate budget 200": _on_corpus("solve-approx", _ENUMERATE + ["--budget", "200"]),
+    "certify": _on_corpus("certify", []),
+    "enumerate --epsilon 1/2": _on_corpus(
+        "solve-approx", _ENUMERATE + ["--epsilon", "1/2"], range(0, 4)
+    ),
+    "enumerate rho bucket_base seed": _on_corpus(
+        "solve-approx",
+        _ENUMERATE + _override("rho=1/2", "bucket_base=2") + ["--seed", "3"],
+        range(0, 4),
+    ),
+    # Every part ranked: at default budgets this answers nothing and takes
+    # about 50 s on the corpus, so the budget is cut.
+    "enumerate all ranked budget 400": _on_corpus(
+        "solve-approx",
+        _ENUMERATE + ["--budget", "400"] + _override("small_class_threshold=0", "top_t=1"),
+    ),
+    "enumerate budget 10": _on_corpus("solve-approx", _ENUMERATE + ["--budget", "10"]),
+    "enumerate budget 1000": _on_corpus("solve-approx", _ENUMERATE + ["--budget", "1000"]),
+    "bench": lambda docs: [
+        (["bench", "--count", "2"], ""),
+        (["bench", "--count", "3", "--kmax", "4", "--corpus-seed", "7"], ""),
+    ],
+    "reproducer: enumerate weight bound": _weight_bound_runs,
+    "reproducer: guided loses the optimum": lambda docs: _solved(_LOST_OPTIMUM, (1, 2)),
+    "no sets, no elements": lambda docs: [run for doc in _EMPTY for run in _solved(doc, KS[:3])],
+    "invalid values": _invalid_runs,
 }
 
 
@@ -79,16 +171,14 @@ def corpus() -> list[str]:
 
 
 def digests() -> dict[str, str]:
-    """Family name -> the SHA-256 of its runs over the corpus."""
+    """Family name -> the SHA-256 of its runs."""
     docs = corpus()
     out = {}
-    for name, (cmd, opts) in FAMILIES.items():
+    for name, runs in FAMILIES.items():
         h = hashlib.sha256()
-        for doc in docs:
-            for k in KS:
-                argv = [cmd, "-", *opts, "--k", str(k)]
-                code, stdout = run(argv, doc)
-                h.update(json.dumps([argv, code, stdout]).encode() + b"\n")
+        for argv, stdin in runs(docs):
+            code, stdout = run(argv, stdin)
+            h.update(json.dumps([argv, code, stdout]).encode() + b"\n")
         out[name] = h.hexdigest()
     return out
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from caphs.approx import (
+    ENUMERATE,
     GUIDED,
     AnnotatedTuple,
     Search,
@@ -447,3 +448,31 @@ def test_criterion_11_covering_family():
                 successes += 1
         assert successes >= 19, f"n={n}: {successes}/20"
         print(f"criterion 11 covering family: PASS (n={n}, {successes}/20 seeds)")
+
+
+def test_criterion_12_enumerate_four_thirds_at_k3():
+    """Enumerate mode, with budgets that never fire, finds a feasible
+    solution of size at most ceil(4 * 3 / 3) = 4 wherever one of size at
+    most 3 exists.  k = 1 is the open exception (ROADMAP item 3): on an
+    instance whose only small optimum needs a ranked root part, enumerate
+    finds nothing at k = 1."""
+    t0 = time.perf_counter()
+    cfg = SolverConfig(tuple_budget=10**15, recursion_budget=10**15)
+    checked = 0
+    for n in (5, 6, 7):
+        for weights in ((1, 1), (1, 9)):
+            for seed in range(25):
+                params = {"n": n, "m": n, "d": 3, "cap_range": (1, 3),
+                          "weight_range": weights, "mult_range": (1, 2)}
+                inst = generate_instance(params, seed=seed)
+                if solve_exact(inst, 3) is None:
+                    continue
+                res = solve_approx(inst, 3, cfg, mode=ENUMERATE)
+                assert res is not None, (params, seed)
+                assert check_feasible(inst, res.solution) is not None, (params, seed)
+                assert res.solution.size() <= 4, (params, seed)
+                checked += 1
+    elapsed = time.perf_counter() - t0
+    assert checked == 97
+    assert elapsed < 60
+    print(f"criterion 12 enumerate 4/3 at k = 3: PASS ({checked} instances, {elapsed:.1f}s)")

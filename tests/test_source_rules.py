@@ -190,3 +190,58 @@ def test_every_dataclass_is_frozen():
         "class F:\n    pass\n"
     )
     assert _unfrozen_dataclasses(probe, "probe") == ["probe:4 A", "probe:7 B", "probe:10 C"]
+
+
+def _shared_rule_sites(text: str, label: str) -> list[str]:
+    """Calls of json.dumps and constructions of MalformedInput, each as
+    label:function callee, by innermost enclosing function (<module> outside any)."""
+    tree = ast.parse(text, filename=label)
+    owner = {}
+    # ast.walk reaches an outer function before its inner ones, so the inner wins.
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                owner[id(node)] = fn.name
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute):
+            qualified = f"{getattr(f.value, 'id', '?')}.{f.attr}"
+        else:
+            qualified = getattr(f, "id", "")
+        if qualified in ("json.dumps", "dumps"):
+            callee = "json.dumps"
+        elif qualified.rpartition(".")[2] == "MalformedInput":
+            callee = "MalformedInput"
+        else:
+            continue
+        found.append(f"{label}:{owner.get(id(node), '<module>')} {callee}")
+    return found
+
+
+def test_each_shared_rule_has_one_copy():
+    # The output format and the way a parser reports a malformed document are
+    # decided in one place each, so two writers or two parsers cannot drift.
+    found = [
+        entry
+        for path in sorted(SRC.glob("*.py"))
+        for entry in _shared_rule_sites(path.read_text(encoding="utf-8"), path.name)
+    ]
+    writers = sorted({e for e in found if e.endswith(" json.dumps")})
+    assert len(writers) == 1, "json.dumps called in: " + ", ".join(writers)
+    raisers = [e for e in found if e.endswith(" MalformedInput")]
+    assert raisers and all(e.startswith("core.py:") for e in raisers), (
+        "MalformedInput built outside core.py: " + ", ".join(raisers)
+    )
+    probe = (
+        "import json\nfrom json import dumps\n"
+        "def f(x):\n    def g():\n        raise MalformedInput('bad')\n"
+        "    return json.dumps(x)\n"
+        "h = dumps(1)\ny = other.dumps(1)\nz = errors.MalformedInput('bad')\nw = a.b.dumps(2)\n"
+    )
+    assert _shared_rule_sites(probe, "probe") == [
+        "probe:<module> json.dumps", "probe:<module> MalformedInput", "probe:f json.dumps",
+        "probe:g MalformedInput",
+    ]
