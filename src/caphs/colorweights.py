@@ -5,19 +5,16 @@ from __future__ import annotations
 import math
 import sys
 
-import numpy as np
-
 from .core import Instance
+from .pcg import Stream
 
 
 class Colorings:
     """The colorings random_colorings returns, drawn as they are iterated.
 
-    Each iteration reseeds and draws the color table in blocks of 1, 2, 4, ...
-    rows: O(log trials) numpy calls, and at most twice the rows a caller that
-    stops early uses.  Cutting the table into blocks leaves the generator's
-    stream, and so every row, unchanged.  With one part every row is zeros,
-    so nothing is drawn: each coloring is ids as one part.
+    Each iteration reseeds a Stream and draws one row per coloring, so a
+    caller that stops early draws no row it does not use.  With one part
+    every row is zeros, so nothing is drawn: each coloring is ids as one part.
     """
 
     def __init__(self, ids, k: int, trials: int, seed: int):
@@ -35,17 +32,12 @@ class Colorings:
             for _ in range(self.trials):
                 yield [list(ids)]
             return
-        rng = np.random.default_rng(self.seed)
-        left, block = self.trials, 1
-        while left:
-            block = min(block, left)
-            for row in rng.integers(0, k, size=(block, len(ids))).tolist():
-                parts: list[list[int]] = [[] for _ in range(k)]
-                for x, c in zip(ids, row):
-                    parts[c].append(x)
-                yield parts
-            left -= block
-            block *= 2
+        draw = Stream(self.seed).bounded
+        for _ in range(self.trials):
+            parts: list[list[int]] = [[] for _ in range(k)]
+            for x in ids:
+                parts[draw(k - 1)].append(x)
+            yield parts
 
 
 def random_colorings(ids, k: int, trials: int, seed: int) -> Colorings:
@@ -54,8 +46,9 @@ def random_colorings(ids, k: int, trials: int, seed: int) -> Colorings:
     Every id gets a uniform color in [k]; parts may be empty.  The result is a
     sized iterable (len() is trials) that draws colorings as it is iterated;
     they are the same colorings, in the same order, as the rows of one
-    (trials, len(ids)) table from np.random.default_rng(seed).  Deterministic
-    for a fixed (ids, k, trials, seed), and every iteration repeats them.
+    (trials, len(ids)) table of numpy.random.default_rng(seed).integers(0, k),
+    reproduced in pure Python by caphs.pcg without numpy.  Deterministic for
+    a fixed (ids, k, trials, seed), and every iteration repeats them.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

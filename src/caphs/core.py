@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .errors import MalformedInput, PartialPlurality, UnknownElement, ValidationError
+from .pcg import Stream
 
 FORMAT_VERSION = 1
 
@@ -226,17 +225,17 @@ def generate_instance(params: dict, seed: int) -> Instance:
         if lo > hi:
             raise ValidationError(f"{key} is empty")
         ranges[key] = (int(lo), int(hi))
-    rng = np.random.default_rng(int(seed))
+    rng = Stream(int(seed))
     elements = []
     for i in range(n):
-        cap = int(rng.integers(ranges["cap_range"][0], ranges["cap_range"][1] + 1))
-        weight = int(rng.integers(ranges["weight_range"][0], ranges["weight_range"][1] + 1))
-        mult = int(rng.integers(ranges["mult_range"][0], ranges["mult_range"][1] + 1))
+        cap = rng.integers(ranges["cap_range"][0], ranges["cap_range"][1] + 1)
+        weight = rng.integers(ranges["weight_range"][0], ranges["weight_range"][1] + 1)
+        mult = rng.integers(ranges["mult_range"][0], ranges["mult_range"][1] + 1)
         elements.append(Element(id=i, cap=cap, mult=mult, weight=weight))
     total = _subset_count(n, min(d, n))
     family = []
     for _ in range(m):
-        r = int(rng.integers(0, total))
+        r = rng.integers(0, total)
         family.append(_unrank_subset(r, n, min(d, n)))
     return Instance(elements=tuple(elements), family=tuple(family), d=d)
 

@@ -20,9 +20,9 @@ from __future__ import annotations
 import heapq
 import math
 
-from .core import Instance, Result, Solution, copy_limit
-from .errors import BudgetExceeded
-from .feasibility import _augment, check_feasible
+from .core import Assignment, Instance, Result, Solution, copy_limit
+from .errors import BudgetExceeded, InvariantViolated
+from .feasibility import _augment, assignment_ok
 
 DEFAULT_CANDIDATE_BUDGET = 10**6
 
@@ -49,10 +49,12 @@ def _count_vectors(limits, k: int) -> int:
     return sum(c * math.comb(k - s + n, n) for s, c in signed.items())
 
 
-def _search(inst: Instance, k: int, budget: int, weighted: bool):
+def _search(inst: Instance, k: int, budget: int, weighted: bool) -> Result | None:
     """The feasible copy vector of size at most k with the smallest key
-    (weight, size, vector), as a Solution, or None; every weight is 0 unless
-    weighted.
+    (weight, size, vector), as a Result, or None; every weight is 0 unless
+    weighted.  Its assignment is the matching that found the vector feasible,
+    which is check_feasible's: both run _augment over each set's bought
+    members in ascending id, and a member without capacity takes no set.
 
     Vectors run over the _limits order and never exceed its limits, so the
     search visits at most the _count_vectors candidates the budget is
@@ -64,7 +66,7 @@ def _search(inst: Instance, k: int, budget: int, weighted: bool):
     if k < 0:
         raise ValueError("k must be nonnegative")
     if not inst.family:
-        return Solution(copies={})  # nothing to hit: no search, no precheck
+        return Result(Solution(copies={}), Assignment(target={}), 0)  # no search, no precheck
     limits = _limits(inst, k)
     k = min(k, sum(lim for _, lim in limits))  # the same vectors, so the same count
     count = _count_vectors(limits, k)
@@ -79,17 +81,17 @@ def _search(inst: Instance, k: int, budget: int, weighted: bool):
     rows = [[pos[x] for x in s if caps[pos[x]] > 0] for s in inst.family]
 
     def deficit(vec, served):
-        """None when vec is feasible, else the positions to branch on.  served
-        has a bit per set a bought member holds; only rows are branched on, so
-        every bought member has cap > 0."""
+        """(the matching's target, None) when vec is feasible, else (None, the
+        positions to branch on).  served has a bit per set a bought member
+        holds; only rows are branched on, so every bought member has cap > 0."""
         j = ((served + 1) & ~served).bit_length() - 1  # the lowest unserved set
         if j < len(rows):
-            return [p for p in rows[j] if vec[p] < lims[p]]
+            return None, [p for p in rows[j] if vec[p] < lims[p]]
         room = {p: caps[p] * c for p, c in enumerate(vec) if c}
-        _, scanned = _augment([[p for p in row if vec[p]] for row in rows], room)
+        target, scanned = _augment([[p for p in row if vec[p]] for row in rows], room)
         if scanned is None:
-            return None
-        return {p for j in scanned for p in rows[j] if vec[p] < lims[p]}
+            return target, None
+        return None, {p for j in scanned for p in rows[j] if vec[p] < lims[p]}
 
     # (weight, size, vector, served-sets bitmask); weight and mask are carried
     # from the parent.
@@ -98,9 +100,13 @@ def _search(inst: Instance, k: int, budget: int, weighted: bool):
     while heap:
         w, t, vec, served = heapq.heappop(heap)
         queued.remove(vec)
-        branch = deficit(vec, served)
-        if branch is None:
-            return Solution(copies={x: c for (x, _), c in zip(limits, vec) if c > 0})
+        target, branch = deficit(vec, served)
+        if target is not None:
+            sol = Solution(copies={x: c for (x, _), c in zip(limits, vec) if c > 0})
+            asg = Assignment(target={j: limits[p][0] for j, p in sorted(target.items())})
+            if not assignment_ok(inst, sol, asg):
+                raise InvariantViolated("matching produced an invalid assignment")
+            return Result(sol, asg, sol.weight(inst))
         if t < k:
             for p in branch:
                 child = vec[:p] + (vec[p] + 1,) + vec[p + 1:]
@@ -120,8 +126,7 @@ def solve_exact(inst: Instance, k: int, budget: int = DEFAULT_CANDIDATE_BUDGET) 
     are more than budget of them, never conflating that with infeasibility,
     and ValueError for k < 0.  Without sets the answer is empty, unbudgeted.
     """
-    sol = _search(inst, k, budget, weighted=False)
-    return None if sol is None else Result(sol, check_feasible(inst, sol), sol.weight(inst))
+    return _search(inst, k, budget, weighted=False)
 
 
 def solve_exact_weighted(inst: Instance, k: int,
@@ -131,5 +136,4 @@ def solve_exact_weighted(inst: Instance, k: int,
     Ties go to the smaller size, then the lexicographically smallest copies
     vector.  Same budget behavior as solve_exact.
     """
-    sol = _search(inst, k, budget, weighted=True)
-    return None if sol is None else Result(sol, check_feasible(inst, sol), sol.weight(inst))
+    return _search(inst, k, budget, weighted=True)

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .core import FORMAT_VERSION, Element, Instance, json_text
 from .core import _check_format, _expect, _is_int, _load_object
 from .errors import (
@@ -28,6 +26,7 @@ from .errors import (
     TargetExceedsColumnSum,
     ValidationError,
 )
+from .pcg import Stream
 
 
 @dataclass(frozen=True)
@@ -424,12 +423,9 @@ def build_covering_family(
     if r > n:
         raise ParameterViolation(f"r={r} exceeds the ground set size {n}")
     size = math.ceil(Fraction(n) / alpha)
-    rng = np.random.default_rng(int(seed))
+    rng = Stream(int(seed))
     for _ in range(trials):
-        fam = [
-            tuple(sorted(int(x) for x in rng.choice(n, size=r, replace=False)))
-            for _ in range(size)
-        ]
+        fam = [tuple(sorted(rng.choice(n, r))) for _ in range(size)]
         if verify_covering_family(fam, n, alpha, beta):
             return tuple(fam)
     return None

@@ -8,11 +8,11 @@ instance of the corpus at k = 0..4 (some at k = 0..3), reading the instance
 from stdin.  The corpus is `caphs gen --d 3` with n = 3..6, m = n and n + 2,
 seeds 0..5, unit and 1..9 weights.  The other families run fixed argument
 lists: `bench`, the reproducers of two open defects, instances without sets
-or without elements, and invalid option values.  A family's digest hashes
-each run's arguments, exit code and stdout, in order, so a moved answer,
-tie-break, error or budget cut-off moves it.  A change that moves a family
-on purpose reruns this script and names the moved family and the reason in
-CHANGES.md.
+or without elements, invalid option values, and negative or wide seeds and
+draws.  A family's digest hashes each run's arguments, exit code and stdout,
+in order, so a moved answer, tie-break, error or budget cut-off moves it.  A
+change that moves a family on purpose reruns this script and names the moved
+family and the reason in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -100,6 +100,40 @@ def _invalid_runs(docs):
     return runs
 
 
+# A CSP with k = 5 variables, enough for a covering family at r = 4.
+_CSP5 = json.dumps({
+    "format": 1, "k": 5, "n": 2,
+    "constraints": [{"u": u, "v": (u + 1) % 5, "allowed": [[1, 1], [2, 2]]} for u in range(5)],
+})
+
+
+def _negative_seed_runs(docs):
+    """Every seeded draw with seed -1: an instance, a bench corpus, colorings
+    into 2 or more parts, and a covering family; each ends in the seed's error."""
+    doc = run(["gen", "--n", "6", "--m", "6", "--d", "3"])[1]
+    return [
+        (["gen", "--n", "4", "--m", "4", "--d", "3", "--seed", "-1"], ""),
+        (["bench", "--corpus-seed", "-1", "--count", "1"], ""),
+        *[(["solve-approx", "-", *mode, "--k", str(k), "--seed", "-1"], doc)
+          for mode in ([], _ENUMERATE) for k in (2, 3, 4)],
+        (["reduce", "csp-mdk-cov", "-", "--seed", "-1"], _CSP5),
+    ]
+
+
+def _wide_draw_runs(docs):
+    """Seeds of 2 to 7 words, and instance draws over 2^62 - 1 and 2^63 - 1
+    subsets (64-bit bounded draws) and over 2^70 - 1 (past int64)."""
+    doc = run(["gen", "--n", "6", "--m", "6", "--d", "3"])[1]
+    gen3 = ["gen", "--n", "3", "--m", "3", "--d", "3", "--weighted", "--seed"]
+    return [
+        *[(gen3 + [str(seed)], "") for seed in (2**32, 2**64 + 3, 2**200 + 5)],
+        *[(["gen", "--n", str(n), "--m", "2", "--d", str(n)], "") for n in (62, 63, 70)],
+        *[(["solve-approx", "-", *mode, "--k", "3", "--seed", str(2**70)], doc)
+          for mode in ([], _ENUMERATE)],
+        (["reduce", "csp-mdk-cov", "-", "--seed", str(2**70)], _CSP5),
+    ]
+
+
 # Family name -> a function from the corpus documents to the family's runs,
 # each an (argv, stdin) pair.
 FAMILIES = {
@@ -143,6 +177,8 @@ FAMILIES = {
     "reproducer: guided loses the optimum": lambda docs: _solved(_LOST_OPTIMUM, (1, 2)),
     "no sets, no elements": lambda docs: [run for doc in _EMPTY for run in _solved(doc, KS[:3])],
     "invalid values": _invalid_runs,
+    "negative seeds": _negative_seed_runs,
+    "wide seeds and draws": _wide_draw_runs,
 }
 
 

@@ -51,6 +51,14 @@ def test_one_part_colorings_draw_nothing(monkeypatch):
     assert list(random_colorings(ids, 1, 4, seed=3)) == [[ids]] * 4
 
 
+def test_one_part_colorings_build_no_stream(monkeypatch):
+    # The colorings draw from caphs.pcg, not numpy: with one part they build
+    # no stream at all.
+    monkeypatch.setattr("caphs.colorweights.Stream", lambda seed: pytest.fail("built a stream"))
+    ids = [5, 2, 9]
+    assert list(random_colorings(ids, 1, 4, seed=3)) == [[ids]] * 4
+
+
 def test_lazy_colorings_draw_only_what_is_used():
     # A one-shot (10**12, 50) table could not be allocated.
     first = next(iter(random_colorings(range(50), 3, 10**12, 0)))

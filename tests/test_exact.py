@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from caphs.core import Element, Instance, generate_instance
-from caphs.errors import BudgetExceeded
+from caphs.errors import BudgetExceeded, InvariantViolated
 from caphs.exact import _count_vectors, solve_exact, solve_exact_weighted
-from caphs.feasibility import assignment_ok
+from caphs.feasibility import assignment_ok, check_feasible
 
 from _oracles import count_vectors_bruteforce, min_hitting_bruteforce, min_weight_bruteforce
 
@@ -114,6 +114,26 @@ def test_infeasible_returns_none():
     )
     assert solve_exact(inst, 3) is None
     assert solve_exact_weighted(inst, 3) is None
+
+
+def test_answer_carries_the_searchs_matching_which_is_check_feasibles():
+    # The search answers with the matching that found its vector feasible;
+    # members without capacity (caps from 0) take no set in either matcher.
+    found = 0
+    for seed in range(20):
+        inst = generate_instance({**GEN, "m": 5, "cap_range": (0, 2)}, seed=seed)
+        for solve in (solve_exact, solve_exact_weighted):
+            got = solve(inst, 6)
+            if got is not None:
+                found += 1
+                assert got.assignment == check_feasible(inst, got.solution)
+    assert found >= 20
+
+
+def test_invalid_matching_raises(monkeypatch):
+    monkeypatch.setattr("caphs.exact.assignment_ok", lambda inst, sol, asg: False)
+    with pytest.raises(InvariantViolated):
+        solve_exact(generate_instance(GEN, seed=7), 4)
 
 
 def test_set_free_instance_needs_no_search():
