@@ -28,11 +28,13 @@ pick that leaves some set without a picked member or whose capacities sum
 below m, from Instance.hits and the capacities Search holds: the only check
 of those two rules.  check_feasible's matching decides the rest.
 
-X'_i is part i cut by capacity and class incidence, where v lies in
-(inst.hits[v] & masks[cls]).bit_count() sets of class cls.  X''_i, the
-candidates the closing step may pick from, is all of X'_i for a small part;
-only a part above small_class_threshold is ranked, so candidate_set scores
-those parts alone.
+A class or a star is a set mask: frame(S) holds the class masks, a star ORs
+those that pi sends to s, and guided mode counts the sets of one charged to x
+as (asg.owned[x] & mask).bit_count().  X'_i is part i cut by capacity and
+class incidence, where v lies in (inst.hits[v] & masks[cls]).bit_count() sets
+of class cls.  X''_i, the candidates the closing step may pick from, is all
+of X'_i for a small part; only a part above small_class_threshold is ranked,
+so candidate_set scores those parts alone.
 
 Every layer takes the pieces of a tuple it reads (t, tau1, tau2, X'') and one
 Search last: the instance, its capacities, the target size k,
@@ -229,9 +231,9 @@ class Search:
     None) resolved for inst.d and k.  It takes cfg's two budgets and reads
     inst once for caps, each element id's capacity (incidence is inst.hits).
     It memoizes the config resolved per size, what depends only on S (its
-    classes, sorted realized classes and a set mask per class) or on a class
-    size and k, which fixes the bucket base (the gamma values enumerate_tuples
-    ranges over).  resize(k) is the one way to change the target size; budgets
+    sorted realized classes and the set mask of each) or on a class size and
+    k, which fixes the bucket base (the gamma values enumerate_tuples ranges
+    over).  resize(k) is the one way to change the target size; budgets
     and memos carry across sizes.
 
     _failed maps the key of an enumerate-mode subtree that found nothing to
@@ -298,12 +300,11 @@ class Search:
         self._failed[key] = (tuples - self.tuples, recursions - self.recursions)
 
     def frame(self, S: tuple[int, ...]):
-        """(classes, sorted realized classes, a set-index bitmask per class) for a sorted S."""
+        """(sorted realized classes, the set mask of each class) for a sorted S."""
         got = self._frames.get(S)
         if got is None:
-            classes = equivalence_classes(self.inst, S)
-            masks = {cls: sum(1 << j for j in idxs) for cls, idxs in classes.items()}
-            got = self._frames[S] = (classes, sorted(classes), masks)
+            masks = equivalence_classes(self.inst, S)
+            got = self._frames[S] = (sorted(masks), masks)
         return got
 
     def gamma_values(self, size: int) -> list[int]:
@@ -330,7 +331,7 @@ class Search:
         """The (S, pi, rho) conflict relation and its caches, one per search."""
         key = (S, pi_items, self.k)  # k fixes rho; a Fraction hashes slowly
         if key not in self._independence:
-            st = stars(self.frame(S)[0], dict(pi_items))
+            st = stars(self.frame(S)[1], dict(pi_items))
             self._independence[key] = IndependenceContext(stars=st, rho=self.cfg.rho)
         return self._independence[key]
 
@@ -343,7 +344,7 @@ def info_tuple(t: AnnotatedTuple, ctx: Search) -> tuple[tuple[int, ...], ...]:
     an unrealized class has mask 0, so no v meets a demand on it.
     """
     caps, hits = ctx.caps, ctx.inst.hits
-    masks = ctx.frame(t.S)[2]
+    masks = ctx.frame(t.S)[1]
     xprime = []
     for part, row in zip(t.parts, t.gamma):
         demand = sum(g for _, g in row)
@@ -372,7 +373,7 @@ def candidate_set(
     """
     cfg, caps, hits = ctx.cfg, ctx.caps, ctx.inst.hits
     thr = cfg.small_class_threshold
-    masks = ctx.frame(t.S)[2]
+    masks = ctx.frame(t.S)[1]
     out = []
     for i, (xp, row) in enumerate(zip(xprime, t.gamma)):
         if len(xp) <= thr:
@@ -455,17 +456,17 @@ def enumerate_tuples(S, parts, ctx: Search):
         ctx.charge_tuple()
         yield AnnotatedTuple._trusted(S, parts, {}, ())
         return
-    classes, realized, _ = ctx.frame(S)
+    realized, masks = ctx.frame(S)
     nonempty = [cls for cls in realized if cls]
     # Rows are cut per tuple from one product, rows^r of which may dwarf the
     # tuple budget; each distinct row is built once, after its first charge.
     n = len(realized)
     cuts = [(i, i + n) for i in range(0, n * len(parts), n)]
-    values = [ctx.gamma_values(len(classes[cls])) for cls in realized] * len(parts)
+    values = [ctx.gamma_values(masks[cls].bit_count()) for cls in realized] * len(parts)
     rows: dict = {}
     for choice in itertools.product(S, repeat=len(nonempty)):
         pi = dict(zip(nonempty, choice))
-        if S and () in classes:
+        if S and () in masks:
             pi[()] = min(S)
         for combo in itertools.product(*values):
             ctx.charge_tuple()
@@ -490,14 +491,15 @@ def good_tuple_from_opt(
     S = tuple(sorted(S))
     parts = tuple(tuple(sorted(p)) for p in parts)
     rep = _oracle_reps(S, parts, opt)
-    classes, realized, _ = ctx.frame(S)
+    realized, masks = ctx.frame(S)
     # held[cls][x]: how many sets of class cls the assignment charges to x.
-    held = {cls: Counter(asg.target.get(j) for j in classes[cls]) for cls in realized}
+    owned = asg.owned.items()
+    held = {cls: {x: (masks[cls] & mask).bit_count() for x, mask in owned} for cls in realized}
     # pi[cls]: the first s of sorted S that holds the most, min(S) when none does.
-    pi = {cls: max(S, key=held[cls].__getitem__) for cls in realized} if S else {}
+    pi = {cls: max(S, key=lambda s: held[cls].get(s, 0)) for cls in realized} if S else {}
     # Each demand is the top rung up to the coverage c: the largest ceil(base^p) <= c.
     gamma = [
-        [(cls, ctx.gamma_values(c)[-1]) for cls in realized if (c := held[cls][v])]
+        [(cls, ctx.gamma_values(c)[-1]) for cls in realized if (c := held[cls].get(v, 0))]
         for v in rep
     ]
     return AnnotatedTuple(S=S, parts=parts, pi=pi, gamma=gamma)
@@ -582,11 +584,10 @@ def _solve_guided(
     below it), else t is closed.  The r = 0 leaf is closed after the loop."""
     while t.r:
         rep = _oracle_reps(t.S, t.parts, opt)
-        st = stars(ctx.frame(t.S)[0], t.pi)
+        st = stars(ctx.frame(t.S)[1], t.pi)
         tau1, tau2 = {}, {}
         for s in t.S:
-            held = Counter(asg.target.get(j) for j in st.get(s, ()))
-            cover = [held[v] for v in rep]
+            cover = [(st.get(s, 0) & asg.owned.get(v, 0)).bit_count() for v in rep]
             ranked = sorted(range(t.r), key=lambda i: (-cover[i], i))
             tau1[s], tau2[s] = ranked[0], ranked[min(1, t.r - 1)]
         xpp = candidate_set(t, tau1, info_tuple(t, ctx), ctx)

@@ -127,6 +127,14 @@ class Assignment:
 
     target: dict[int, int]
 
+    @cached_property
+    def owned(self) -> dict[int, int]:
+        """Each target element id's bitmask of the family indices charged to it."""
+        out: dict[int, int] = {}
+        for j, x in self.target.items():
+            out[x] = out.get(x, 0) | 1 << j
+        return out
+
 
 @dataclass(frozen=True)
 class Result:
@@ -138,31 +146,36 @@ class Result:
     weight: int
 
 
-def equivalence_classes(inst: Instance, S) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Group family indices by A ∩ S.
+def equivalence_classes(inst: Instance, S) -> dict[tuple[int, ...], int]:
+    """Group family indices by A ∩ S, as set masks.
 
     Args:
         inst: the instance.
         S: iterable of element ids; must all exist in inst.
 
     Returns:
-        A dict from each realized class, the sorted tuple A ∩ S, to its family
-        indices; the empty tuple collects every set disjoint from S.  The
-        classes partition range(inst.m).
+        A dict from each realized class, the sorted tuple A ∩ S, to the mask
+        of its family indices, in order of the class's first set; the empty
+        tuple collects every set disjoint from S.  The masks partition
+        range(inst.m): each x of S, ascending, splits every class by hits[x].
     """
-    s_set = set(S)
-    for x in s_set:
+    classes = {(): (1 << inst.m) - 1} if inst.m else {}
+    for x in sorted(set(S)):
         if x not in inst.by_id:
             raise UnknownElement(f"S mentions unknown element {x}")
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for idx, members in enumerate(inst.family):
-        E = tuple(x for x in members if x in s_set)
-        buckets.setdefault(E, []).append(idx)
-    return {E: tuple(v) for E, v in buckets.items()}
+        h = inst.hits[x]
+        split = {}
+        for E, mask in classes.items():
+            if inside := mask & h:
+                split[E + (x,)] = inside
+            if outside := mask & ~h:
+                split[E] = outside
+        classes = split
+    return dict(sorted(classes.items(), key=lambda item: item[1] & -item[1]))
 
 
-def stars(classes: dict, pi: dict[tuple[int, ...], int]) -> dict[int, tuple[int, ...]]:
-    """Union the classes along a plurality map: A_s = U {A_E : pi(E) = s}.
+def stars(classes: dict, pi: dict[tuple[int, ...], int]) -> dict[int, int]:
+    """OR the class masks along a plurality map: A_s = U {A_E : pi(E) = s}.
 
     classes is the dict equivalence_classes returns.  pi must cover every
     nonempty realized class; it may additionally map the empty class.  Raises
@@ -171,12 +184,11 @@ def stars(classes: dict, pi: dict[tuple[int, ...], int]) -> dict[int, tuple[int,
     for E in classes:
         if E and E not in pi:
             raise PartialPlurality(f"plurality map misses class {E}")
-    out: dict[int, list[int]] = {}
-    for E, idxs in classes.items():
-        if E not in pi:
-            continue
-        out.setdefault(pi[E], []).extend(idxs)
-    return {s: tuple(sorted(v)) for s, v in out.items()}
+    out: dict[int, int] = {}
+    for E, mask in classes.items():
+        if E in pi:
+            out[pi[E]] = out.get(pi[E], 0) | mask
+    return out
 
 
 def _subset_count(n: int, d: int) -> int:

@@ -19,32 +19,26 @@ from .errors import QuotaInvalid
 
 @dataclass(frozen=True)
 class IndependenceContext:
-    """The (S, pi, rho) conflict relation on one instance; conflicts caches it
-    per pair, and masks maps each star to the bitmask of its set indices."""
+    """The (S, pi, rho) conflict relation on one instance: stars maps each s to
+    the bitmask of its set indices; conflicts caches the relation per pair."""
 
-    stars: dict[int, tuple[int, ...]]
+    stars: dict[int, int]
     rho: Fraction
     conflicts: dict = field(default_factory=dict, compare=False, repr=False)
-    masks: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         seen = 0
-        masks = {}
-        for s, idxs in self.stars.items():
-            before = seen
-            for j in idxs:
-                if seen >> j & 1:
-                    raise ValueError(f"set index {j} appears in two stars")
-                seen |= 1 << j
-            masks[s] = seen ^ before
-        object.__setattr__(self, "masks", masks)
+        for mask in self.stars.values():
+            if seen & mask:
+                raise ValueError("two stars share a set index")
+            seen |= mask
 
 
 def is_conflicting(ctx: IndependenceContext, x: int, y: int, inst: Instance) -> bool:
     """True iff some star witnesses |A_s(x) ∩ A_s(y)| > rho * min(|A_s(x)|, |A_s(y)|)."""
     hx, hy = inst.hits[x], inst.hits[y]
     num, den = ctx.rho.numerator, ctx.rho.denominator
-    for star in ctx.masks.values():
+    for star in ctx.stars.values():
         both = (hx & hy & star).bit_count()
         if both and both * den > num * min((hx & star).bit_count(), (hy & star).bit_count()):
             return True

@@ -4,8 +4,9 @@ Everything here is deliberately naive: straight-line enumeration, DFS and
 dense BFS with none of the package's pruning, bucketing, or matching machinery.
 It also holds the paper-lemma witnesses that no solver path calls (the (b+r)/3
 dominator construction and the conflict-pair count), the checkers for CSP
-values and MDK picks, a conflict test that rescans the family per star, the
-eager per-star scores that candidate_set computes lazily, and the
+values and MDK picks, the equivalence classes and stars as index tuples from
+a full rescan of the family, a conflict test that rescans the family per
+star, the eager per-star scores that candidate_set computes lazily, and the
 enumerate-mode recursion without its failed-subtree memo or without both
 failure memos, and the exact search as it was before it went best-first
 (level by level, with a stopping rule per mode).
@@ -21,12 +22,14 @@ from fractions import Fraction
 import numpy as np
 
 from caphs import approx
-from caphs.core import Assignment, Instance, Result, Solution, equivalence_classes
+from caphs.core import Assignment, Instance, Result, Solution
 from caphs.errors import (
     BudgetExceeded,
     CaphsError,
     InvariantViolated,
+    PartialPlurality,
     PreconditionViolated,
+    UnknownElement,
     ValidationError,
 )
 from caphs.exact import _count_vectors, _limits
@@ -411,12 +414,40 @@ def construct_small_dominator(g):
     return tuple(sorted(D))
 
 
+def rescan_classes(inst: Instance, S) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """equivalence_classes as index tuples: each set's A ∩ S read off its
+    member list, classes in order of their first set."""
+    s_set = set(S)
+    for x in s_set:
+        if x not in inst.by_id:
+            raise UnknownElement(f"S mentions unknown element {x}")
+    buckets: dict[tuple[int, ...], list[int]] = {}
+    for idx, members in enumerate(inst.family):
+        E = tuple(x for x in members if x in s_set)
+        buckets.setdefault(E, []).append(idx)
+    return {E: tuple(v) for E, v in buckets.items()}
+
+
+def rescan_stars(classes: dict, pi: dict) -> dict[int, tuple[int, ...]]:
+    """stars over rescan_classes: the sorted union of the index tuples that
+    pi sends to each s; PartialPlurality when pi misses a nonempty class."""
+    for E in classes:
+        if E and E not in pi:
+            raise PartialPlurality(f"plurality map misses class {E}")
+    out: dict[int, list[int]] = {}
+    for E, idxs in classes.items():
+        if E in pi:
+            out.setdefault(pi[E], []).extend(idxs)
+    return {s: tuple(sorted(v)) for s, v in out.items()}
+
+
 def conflicting_by_rescan(ctx, x: int, y: int, inst: Instance) -> bool:
     """is_conflicting from incidence lists: per star, the set indices whose
     member list in inst.family holds x, and those that hold y."""
     for s in sorted(ctx.stars):
-        ax = [j for j in ctx.stars[s] if x in inst.family[j]]
-        ay = [j for j in ctx.stars[s] if y in inst.family[j]]
+        idxs = [j for j in range(inst.m) if ctx.stars[s] >> j & 1]
+        ax = [j for j in idxs if x in inst.family[j]]
+        ay = [j for j in idxs if y in inst.family[j]]
         both = len(set(ax) & set(ay))
         if both and both * ctx.rho.denominator > ctx.rho.numerator * min(len(ax), len(ay)):
             return True
@@ -449,10 +480,10 @@ def eager_info_tuple(t, ctx):
     meet the gamma demands; n_of[(v, cls)] caps the useful incidence and
     score[(v, s)] is the residual value of v toward star s, for every kept v
     and every s in S.  The class incidence inc[(v, cls)] is counted here from
-    equivalence_classes, apart from the library's masks.
+    rescan_classes, apart from the library's masks.
     """
     inst = ctx.inst
-    classes = equivalence_classes(inst, t.S)
+    classes = rescan_classes(inst, t.S)
     realized = sorted(classes)
     inc = Counter((v, cls) for cls, idxs in classes.items() for j in idxs for v in inst.family[j])
     base = ctx.cfg.bucket_base

@@ -36,7 +36,6 @@ from caphs.core import (
     Element,
     Instance,
     Solution,
-    equivalence_classes,
     generate_instance,
 )
 from caphs.errors import (
@@ -53,6 +52,7 @@ from _oracles import (
     memoless_search_below,
     plain_search_below,
     ranked_candidate_set,
+    rescan_classes,
 )
 
 GEN = {
@@ -335,7 +335,7 @@ def scored_tuples(draw):
     if r > 1:
         cuts = sorted(draw(st.sets(st.integers(1, len(rest) - 1), min_size=r - 1, max_size=r - 1)))
     parts = [rest[a:b] for a, b in zip([0] + cuts, cuts + [len(rest)])]
-    realized = sorted(equivalence_classes(inst, S))
+    realized = sorted(rescan_classes(inst, S))
     pi = {cls: min(S) if cls == () else draw(st.sampled_from(S)) for cls in realized}
     gamma = [[(cls, draw(st.integers(0, 1))) for cls in realized] for _ in range(r)]
     t = AnnotatedTuple(S=S, parts=tuple(parts), pi=pi, gamma=gamma)
@@ -456,7 +456,7 @@ def closing_runs(draw):
     first = draw(subsets)
     bases = []
     for S in (first, draw(st.just(first) | subsets)):
-        realized = sorted(equivalence_classes(inst, S))
+        realized = sorted(rescan_classes(inst, S))
         pi = {c: min(S) if c == () else draw(st.sampled_from(S)) for c in realized}
         bases.append((S, realized, pi))
     cases = _closing_cases(draw, bases, st.integers(0, 3).map(lambda r: split[:r]), st.integers(4, 12))
@@ -512,7 +512,7 @@ def closing_picks(draw):
     rest = tuple(x for x in ids if x not in S)
     if S and draw(st.booleans()):
         return inst, AnnotatedTuple(S=S, parts=(), pi={}, gamma=()), {}, {}, S
-    pi = {cls: min(S) for cls in equivalence_classes(inst, S)} if S else {}
+    pi = {cls: min(S) for cls in rescan_classes(inst, S)} if S else {}
     t = AnnotatedTuple(S=S, parts=(rest,), pi=pi, gamma=((),))
     size = ceil43(len(S) + 1) + 1
     pick = draw(st.lists(st.sampled_from(ids), max_size=min(size, len(ids)), unique=True))
@@ -588,7 +588,7 @@ def test_enumerate_tuples_order_is_the_flat_product():
     inst = _hand_instance()
     ctx = Search(inst, 3)
     got = [t.gamma for t in enumerate_tuples((1,), ((3,), (4,)), ctx)]
-    classes = equivalence_classes(inst, (1,))
+    classes = rescan_classes(inst, (1,))
     keys = [(i, cls) for i in range(2) for cls in sorted(classes)]
     assert len(classes) == 2
     values = [[0] + bucket_values_upto(len(classes[cls]), ctx.cfg.bucket_base) for _, cls in keys]

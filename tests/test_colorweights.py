@@ -34,7 +34,7 @@ def test_single_class_coloring_is_trivial():
 
 @pytest.mark.parametrize("n,k,trials,seed", [(1, 1, 3, 0), (7, 3, 5, 2), (12, 4, 13, 9), (29, 7, 100, 5)])
 def test_lazy_colorings_equal_one_table(n, k, trials, seed):
-    # Drawn in doubling blocks, the rows still equal one (trials, n) draw.
+    # Drawn row by row from caphs.pcg, the rows still equal one numpy (trials, n) draw.
     ids = [10 * i + 3 for i in range(n)]
     table = np.random.default_rng(seed).integers(0, k, (trials, n)).tolist()
     expected = [[[x for x, c in zip(ids, row) if c == part] for part in range(k)] for row in table]
@@ -42,13 +42,6 @@ def test_lazy_colorings_equal_one_table(n, k, trials, seed):
     assert len(colorings) == trials
     assert list(colorings) == expected
     assert list(colorings) == expected  # every iteration starts from the seed
-
-
-def test_one_part_colorings_draw_nothing(monkeypatch):
-    # Every row of integers(0, 1) is zeros, so one part needs no generator.
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew a color table"))
-    ids = [5, 2, 9]
-    assert list(random_colorings(ids, 1, 4, seed=3)) == [[ids]] * 4
 
 
 def test_one_part_colorings_build_no_stream(monkeypatch):

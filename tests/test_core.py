@@ -1,8 +1,10 @@
 import hashlib
-import itertools
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from caphs.core import (
     UNBOUNDED,
@@ -21,6 +23,9 @@ from caphs.core import (
     serialize_solution,
     stars,
 )
+from caphs.errors import UnknownElement
+
+from _oracles import rescan_classes, rescan_stars
 
 GEN_PARAMS = {
     "n": 6,
@@ -207,13 +212,50 @@ def test_equivalence_classes_partition_the_family():
         inst = generate_instance(GEN_PARAMS, seed=seed)
         S = [e.id for e in inst.elements[:3]]
         classes = equivalence_classes(inst, S)
-        seen = []
-        for key, idxs in classes.items():
+        seen = 0
+        for key, mask in classes.items():
             assert key == tuple(sorted(key))
-            for j in idxs:
-                assert tuple(sorted(set(inst.family[j]) & set(S))) == key
-            seen.extend(idxs)
-        assert sorted(seen) == list(range(len(inst.family)))
+            assert mask and not seen & mask
+            for j in range(inst.m):
+                if mask >> j & 1:
+                    assert tuple(sorted(set(inst.family[j]) & set(S))) == key
+            seen |= mask
+        assert seen == (1 << inst.m) - 1
+
+
+def _masks(index_tuples: dict) -> dict:
+    return {key: sum(1 << j for j in idxs) for key, idxs in index_tuples.items()}
+
+
+@st.composite
+def class_cases(draw):
+    """(instance, S, pi): sparse ids, repeated sets, possibly no sets; S
+    unsorted with repeats; pi sends each class to a drawn element of S."""
+    ids = draw(st.lists(st.integers(-50, 10**6), min_size=1, max_size=7, unique=True))
+    members = st.lists(st.sampled_from(ids), min_size=1, max_size=3, unique=True)
+    family = tuple(draw(st.lists(members, max_size=12)))
+    inst = Instance(elements=tuple(Element(id=x, cap=1) for x in ids), family=family, d=3)
+    S = draw(st.lists(st.sampled_from(ids), max_size=6))
+    classes = rescan_classes(inst, S)
+    pi = {E: draw(st.sampled_from(S)) for E in classes if S and (E or draw(st.booleans()))}
+    return inst, S, pi
+
+
+@given(class_cases())
+def test_refined_classes_and_stars_match_a_family_rescan(case):
+    # The split of each class by hits[x] gives the rescan's classes as masks,
+    # in the same order, and the OR of masks along pi gives its stars.
+    inst, S, pi = case
+    rescan = rescan_classes(inst, S)
+    classes = equivalence_classes(inst, S)
+    assert list(classes.items()) == list(_masks(rescan).items())
+    assert stars(classes, pi) == _masks(rescan_stars(rescan, pi))
+
+
+def test_equivalence_classes_reject_an_unknown_element():
+    inst = generate_instance(GEN_PARAMS, seed=3)
+    with pytest.raises(UnknownElement):
+        equivalence_classes(inst, [0, 99])
 
 
 def test_hits_has_a_bit_per_set_holding_each_element():
@@ -229,15 +271,29 @@ def test_hits_has_a_bit_per_set_holding_each_element():
             assert mask == sum(1 << j for j, members in enumerate(inst.family) if x in members)
 
 
+def test_owned_has_a_bit_per_set_charged_to_each_element():
+    asg = Assignment(target={0: 3, 2: 40, 3: 3, 5: 900})
+    assert asg.owned == {3: 0b1001, 40: 0b100, 900: 0b100000}
+    for seed in range(8):
+        inst = generate_instance(GEN_PARAMS, seed=seed)
+        asg = Assignment({j: members[seed % len(members)] for j, members in enumerate(inst.family)})
+        counts = Counter(asg.target.values())
+        assert {x: mask.bit_count() for x, mask in asg.owned.items()} == counts
+        union = 0
+        for x, mask in asg.owned.items():
+            assert not union & mask
+            assert all(asg.target[j] == x for j in range(inst.m) if mask >> j & 1)
+            union |= mask
+        assert union == (1 << inst.m) - 1
+
+
 def test_stars_requires_total_plurality():
     inst = generate_instance(GEN_PARAMS, seed=7)
     classes = equivalence_classes(inst, [1, 5])
     keys = [k for k in classes if k]
     pi = {k: k[0] for k in keys}
     grouped = stars(classes, pi)
-    assert set(itertools.chain.from_iterable(grouped.values())) <= set(
-        range(len(inst.family))
-    )
+    assert all(mask >> inst.m == 0 for mask in grouped.values())
     with pytest.raises(PartialPlurality):
         stars(classes, {keys[0]: keys[0][0]})
 

@@ -31,14 +31,14 @@ def _context(inst, rng, rho, max_s=3):
     cut = 0
     for s in sorted(S):
         take = int(rng.integers(0, max(1, len(all_idx) // max(1, len(S)))) + 1)
-        stars[s] = tuple(sorted(all_idx[cut:cut + take]))
+        stars[s] = sum(1 << j for j in all_idx[cut:cut + take])
         cut += take
     return IndependenceContext(stars=stars, rho=rho)  # one star per s, so its keys are S
 
 
 def test_stars_must_be_disjoint():
     with pytest.raises(ValueError):
-        IndependenceContext(stars={1: (0, 1), 2: (1,)}, rho=Fraction(1, 4))
+        IndependenceContext(stars={1: 0b11, 2: 0b10}, rho=Fraction(1, 4))
 
 
 def test_is_conflicting_threshold_is_strict():
@@ -48,10 +48,10 @@ def test_is_conflicting_threshold_is_strict():
         family=((0, 1), (0, 2)),
         d=2,
     )
-    ctx_loose = IndependenceContext(stars={2: (0, 1)}, rho=Fraction(1, 1))
+    ctx_loose = IndependenceContext(stars={2: 0b11}, rho=Fraction(1, 1))
     # A_2(0) = {0, 1}, A_2(1) = {0}; overlap 1 = 1 * min(2, 1): not strict.
     assert not is_conflicting(ctx_loose, 0, 1, inst)
-    ctx_tight = IndependenceContext(stars={2: (0, 1)}, rho=Fraction(1, 2))
+    ctx_tight = IndependenceContext(stars={2: 0b11}, rho=Fraction(1, 2))
     assert is_conflicting(ctx_tight, 0, 1, inst)
 
 
@@ -61,7 +61,7 @@ def test_disjoint_incidence_never_conflicts():
         family=((0,), (1,)),
         d=1,
     )
-    ctx = IndependenceContext(stars={0: (0, 1)}, rho=Fraction(1, 100))
+    ctx = IndependenceContext(stars={0: 0b11}, rho=Fraction(1, 100))
     assert not is_conflicting(ctx, 0, 1, inst)
 
 
@@ -83,7 +83,7 @@ def test_find_independent_set_quotas():
         family=((0, 1), (2, 3), (4, 5)),
         d=2,
     )
-    ctx = IndependenceContext(stars={5: (0, 1, 2)}, rho=Fraction(1, 4))
+    ctx = IndependenceContext(stars={5: 0b111}, rho=Fraction(1, 4))
     got = find_independent_set(ctx, [(0, 2), (1, 3)], [1, 1], inst)
     assert got is not None
     assert len(got) == 2
@@ -101,7 +101,7 @@ def test_find_independent_set_exhaustion_returns_none():
         family=((0, 1), (0, 1)),
         d=2,
     )
-    ctx = IndependenceContext(stars={2: (0, 1)}, rho=Fraction(1, 4))
+    ctx = IndependenceContext(stars={2: 0b11}, rho=Fraction(1, 4))
     assert is_conflicting(ctx, 0, 1, inst)
     assert find_independent_set(ctx, [(0, 1)], [2], inst) is None
     assert find_independent_set(ctx, [(0, 1)], [1], inst) is not None
@@ -138,7 +138,7 @@ def star_cases(draw):
     inst = Instance(elements=tuple(Element(id=x, cap=1) for x in ids), family=family, d=3)
     keys = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3, unique=True))
     owner = draw(st.lists(st.integers(-1, len(keys) - 1), min_size=inst.m, max_size=inst.m))
-    stars = {s: tuple(j for j in range(inst.m) if owner[j] == i) for i, s in enumerate(keys)}
+    stars = {s: sum(1 << j for j in range(inst.m) if owner[j] == i) for i, s in enumerate(keys)}
     rho = Fraction(draw(st.integers(1, 6)), draw(st.integers(6, 12)))
     return inst, stars, rho
 
@@ -149,7 +149,7 @@ def test_conflicts_match_a_family_rescan(case):
     # one more star that holds no set.
     inst, stars, rho = case
     spare = max(e.id for e in inst.elements) + 1
-    for st_map in (stars, {**stars, spare: ()}):
+    for st_map in (stars, {**stars, spare: 0}):
         for r in (rho, Fraction(1)):
             ctx = IndependenceContext(stars=st_map, rho=r)
             for x in inst.by_id:
