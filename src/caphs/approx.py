@@ -203,7 +203,7 @@ class AnnotatedTuple:
 
     @classmethod
     def _trusted(cls, S, parts, pi, gamma) -> "AnnotatedTuple":
-        """A tuple already canonical and valid, built without __post_init__."""
+        """A canonical, valid tuple built without __post_init__: every tuple a solve builds."""
         t = object.__new__(cls)
         t.__dict__.update(S=S, parts=parts, pi=pi, gamma=gamma, r=len(parts))
         return t
@@ -230,11 +230,10 @@ class Search:
     Search(inst, k, cfg) searches for target size k: cfg (the defaults when
     None) resolved for inst.d and k.  It takes cfg's two budgets and reads
     inst once for caps, each element id's capacity (incidence is inst.hits).
-    It memoizes the config resolved per size, what depends only on S (its
-    sorted realized classes and the set mask of each) or on a class size and
-    k, which fixes the bucket base (the gamma values enumerate_tuples ranges
-    over).  resize(k) is the one way to change the target size; budgets
-    and memos carry across sizes.
+    It memoizes what depends only on S (its sorted realized classes and the
+    set mask of each) or on a class size and k, which fixes the bucket base
+    (the gamma values enumerate_tuples ranges over).  resize(k) is the one
+    way to change the target size; budgets and memos carry across sizes.
 
     _failed maps the key of an enumerate-mode subtree that found nothing to
     the (tuple, recursion) charges it made: (sorted S, parts) from
@@ -252,7 +251,6 @@ class Search:
     def __init__(self, inst: Instance, k: int, cfg: SolverConfig | None = None):
         self.inst = inst
         self._given = cfg if cfg is not None else SolverConfig()
-        self._configs: dict = {}
         self.resize(k)
         self.tuples = self._given.tuple_budget
         self.recursions = self._given.recursion_budget
@@ -265,9 +263,7 @@ class Search:
 
     def resize(self, k: int):
         """Search for size k from now on, with the config resolved for it."""
-        if k not in self._configs:
-            self._configs[k] = self._given.resolved(self.inst.d, k)
-        self.cfg = self._configs[k]
+        self.cfg = self._given.resolved(self.inst.d, k)
         self.k = k
 
     def charge_tuple(self):
@@ -486,7 +482,8 @@ def good_tuple_from_opt(
     """The annotated tuple an optimal pair (opt, asg) induces on (S, parts).
 
     pi follows the majority coverage, gamma buckets the actual coverage of the
-    representative opt element in each part.
+    representative opt element in each part.  S and the parts must be disjoint:
+    like enumerate_tuples', the tuple is built sorted and not re-checked.
     """
     S = tuple(sorted(S))
     parts = tuple(tuple(sorted(p)) for p in parts)
@@ -498,11 +495,11 @@ def good_tuple_from_opt(
     # pi[cls]: the first s of sorted S that holds the most, min(S) when none does.
     pi = {cls: max(S, key=lambda s: held[cls].get(s, 0)) for cls in realized} if S else {}
     # Each demand is the top rung up to the coverage c: the largest ceil(base^p) <= c.
-    gamma = [
-        [(cls, ctx.gamma_values(c)[-1]) for cls in realized if (c := held[cls].get(v, 0))]
+    gamma = tuple(
+        tuple((cls, ctx.gamma_values(c)[-1]) for cls in realized if (c := held[cls].get(v, 0)))
         for v in rep
-    ]
-    return AnnotatedTuple(S=S, parts=parts, pi=pi, gamma=gamma)
+    )
+    return AnnotatedTuple._trusted(S, parts, pi, gamma)
 
 
 def solve_annotated(t: AnnotatedTuple, ctx: Search) -> Solution | None:
@@ -620,10 +617,6 @@ def expand_multiplicities(inst: Instance, k: int) -> Expansion:
     d2 = max((len(fs) for fs in family2), default=inst.d)
     inst2 = Instance(elements=tuple(new_elements), family=tuple(family2), d=d2)
     return Expansion(instance=inst2, back=back, copy_ids=copy_ids)
-
-
-def _map_back(sol2: Solution, back: dict) -> Solution:
-    return Solution(dict(Counter(back[x] for x in sol2.copies)))
 
 
 def _lift_oracle(
@@ -760,7 +753,8 @@ def _all_windows(inst2: Instance, parts0, ell: int, epsilon):
 
 
 def _finish(inst: Instance, sol2: Solution, back: dict) -> Result:
-    sol = _map_back(sol2, back)
+    """The Result on inst of a clone solution: each clone back to its original."""
+    sol = Solution(dict(Counter(back[x] for x in sol2.copies)))
     asg = check_feasible(inst, sol)
     if asg is None:
         raise InvariantViolated("the mapped-back solution is infeasible")

@@ -173,8 +173,7 @@ def cmd_certify(args) -> int:
     row = _certify_row(args.instance, inst, args.k, args.seed)
     if row is None:
         print(f"no solution of size at most {args.k} exists", file=sys.stderr)
-        _emit({"found": False})
-        return 1
+        return _emit_result(None)
     print(row)
     return 0
 
@@ -230,8 +229,7 @@ def cmd_reduce(args) -> int:
         )
         if family is None:
             print("no covering family found within the trial budget", file=sys.stderr)
-            _emit({"found": False})
-            return 1
+            return _emit_result(None)
         mdk = csp_to_mdk_covering(csp, family, Q=args.Q)
         sys.stdout.write(serialize_mdk(mdk))
         print(

@@ -21,8 +21,8 @@ import heapq
 import math
 
 from .core import Assignment, Instance, Result, Solution, copy_limit
-from .errors import BudgetExceeded, InvariantViolated
-from .feasibility import _augment, assignment_ok
+from .errors import BudgetExceeded
+from .feasibility import _augment, checked_assignment
 
 DEFAULT_CANDIDATE_BUDGET = 10**6
 
@@ -103,9 +103,7 @@ def _search(inst: Instance, k: int, budget: int, weighted: bool) -> Result | Non
         target, branch = deficit(vec, served)
         if target is not None:
             sol = Solution(copies={x: c for (x, _), c in zip(limits, vec) if c > 0})
-            asg = Assignment(target={j: limits[p][0] for j, p in sorted(target.items())})
-            if not assignment_ok(inst, sol, asg):
-                raise InvariantViolated("matching produced an invalid assignment")
+            asg = checked_assignment(inst, sol, {j: limits[p][0] for j, p in target.items()})
             return Result(sol, asg, sol.weight(inst))
         if t < k:
             for p in branch:

@@ -45,6 +45,15 @@ def assignment_ok(inst: Instance, sol: Solution, asg: Assignment) -> bool:
     return True
 
 
+def checked_assignment(inst: Instance, sol: Solution, target: dict) -> Assignment:
+    """The Assignment of a matching's target (set index -> element id), in
+    ascending set index; raises InvariantViolated unless assignment_ok holds."""
+    asg = Assignment(target=dict(sorted(target.items())))
+    if not assignment_ok(inst, sol, asg):
+        raise InvariantViolated("matching produced an invalid assignment")
+    return asg
+
+
 def _augment(members: list[list[int]], room: dict[int, int]):
     """Assign every set by breadth-first augmenting paths.
 
@@ -114,9 +123,4 @@ def check_feasible(inst: Instance, sol: Solution) -> Assignment | None:
         b-matching saturates all m sets.
     """
     target, _ = _augment(*build_network(inst, sol))
-    if target is None:
-        return None
-    asg = Assignment(target=dict(sorted(target.items())))
-    if not assignment_ok(inst, sol, asg):
-        raise InvariantViolated("matching produced an invalid assignment")
-    return asg
+    return None if target is None else checked_assignment(inst, sol, target)

@@ -462,13 +462,16 @@ def csp_to_mdk_covering(
             if c.v in s:
                 hood.add(c.u)
         hoods.append(tuple(sorted(hood)))
-    shared: list[tuple[int, int, int]] = []
+    # Each variable u shared by sets i < j, in ascending (i, j, u), owns the next
+    # two dimensions; mine[i] lists (the first of them, sign, u), +1 for i, -1 for j.
+    mine: list[list[tuple[int, int, int]]] = [[] for _ in fam]
+    d = kstar
     for i in range(kstar):
         for j in range(i + 1, kstar):
             for u in sorted(set(hoods[i]) & set(hoods[j])):
-                shared.append((i, j, u))
-    shared.sort()  # shared pair idx owns dimensions kstar + 2 idx and the one after
-    d = kstar + 2 * len(shared)
+                mine[i].append((d, 1, u))
+                mine[j].append((d, -1, u))
+                d += 2
 
     vectors: list[tuple[int, ...]] = []
     for i, hood in enumerate(hoods):
@@ -485,14 +488,11 @@ def csp_to_mdk_covering(
                 continue
             vec = [0] * d
             vec[i] = 1
-            for idx, (a, b, u) in enumerate(shared):
-                if u not in gamma or i not in (a, b):
-                    continue
-                sign = 1 if a == i else -1
-                vec[kstar + 2 * idx] = Q - sign * gamma[u]
-                vec[kstar + 2 * idx + 1] = Q + sign * gamma[u]
+            for dim, sign, u in mine[i]:  # a shared u lies in hood i
+                vec[dim] = Q - sign * gamma[u]
+                vec[dim + 1] = Q + sign * gamma[u]
             vectors.append(tuple(vec))
-    target = [1] * kstar + [2 * Q] * (2 * len(shared))
+    target = [1] * kstar + [2 * Q] * (d - kstar)
     return MdkInstance(
         d=d,
         k=kstar,

@@ -62,7 +62,8 @@ def _solved(doc: str, ks):
     return [([*solver, "-", "--k", str(k)], doc) for solver in _SOLVERS for k in ks]
 
 
-# ROADMAP item 2: enumerate with epsilon 1/2 answers weight 16 at k = 3,
+# The ROADMAP's open defect "enumerate mode breaks its (2 + epsilon) weight
+# guarantee": enumerate with epsilon 1/2 answers weight 16 at k = 3,
 # where the weighted optimum and guided mode weigh 3.
 _WEIGHT_BOUND_ARGS = ["gen", "--n", "5", "--m", "5", "--d", "3", "--seed", "19", "--weighted"]
 
@@ -78,7 +79,8 @@ def _weight_bound_runs(docs):
     ]
 
 
-# ROADMAP item 3: {0} covers every set, but guided mode loses it at k = 1
+# The ROADMAP's open defect "guided mode loses an existing optimum at ranked
+# roots": {0} covers every set, but guided mode loses it at k = 1
 # and certify raises InvariantViolated at k = 1 and 2.
 _LOST_OPTIMUM = _instance(
     [7] + [6] * 7, [[0] + [x for x in range(1, 8) if x != j] for j in range(1, 8)], d=7

@@ -453,9 +453,9 @@ def test_criterion_11_covering_family():
 def test_criterion_12_enumerate_four_thirds_at_k3():
     """Enumerate mode, with budgets that never fire, finds a feasible
     solution of size at most ceil(4 * 3 / 3) = 4 wherever one of size at
-    most 3 exists.  k = 1 is the open exception (ROADMAP item 3): on an
-    instance whose only small optimum needs a ranked root part, enumerate
-    finds nothing at k = 1."""
+    most 3 exists.  k = 1 is the open exception, the ROADMAP's defect "guided
+    mode loses an existing optimum at ranked roots": on an instance whose only
+    small optimum needs a ranked root part, enumerate finds nothing at k = 1."""
     t0 = time.perf_counter()
     cfg = SolverConfig(tuple_budget=10**15, recursion_budget=10**15)
     checked = 0

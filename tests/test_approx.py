@@ -211,10 +211,11 @@ def test_annotated_tuple_demand_accounting():
     assert t.gamma == ((((), 1), ((7,), 2)), (((7,), 3),))
 
 
-def test_config_is_resolved_once_per_size_and_r_is_an_attribute(monkeypatch):
+def test_config_is_resolved_once_per_resize_and_r_is_an_attribute(monkeypatch):
     # Four singleton sets need all four elements, which sizes 1 and 2
     # (ceil43 2 and 3) cannot close and size 3 (ceil43 4) can: the solve
-    # resizes its Search to 1, 2 and 3, after building it for 3.
+    # resizes its Search to 1, 2 and 3, after building it for 3, and each
+    # resize resolves the config once.
     resolved = Counter()
     real = SolverConfig.resolved
 
@@ -230,12 +231,12 @@ def test_config_is_resolved_once_per_size_and_r_is_an_attribute(monkeypatch):
     )
     res = solve_approx(inst, 3, mode=ENUMERATE)
     assert res is not None and res.solution.size() == 4
-    assert resolved == {1: 1, 2: 1, 3: 1}
+    assert resolved == {1: 1, 2: 1, 3: 2}
     ctx = Search(inst, 2)
     for k in (1, 2, 1, 3, 2):
         ctx.resize(k)
         assert ctx.k == k and ctx.cfg == real(SolverConfig(), 1, k)
-    assert resolved == {1: 2, 2: 2, 3: 2}
+    assert resolved == {1: 3, 2: 4, 3: 3}
     # r is a plain attribute, set by the checked and the trusted constructor.
     t = AnnotatedTuple(S=(1,), parts=((2,), (4,)), pi={(): 1}, gamma=((), ()))
     (leaf,) = enumerate_tuples((1, 3), (), Search(_hand_instance(), 2))
@@ -761,6 +762,27 @@ def test_every_guided_step_is_a_guess_enumerate_makes(monkeypatch, overrides, an
     assert got == answered
 
 
+@pytest.mark.parametrize(
+    "overrides, built",
+    [({}, 128), ({"small_class_threshold": 2, "top_t": 1}, 119)],
+    ids=["defaults", "ranked"],
+)
+def test_descent_builds_tuples_the_checked_constructor_would(monkeypatch, overrides, built):
+    # good_tuple_from_opt builds its tuples trusted, like enumerate_tuples.  On
+    # the guess-space property's instances each must equal the checked build
+    # from the same fields, which sorts S, the parts and every gamma row, drops
+    # zero demands and checks that pi maps into S.
+    cfg = SolverConfig(tuple_budget=10**9, recursion_budget=10**9, **overrides)
+    seen = 0
+    for n, seed, k in itertools.product((4, 5, 6), range(10), (1, 2, 3)):
+        inst = generate_instance({**GEN_UNW, "n": n, "m": n}, seed=seed)
+        for t, _ in _record_guided(monkeypatch, inst, k, cfg)[1]["tuples"]:
+            checked = AnnotatedTuple(S=t.S, parts=t.parts, pi=t.pi, gamma=t.gamma)
+            assert vars(t) == vars(checked)
+            seen += 1
+    assert seen == built
+
+
 def test_enumerate_mode_small_instances():
     inst = Instance(
         elements=(Element(id=0, cap=2), Element(id=1, cap=1)),
@@ -996,9 +1018,15 @@ def test_weight_windows_are_built_only_where_every_part_has_elements(monkeypatch
 
 
 def test_solve_approx_raises_when_postcondition_fails(monkeypatch):
-    monkeypatch.setattr(approx, "_map_back", lambda sol2, back: Solution({}))
-    with pytest.raises(InvariantViolated):
-        solve_approx(_hand_instance(), 2, mode=GUIDED)
+    # The closing checks run on the clone instance; only the mapped-back
+    # answer is checked on the original, and that check refuses it here.
+    inst = _hand_instance()
+    real = approx.check_feasible
+    monkeypatch.setattr(
+        approx, "check_feasible", lambda on, sol: None if on is inst else real(on, sol)
+    )
+    with pytest.raises(InvariantViolated, match="mapped-back"):
+        solve_approx(inst, 2, mode=GUIDED)
 
 
 def test_solve_approx_validates_arguments():

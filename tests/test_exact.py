@@ -131,8 +131,9 @@ def test_answer_carries_the_searchs_matching_which_is_check_feasibles():
 
 
 def test_invalid_matching_raises(monkeypatch):
-    monkeypatch.setattr("caphs.exact.assignment_ok", lambda inst, sol, asg: False)
-    with pytest.raises(InvariantViolated):
+    # The search's matching is checked by the one rule check_feasible uses too.
+    monkeypatch.setattr("caphs.feasibility.assignment_ok", lambda inst, sol, asg: False)
+    with pytest.raises(InvariantViolated, match="matching produced an invalid assignment"):
         solve_exact(generate_instance(GEN, seed=7), 4)
 
 

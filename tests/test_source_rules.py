@@ -193,8 +193,9 @@ def test_every_dataclass_is_frozen():
 
 
 def _shared_rule_sites(text: str, label: str) -> list[str]:
-    """Calls of json.dumps and constructions of MalformedInput, each as
-    label:function callee, by innermost enclosing function (<module> outside any)."""
+    """Calls of json.dumps and assignment_ok and constructions of MalformedInput,
+    each as label:function callee, by innermost enclosing function (<module>
+    outside any)."""
     tree = ast.parse(text, filename=label)
     owner = {}
     # ast.walk reaches an outer function before its inner ones, so the inner wins.
@@ -213,8 +214,8 @@ def _shared_rule_sites(text: str, label: str) -> list[str]:
             qualified = getattr(f, "id", "")
         if qualified in ("json.dumps", "dumps"):
             callee = "json.dumps"
-        elif qualified.rpartition(".")[2] == "MalformedInput":
-            callee = "MalformedInput"
+        elif qualified.rpartition(".")[2] in ("MalformedInput", "assignment_ok"):
+            callee = qualified.rpartition(".")[2]
         else:
             continue
         found.append(f"{label}:{owner.get(id(node), '<module>')} {callee}")
@@ -222,8 +223,10 @@ def _shared_rule_sites(text: str, label: str) -> list[str]:
 
 
 def test_each_shared_rule_has_one_copy():
-    # The output format and the way a parser reports a malformed document are
-    # decided in one place each, so two writers or two parsers cannot drift.
+    # The output format, the way a parser reports a malformed document and the
+    # way a fresh matching becomes a checked Assignment are decided in one place
+    # each, so two writers, two parsers or two solvers cannot drift.  The other
+    # assignment_ok call checks an assignment a solution file stores.
     found = [
         entry
         for path in sorted(SRC.glob("*.py"))
@@ -235,13 +238,19 @@ def test_each_shared_rule_has_one_copy():
     assert raisers and all(e.startswith("core.py:") for e in raisers), (
         "MalformedInput built outside core.py: " + ", ".join(raisers)
     )
+    checks = [e for e in found if e.endswith(" assignment_ok")]
+    assert sorted(checks) == [
+        "cli.py:cmd_check assignment_ok", "feasibility.py:checked_assignment assignment_ok",
+    ], "assignment_ok called in: " + ", ".join(checks)
     probe = (
         "import json\nfrom json import dumps\n"
         "def f(x):\n    def g():\n        raise MalformedInput('bad')\n"
-        "    return json.dumps(x)\n"
+        "    feasibility.assignment_ok(x, x, x)\n    return json.dumps(x)\n"
         "h = dumps(1)\ny = other.dumps(1)\nz = errors.MalformedInput('bad')\nw = a.b.dumps(2)\n"
+        "v = assignment_ok(1, 2, 3)\nu = assignment_ok_too(1)\n"
     )
     assert _shared_rule_sites(probe, "probe") == [
-        "probe:<module> json.dumps", "probe:<module> MalformedInput", "probe:f json.dumps",
+        "probe:<module> json.dumps", "probe:<module> MalformedInput",
+        "probe:<module> assignment_ok", "probe:f assignment_ok", "probe:f json.dumps",
         "probe:g MalformedInput",
     ]
