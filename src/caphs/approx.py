@@ -141,9 +141,11 @@ def ceil43(k: int) -> int:
 def bucket_values_upto(limit: int, base) -> list[int]:
     """Distinct rung values ceil(a^p / b^p) <= limit for base = a / b, ascending.
 
-    When base <= v / (v - 1) for every v <= limit, no step from one power to
-    the next skips an integer, so every value 1..limit is a rung; this is
-    returned without the walk, which takes about ln(limit) / ln(base) steps.
+    Every integer up to t = a // (a - b) is a rung: the powers step by at most
+    1 while they are at most b / (a - b) = a / (a - b) - 1, which is below t.
+    Above t they step by more than 1, so their ceilings are distinct and
+    exceed t; the exact walk starts at the first power above t, found by one
+    exponentiation from a log estimate and then corrected exactly.
     """
     if limit < 1:
         return []
@@ -151,13 +153,20 @@ def bucket_values_upto(limit: int, base) -> list[int]:
     a, b = base.numerator, base.denominator
     if a <= b:
         raise ValueError("bucket base must exceed 1")
-    if limit * (a - b) <= a:  # limit * (base - 1) <= base, in integers
-        return list(range(1, limit + 1))
-    num, den, out = 1, 1, []
-    while num <= limit * den:
-        out.append(-(-num // den))
-        num, den = num * a, den * b
-    return list(dict.fromkeys(out))
+    t = min(limit, a // (a - b))
+    out = list(range(1, t + 1))
+    if t < limit:
+        # Logs of the integers, since a float base may overflow.
+        p = int(math.log(t) / (math.log(a) - math.log(b)))
+        num, den = a**p, b**p
+        while p and num // a > t * (den // b):
+            num, den, p = num // a, den // b, p - 1
+        while num <= t * den:
+            num, den = num * a, den * b
+        while num <= limit * den:
+            out.append(-(-num // den))
+            num, den = num * a, den * b
+    return out
 
 
 @dataclass(frozen=True)
@@ -166,9 +175,10 @@ class AnnotatedTuple:
 
     gamma[i] holds part i's positive demands as (class, demand) pairs sorted
     by class; a class the row omits has demand 0.  pi maps each realized
-    class of S to an element of S, including the empty class when S is
-    nonempty.  At r = 0 nothing reads pi or gamma, and enumerate_tuples
-    leaves both empty there.  r, the number of parts, is set when built.
+    class of S to an element of S, in class order (sorted), so the empty
+    class comes first when S is nonempty.  At r = 0 nothing reads pi or
+    gamma, and enumerate_tuples leaves both empty there.  r, the number of
+    parts, is set when built.
     """
 
     S: tuple[int, ...]
@@ -182,6 +192,7 @@ class AnnotatedTuple:
         object.__setattr__(
             self, "parts", tuple(tuple(sorted(p)) for p in self.parts)
         )
+        object.__setattr__(self, "pi", {cls: self.pi[cls] for cls in sorted(self.pi)})
         object.__setattr__(self, "r", len(self.parts))
         seen = set(self.S)
         for p in self.parts:
@@ -230,21 +241,22 @@ class Search:
     Search(inst, k, cfg) searches for target size k: cfg (the defaults when
     None) resolved for inst.d and k.  It takes cfg's two budgets and reads
     inst once for caps, each element id's capacity (incidence is inst.hits).
-    It memoizes what depends only on S (its sorted realized classes and the
-    set mask of each) or on a class size and k, which fixes the bucket base
+    It memoizes what depends only on S (its frame: each realized class to its
+    set mask, in class order, the sorted order that every pi a solve builds
+    keeps too) or on a class size and k, which fixes the bucket base
     (the gamma values enumerate_tuples ranges over).  resize(k) is the one
     way to change the target size; budgets and memos carry across sizes.
 
     _failed maps the key of an enumerate-mode subtree that found nothing to
     the (tuple, recursion) charges it made: (sorted S, parts) from
-    _search_below, and (S, parts, sorted pi items, X', then gamma or ())
+    _search_below, and (S, parts, pi items, X', then gamma or ())
     from solve_annotated.  replayed() and record_failure() are the one rule
     both apply.  Only failures are stored, and every entry charged at least
     one tuple itself, so there are at most tuple_budget.
 
     The closing step is computed afresh each time; what it looks up is kept:
     _quotas maps (r, the (tau1(s), tau2(s)) pairs over sorted S) to the quota
-    vector, and _independence maps (S, sorted pi items, k), k standing for
+    vector, and _independence maps (S, pi items, k), k standing for
     the rho it fixes, to an IndependenceContext with its conflict cache.
     """
 
@@ -295,12 +307,11 @@ class Search:
         read (tuples, recursions), nested replays included."""
         self._failed[key] = (tuples - self.tuples, recursions - self.recursions)
 
-    def frame(self, S: tuple[int, ...]):
-        """(sorted realized classes, the set mask of each class) for a sorted S."""
+    def frame(self, S: tuple[int, ...]) -> dict:
+        """Each realized class of a sorted S to its set mask, in class order."""
         got = self._frames.get(S)
         if got is None:
-            masks = equivalence_classes(self.inst, S)
-            got = self._frames[S] = (sorted(masks), masks)
+            got = self._frames[S] = dict(sorted(equivalence_classes(self.inst, S).items()))
         return got
 
     def gamma_values(self, size: int) -> list[int]:
@@ -323,11 +334,11 @@ class Search:
             self._quotas[r, pairs] = tuple(2 if i in dom else 1 for i in range(r))
         return self._quotas[r, pairs]
 
-    def independence(self, S: tuple[int, ...], pi_items: tuple) -> IndependenceContext:
+    def independence(self, S: tuple[int, ...], pi: dict) -> IndependenceContext:
         """The (S, pi, rho) conflict relation and its caches, one per search."""
-        key = (S, pi_items, self.k)  # k fixes rho; a Fraction hashes slowly
+        key = (S, tuple(pi.items()), self.k)  # k fixes rho; a Fraction hashes slowly
         if key not in self._independence:
-            st = stars(self.frame(S)[1], dict(pi_items))
+            st = stars(self.frame(S), pi)
             self._independence[key] = IndependenceContext(stars=st, rho=self.cfg.rho)
         return self._independence[key]
 
@@ -340,7 +351,7 @@ def info_tuple(t: AnnotatedTuple, ctx: Search) -> tuple[tuple[int, ...], ...]:
     an unrealized class has mask 0, so no v meets a demand on it.
     """
     caps, hits = ctx.caps, ctx.inst.hits
-    masks = ctx.frame(t.S)[1]
+    masks = ctx.frame(t.S)
     xprime = []
     for part, row in zip(t.parts, t.gamma):
         demand = sum(g for _, g in row)
@@ -369,7 +380,7 @@ def candidate_set(
     """
     cfg, caps, hits = ctx.cfg, ctx.caps, ctx.inst.hits
     thr = cfg.small_class_threshold
-    masks = ctx.frame(t.S)[1]
+    masks = ctx.frame(t.S)
     out = []
     for i, (xp, row) in enumerate(zip(xprime, t.gamma)):
         if len(xp) <= thr:
@@ -421,7 +432,7 @@ def solve_extended(
             # An empty X''_i leaves part i without a pick whatever the quotas.
             return ExtendedResult(solution=None, reason=INDEPENDENCE_FAIL)
         quotas = ctx.quotas(t.r, tuple((tau1[s], tau2[s]) for s in t.S))
-        ind = ctx.independence(t.S, tuple(sorted(t.pi.items())))
+        ind = ctx.independence(t.S, t.pi)
         picked = find_independent_set(ind, xpp, quotas, ctx.inst)
     if picked is None:
         return ExtendedResult(solution=None, reason=INDEPENDENCE_FAIL)
@@ -452,18 +463,16 @@ def enumerate_tuples(S, parts, ctx: Search):
         ctx.charge_tuple()
         yield AnnotatedTuple._trusted(S, parts, {}, ())
         return
-    realized, masks = ctx.frame(S)
-    nonempty = [cls for cls in realized if cls]
+    frame = ctx.frame(S)
     # Rows are cut per tuple from one product, rows^r of which may dwarf the
     # tuple budget; each distinct row is built once, after its first charge.
-    n = len(realized)
+    n = len(frame)
     cuts = [(i, i + n) for i in range(0, n * len(parts), n)]
-    values = [ctx.gamma_values(masks[cls].bit_count()) for cls in realized] * len(parts)
+    values = [ctx.gamma_values(mask.bit_count()) for mask in frame.values()] * len(parts)
     rows: dict = {}
-    for choice in itertools.product(S, repeat=len(nonempty)):
-        pi = dict(zip(nonempty, choice))
-        if S and () in masks:
-            pi[()] = min(S)
+    # pi sends the empty class, first in class order, to min(S), and any other anywhere in S.
+    for choice in itertools.product(*([S if cls else S[:1] for cls in frame] if S else [])):
+        pi = dict(zip(frame, choice))
         for combo in itertools.product(*values):
             ctx.charge_tuple()
             gamma = []
@@ -471,7 +480,7 @@ def enumerate_tuples(S, parts, ctx: Search):
                 key = combo[a:b]
                 row = rows.get(key)
                 if row is None:  # the (class, demand) pairs with a positive demand
-                    row = rows[key] = tuple(itertools.compress(zip(realized, key), key))
+                    row = rows[key] = tuple(itertools.compress(zip(frame, key), key))
                 gamma.append(row)
             yield AnnotatedTuple._trusted(S, parts, pi, tuple(gamma))
 
@@ -488,15 +497,14 @@ def good_tuple_from_opt(
     S = tuple(sorted(S))
     parts = tuple(tuple(sorted(p)) for p in parts)
     rep = _oracle_reps(S, parts, opt)
-    realized, masks = ctx.frame(S)
-    # held[cls][x]: how many sets of class cls the assignment charges to x.
+    # held[cls][x]: how many sets of class cls the assignment charges to x, in class order.
     owned = asg.owned.items()
-    held = {cls: {x: (masks[cls] & mask).bit_count() for x, mask in owned} for cls in realized}
+    held = {cls: {x: (cm & m).bit_count() for x, m in owned} for cls, cm in ctx.frame(S).items()}
     # pi[cls]: the first s of sorted S that holds the most, min(S) when none does.
-    pi = {cls: max(S, key=lambda s: held[cls].get(s, 0)) for cls in realized} if S else {}
+    pi = {cls: max(S, key=lambda s: got.get(s, 0)) for cls, got in held.items()} if S else {}
     # Each demand is the top rung up to the coverage c: the largest ceil(base^p) <= c.
     gamma = tuple(
-        tuple((cls, ctx.gamma_values(c)[-1]) for cls in realized if (c := held[cls].get(v, 0)))
+        tuple((cls, ctx.gamma_values(c)[-1]) for cls, got in held.items() if (c := got.get(v, 0)))
         for v in rep
     )
     return AnnotatedTuple._trusted(S, parts, pi, gamma)
@@ -515,7 +523,7 @@ def solve_annotated(t: AnnotatedTuple, ctx: Search) -> Solution | None:
     xprime = info_tuple(t, ctx)
     thr = ctx.cfg.small_class_threshold
     gamma = t.gamma if max(map(len, xprime)) > thr else ()
-    key = (t.S, t.parts, tuple(sorted(t.pi.items())), xprime, gamma)
+    key = (t.S, t.parts, tuple(t.pi.items()), xprime, gamma)
     if ctx.replayed(key):
         return None
     tuples, recursions = ctx.tuples, ctx.recursions
@@ -581,7 +589,7 @@ def _solve_guided(
     below it), else t is closed.  The r = 0 leaf is closed after the loop."""
     while t.r:
         rep = _oracle_reps(t.S, t.parts, opt)
-        st = stars(ctx.frame(t.S)[1], t.pi)
+        st = stars(ctx.frame(t.S), t.pi)
         tau1, tau2 = {}, {}
         for s in t.S:
             cover = [(st.get(s, 0) & asg.owned.get(v, 0)).bit_count() for v in rep]

@@ -111,7 +111,7 @@ class Solution:
 
     def __post_init__(self):
         for x, c in self.copies.items():
-            if not isinstance(c, int) or c < 1:
+            if not _is_int(c) or c < 1:
                 raise ValidationError(f"copy count for element {x} must be a positive int")
 
     def size(self) -> int:
@@ -177,9 +177,10 @@ def equivalence_classes(inst: Instance, S) -> dict[tuple[int, ...], int]:
 def stars(classes: dict, pi: dict[tuple[int, ...], int]) -> dict[int, int]:
     """OR the class masks along a plurality map: A_s = U {A_E : pi(E) = s}.
 
-    classes is the dict equivalence_classes returns.  pi must cover every
-    nonempty realized class; it may additionally map the empty class.  Raises
-    PartialPlurality when a required class is missing.
+    classes maps each class to its set mask, in any order, as
+    equivalence_classes returns it.  pi must cover every nonempty realized
+    class; it may additionally map the empty class.  Raises PartialPlurality
+    when a required class is missing.
     """
     for E in classes:
         if E and E not in pi:
@@ -347,7 +348,7 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def _is_int(v) -> bool:
-    """A JSON integer; true/false are rejected although bool subclasses int."""
+    """An integer that is not a bool: true/false are rejected although bool subclasses int."""
     return isinstance(v, int) and not isinstance(v, bool)
 
 

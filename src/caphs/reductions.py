@@ -129,6 +129,8 @@ class MdkInstance:
         object.__setattr__(
             self, "vectors", tuple(tuple(v) for v in self.vectors)
         )
+        if not (_is_int(self.d) and _is_int(self.k)):
+            raise ValidationError("mdk d and k must be integers")
         if self.d < 1:
             raise ValidationError("mdk needs d >= 1")
         if self.k < 0:
@@ -138,9 +140,9 @@ class MdkInstance:
         for v in self.vectors:
             if len(v) != self.d:
                 raise ValidationError("every vector must have d entries")
-            if any(not isinstance(x, int) or x < 0 for x in v):
+            if any(not _is_int(x) or x < 0 for x in v):
                 raise ValidationError("vector entries must be nonnegative ints")
-        if any(not isinstance(x, int) or x < 0 for x in self.target):
+        if any(not _is_int(x) or x < 0 for x in self.target):
             raise ValidationError("target entries must be nonnegative ints")
 
 

@@ -136,6 +136,15 @@ def test_bucket_values_upto_lists_every_rung(base, limit):
     assert bucket_values_upto(limit, base) == sorted(rungs)
 
 
+def test_bucket_values_upto_starts_the_walk_past_the_integer_run():
+    # At base 1.0001 every integer up to 10 001 is a rung; the walk to 10 002
+    # starts from the first power past 10 001, not from base^0 (about 92 000
+    # exact steps).
+    t0 = time.perf_counter()
+    assert bucket_values_upto(10002, Fraction("1.0001")) == list(range(1, 10003))
+    assert time.perf_counter() - t0 < 2
+
+
 def test_bucket_rejects_bad_input():
     for base in (Fraction(1), Fraction(1, 2)):
         with pytest.raises(ValueError):
@@ -194,9 +203,12 @@ def test_annotated_tuple_validation():
         AnnotatedTuple(S=(1,), parts=((2,),), pi={(): 1}, gamma=((((), 1), ((), 2)),))
     with pytest.raises(ValueError, match="demand >= 0"):
         AnnotatedTuple(S=(1,), parts=((2,),), pi={(): 1}, gamma=((((1,), -1),),))
+    # pi comes back in class order, each gamma row sorted without its zeros.
     t = AnnotatedTuple(
-        S=(1,), parts=((2,), (4,)), pi={(): 1}, gamma=[[((1,), 2), ((), 0)], [((1,), 0), ((), 3)]]
+        S=(1,), parts=((2,), (4,)), pi={(1,): 1, (): 1},
+        gamma=[[((1,), 2), ((), 0)], [((1,), 0), ((), 3)]],
     )
+    assert list(t.pi) == [(), (1,)]
     assert t.gamma == ((((1,), 2),), (((), 3),))
 
 
@@ -781,6 +793,59 @@ def test_descent_builds_tuples_the_checked_constructor_would(monkeypatch, overri
             assert vars(t) == vars(checked)
             seen += 1
     assert seen == built
+
+
+def test_every_pi_a_solve_builds_is_in_class_order(monkeypatch):
+    # Class order, the sorted order of the classes, is the one order of a
+    # search state: the replay and conflict memos key on pi's items as they
+    # stand.  Checked on the guess-space property's instances, for every tuple
+    # the descent builds and every tuple enumerate_tuples yields; the empty
+    # class comes first, so a pi with it and another class shows the order.
+    cfg = SolverConfig(tuple_budget=10**9, recursion_budget=10**9)
+    real = approx.enumerate_tuples
+    mixed = {"descent": 0, "enumerate": 0}
+
+    def check(t, source):
+        assert list(t.pi) == sorted(t.pi)
+        mixed[source] += () in t.pi and len(t.pi) > 1
+
+    def recording(S, parts, ctx):
+        for t in real(S, parts, ctx):
+            check(t, "enumerate")
+            yield t
+
+    for n, seed, k in itertools.product((4, 5, 6), range(10), (1, 2, 3)):
+        inst = generate_instance({**GEN_UNW, "n": n, "m": n}, seed=seed)
+        res, steps = _record_guided(monkeypatch, inst, k, cfg)
+        for t, _ in steps["tuples"]:
+            check(t, "descent")
+        if res is not None:
+            monkeypatch.setattr(approx, "enumerate_tuples", recording)
+            solve_approx(inst, k, cfg, mode=ENUMERATE)
+            monkeypatch.undo()
+    # Pinned so that the check cannot pass vacuously.
+    assert mixed == {"descent": 47, "enumerate": 2598}
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: expand_multiplicities(_hand_instance(), 0), "k must be at least 1"),
+        (lambda: solve_extended(
+            AnnotatedTuple(S=(3,), parts=((1,),), pi={(3,): 3}, gamma=((),)),
+            {3: 0}, {}, ((1,),), Search(_hand_instance(), 2),
+        ), "tau1/tau2 must be total on S"),
+        (lambda: approx.solve_annotated(
+            AnnotatedTuple(S=(3,), parts=((1,),), pi={(3,): 3}, gamma=((),)),
+            Search(_hand_instance(), 3),
+        ), "tuple arity does not match k"),
+    ],
+    ids=["expand-k-zero", "tau-not-total", "annotated-arity"],
+)
+def test_layers_reject_bad_arguments(call, message):
+    with pytest.raises(ValueError) as got:
+        call()
+    assert got.value.args == (message,)
 
 
 def test_enumerate_mode_small_instances():

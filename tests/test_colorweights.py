@@ -98,6 +98,11 @@ def test_weight_estimates_doubling():
     assert weight_estimates(inst_with_weights([1, 8])) == [1, 2, 4, 8, 9]
 
 
+def test_weight_estimates_reject_an_instance_without_elements():
+    with pytest.raises(ValueError, match="^instance has no elements$"):
+        weight_estimates(Instance(elements=(), family=(), d=1))
+
+
 def test_weight_estimates_cover_every_optimum():
     # Some estimate is within a factor two above any conceivable total.
     inst = generate_instance(

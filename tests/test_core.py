@@ -64,6 +64,31 @@ def test_instance_validation():
         Instance(elements=(els[0], els[0]), family=((0,),), d=2)
 
 
+PAIR = (Element(0, 1, 1, 1), Element(1, 1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Instance(elements=PAIR, family=((0,),), d=0), ValidationError,
+         "d must be positive, got 0"),
+        (lambda: Instance(elements=PAIR, family=((1, 0, 1),), d=3), ValidationError,
+         "set 0 repeats an element id"),
+        (lambda: Instance(elements=PAIR, family=((0,),), d=1).element(9), UnknownElement,
+         "no element with id 9"),
+        # bool subclasses int, but serialize_solution would write true, which
+        # parse_solution refuses.
+        (lambda: Solution({0: True}), ValidationError,
+         "copy count for element 0 must be a positive int"),
+    ],
+    ids=["d-zero", "repeated-id", "unknown-id", "bool-copies"],
+)
+def test_models_reject_bad_fields(build, error, message):
+    with pytest.raises(error) as got:
+        build()
+    assert got.value.args == (message,)
+
+
 def test_instance_sorts_members_and_keeps_duplicates():
     els = (Element(0, 1, 1, 1), Element(1, 1, 1, 1))
     inst = Instance(elements=els, family=((1, 0), (0, 1)), d=2)

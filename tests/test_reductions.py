@@ -63,6 +63,44 @@ def test_csp_validation():
         CspInstance(k=2, n=2, constraints=(Constraint(0, 1, ((0, 1),)),))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CspInstance(k=0, n=2, constraints=()), "csp needs k >= 1 and n >= 1"),
+        (lambda: MdkInstance(d=0, k=1, target=(), vectors=()), "mdk needs d >= 1"),
+        (lambda: MdkInstance(d=1, k=-1, target=(1,), vectors=()), "mdk needs k >= 0"),
+        (lambda: MdkInstance(d=1, k=1, target=(-1,), vectors=()),
+         "target entries must be nonnegative ints"),
+        # bool subclasses int, but serialize_mdk would write true, which
+        # parse_mdk refuses.
+        (lambda: MdkInstance(d=1, k=True, target=(True,), vectors=((True,),)),
+         "mdk d and k must be integers"),
+        (lambda: MdkInstance(d=True, k=1, target=(1,), vectors=()), "mdk d and k must be integers"),
+        (lambda: MdkInstance(d=1, k=1, target=(True,), vectors=()),
+         "target entries must be nonnegative ints"),
+        (lambda: MdkInstance(d=1, k=1, target=(1,), vectors=((True,),)),
+         "vector entries must be nonnegative ints"),
+        (lambda: csp_to_mdk(triple_edge_csp(n=2), Q=2), "Q must exceed the domain size"),
+        (lambda: csp_to_mdk_covering(covered_csp(), ((0, 1),), Q=2),
+         "Q must exceed the domain size"),
+        (lambda: csp_to_mdk_covering(covered_csp(), ()), "covering family must be nonempty"),
+        (lambda: csp_to_mdk_covering(covered_csp(), ((0, 9),)),
+         "family member names unknown variable"),
+        (lambda: verify_covering_family((), 6, Fraction(1, 2), Fraction(1, 2)),
+         "covering family must be nonempty"),
+    ],
+    ids=[
+        "csp-k-zero", "mdk-d-zero", "mdk-k-negative", "mdk-target-negative", "mdk-bools",
+        "mdk-bool-d", "mdk-bool-target", "mdk-bool-vector", "mdk-q-small", "covering-q-small",
+        "covering-empty-family", "covering-unknown-variable", "verify-empty-family",
+    ],
+)
+def test_models_and_reductions_reject_bad_input(build, message):
+    with pytest.raises(ValidationError) as got:
+        build()
+    assert got.value.args == (message,)
+
+
 def test_constraint_deduplicates_allowed():
     c = Constraint(0, 1, ((2, 1), (1, 1), (2, 1)))
     assert c.allowed == ((1, 1), (2, 1))
