@@ -57,6 +57,7 @@ from .core import (
     Instance,
     Result,
     Solution,
+    _trusted,
     copy_limit,
     equivalence_classes,
     stars,
@@ -609,6 +610,8 @@ def expand_multiplicities(inst: Instance, k: int) -> Expansion:
 
     Set membership is inherited by every clone, so sets grow up to d*k wide;
     the clone instance's d is its widest set (d itself when there is none).
+    Built trusted, without the Instance and Element checks: clone ids are
+    distinct and each set's are sorted, and every copy limit is at least 1.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -619,11 +622,11 @@ def expand_multiplicities(inst: Instance, k: int) -> Expansion:
         start = len(back)
         copy_ids[el.id] = list(range(start, start + copy_limit(el, k)))
         for x in copy_ids[el.id]:
-            new_elements.append(Element(id=x, cap=el.cap, mult=1, weight=el.weight))
+            new_elements.append(_trusted(Element, id=x, cap=el.cap, mult=1, weight=el.weight))
             back[x] = el.id
     family2 = [tuple(sorted(x for y in fs for x in copy_ids[y])) for fs in inst.family]
     d2 = max((len(fs) for fs in family2), default=inst.d)
-    inst2 = Instance(elements=tuple(new_elements), family=tuple(family2), d=d2)
+    inst2 = _trusted(Instance, elements=tuple(new_elements), family=tuple(family2), d=d2)
     return Expansion(instance=inst2, back=back, copy_ids=copy_ids)
 
 

@@ -6,6 +6,12 @@ family index is the identity of a set occurrence: the same member list may
 appear many times and each occurrence must be covered separately.
 Instance.hits is the one element-to-set incidence: how many sets of a group
 (given as a bitmask of family indices) contain x is (hits[x] & group).bit_count().
+
+Validation happens at the boundary: the parsers check a document's shape, and
+every model checks its fields when built, refusing a bool where an integer
+belongs.  The builders whose output is canonical and valid by construction
+(reductions._cvc_instance, csp_to_mdk, csp_to_mdk_covering and
+approx.expand_multiplicities) build through _trusted and skip the re-check.
 """
 
 from __future__ import annotations
@@ -33,6 +39,9 @@ class Element:
     weight: int = 1
 
     def __post_init__(self):
+        if not (_is_int(self.id) and _is_int(self.cap) and _is_int(self.weight)
+                and (self.mult is None or _is_int(self.mult))):
+            raise ValidationError(f"element {self.id!r}: id, cap, mult and weight must be integers")
         if self.cap < 0:
             raise ValidationError(f"element {self.id}: negative capacity {self.cap}")
         if self.weight < 0:
@@ -57,6 +66,8 @@ class Instance:
         ids = [e.id for e in self.elements]
         if len(ids) != len(set(ids)):
             raise ValidationError("duplicate element ids")
+        if not _is_int(self.d):
+            raise ValidationError(f"d must be an integer, got {self.d!r}")
         if self.d < 1:
             raise ValidationError(f"d must be positive, got {self.d}")
         known = set(ids)
@@ -70,7 +81,7 @@ class Instance:
             if len(members) > self.d:
                 raise ValidationError(f"set {idx} has {len(members)} > d={self.d} elements")
             for x in members:
-                if x not in known:
+                if not _is_int(x) or x not in known:
                     raise ValidationError(f"set {idx} names unknown element {x}")
             fam.append(members)
         object.__setattr__(self, "family", tuple(fam))
@@ -350,6 +361,14 @@ def _unique_keys(pairs: list) -> dict:
 def _is_int(v) -> bool:
     """An integer that is not a bool: true/false are rejected although bool subclasses int."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _trusted(cls, **fields):
+    """A frozen dataclass built without __init__ or __post_init__: only for a
+    builder whose fields are canonical and valid by construction."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _check_format(value) -> None:

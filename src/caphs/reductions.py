@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import FORMAT_VERSION, Element, Instance, json_text
-from .core import _check_format, _expect, _is_int, _load_object
+from .core import _check_format, _expect, _is_int, _load_object, _trusted
 from .errors import (
     BudgetExceeded,
     EnumerationBudgetExceeded,
@@ -56,15 +56,17 @@ class CspInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
+        if not (_is_int(self.k) and _is_int(self.n)):
+            raise ValidationError("csp k and n must be integers")
         if self.k < 1 or self.n < 1:
             raise ValidationError("csp needs k >= 1 and n >= 1")
         for c in self.constraints:
-            if not (0 <= c.u < self.k and 0 <= c.v < self.k):
+            if not (_is_int(c.u) and _is_int(c.v) and 0 <= c.u < self.k and 0 <= c.v < self.k):
                 raise ValidationError(f"constraint names unknown variable: {c}")
             if c.u == c.v:
                 raise ValidationError(f"constraint loops on variable {c.u}")
             for a, b in c.allowed:
-                if not (1 <= a <= self.n and 1 <= b <= self.n):
+                if not (_is_int(a) and _is_int(b) and 1 <= a <= self.n and 1 <= b <= self.n):
                     raise ValidationError(f"allowed pair {(a, b)} out of range")
 
     @property
@@ -176,6 +178,16 @@ def parse_mdk(text: str) -> MdkInstance:
     )
 
 
+def _checked_q(Q, n: int) -> int:
+    """The pair weight Q, an integer above the domain size n: every MDK entry
+    Q ± a is then a positive integer."""
+    if not _is_int(Q):
+        raise ValidationError("Q must be an integer")
+    if Q <= n:
+        raise ValidationError("Q must exceed the domain size")
+    return Q
+
+
 def _incident(csp: CspInstance, u: int) -> list[int]:
     return [e for e, c in enumerate(csp.constraints) if u in (c.u, c.v)]
 
@@ -190,10 +202,7 @@ def csp_to_mdk(csp: CspInstance, Q: int | None = None) -> MdkInstance:
     """
     if not is_three_regular(csp):
         raise NotThreeRegular("every variable must occur in exactly 3 constraints")
-    if Q is None:
-        Q = 10 * csp.n
-    if Q <= csp.n:
-        raise ValidationError("Q must exceed the domain size")
+    Q = _checked_q(10 * csp.n if Q is None else Q, csp.n)
     k, m = csp.k, csp.m
     d = k + m + 4 * m
 
@@ -222,12 +231,7 @@ def csp_to_mdk(csp: CspInstance, Q: int | None = None) -> MdkInstance:
             vec[block(e) + 3] = Q + b
             vectors.append(tuple(vec))
     target = [1] * (k + m) + [2 * Q] * (4 * m)
-    return MdkInstance(
-        d=d,
-        k=k + m,
-        target=tuple(target),
-        vectors=tuple(vectors),
-    )
+    return _trusted(MdkInstance, d=d, k=k + m, target=tuple(target), vectors=tuple(vectors))
 
 
 def solve_mdk_exact(mdk: MdkInstance, node_budget: int = 2_000_000):
@@ -312,6 +316,10 @@ def _cvc_instance(mdk: MdkInstance, weighted: bool) -> Instance:
     its zero-capacity twin.  Sets: one (forced, twin) pair per dimension, then
     vectors[v][i] copies of (v, forced i).  Every vertex weighs 1, or, when
     weighted, 1 / 0 / heavier than any feasible budget for the three kinds.
+
+    Built trusted, without the Instance and Element checks: every pair is
+    (v, nvec + i) or (nvec + i, nvec + d + i), already sorted, and a forced
+    capacity is at least 1 once the column-sum check has passed.
     """
     nvec = len(mdk.vectors)
     cols = [0] * mdk.d
@@ -332,14 +340,16 @@ def _cvc_instance(mdk: MdkInstance, weighted: bool) -> Instance:
     else:
         w_vec = w_forced = w_twin = 1
     elements = (
-        [Element(id=v, cap=m_cvc, mult=1, weight=w_vec) for v in range(nvec)]
+        [_trusted(Element, id=v, cap=m_cvc, mult=1, weight=w_vec) for v in range(nvec)]
         + [
-            Element(id=nvec + i, cap=cols[i] - mdk.target[i] + 1, mult=1, weight=w_forced)
+            _trusted(Element, id=nvec + i, cap=cols[i] - mdk.target[i] + 1, mult=1,
+                     weight=w_forced)
             for i in range(mdk.d)
         ]
-        + [Element(id=nvec + mdk.d + i, cap=0, mult=1, weight=w_twin) for i in range(mdk.d)]
+        + [_trusted(Element, id=nvec + mdk.d + i, cap=0, mult=1, weight=w_twin)
+           for i in range(mdk.d)]
     )
-    return Instance(elements=tuple(elements), family=tuple(family), d=2)
+    return _trusted(Instance, elements=tuple(elements), family=tuple(family), d=2)
 
 
 def mdk_to_cvc(mdk: MdkInstance) -> Instance:
@@ -451,10 +461,7 @@ def csp_to_mdk_covering(
         if any(not (0 <= u < csp.k) for u in s):
             raise ValidationError("family member names unknown variable")
     kstar = len(fam)
-    if Q is None:
-        Q = 10 * csp.n * kstar
-    if Q <= csp.n:
-        raise ValidationError("Q must exceed the domain size")
+    Q = _checked_q(10 * csp.n * kstar if Q is None else Q, csp.n)
     hoods: list[tuple[int, ...]] = []
     for s in fam:
         hood = set(s)
@@ -495,9 +502,4 @@ def csp_to_mdk_covering(
                 vec[dim + 1] = Q + sign * gamma[u]
             vectors.append(tuple(vec))
     target = [1] * kstar + [2 * Q] * (d - kstar)
-    return MdkInstance(
-        d=d,
-        k=kstar,
-        target=tuple(target),
-        vectors=tuple(vectors),
-    )
+    return _trusted(MdkInstance, d=d, k=kstar, target=tuple(target), vectors=tuple(vectors))

@@ -80,8 +80,22 @@ PAIR = (Element(0, 1, 1, 1), Element(1, 1, 1, 1))
         # parse_solution refuses.
         (lambda: Solution({0: True}), ValidationError,
          "copy count for element 0 must be a positive int"),
+        # The same holds for every integer field of an Element or an Instance.
+        (lambda: Element(id=0, cap=True, weight=True), ValidationError,
+         "element 0: id, cap, mult and weight must be integers"),
+        (lambda: Element(id=True, cap=1), ValidationError,
+         "element True: id, cap, mult and weight must be integers"),
+        (lambda: Element(id=0, cap=1, mult=True), ValidationError,
+         "element 0: id, cap, mult and weight must be integers"),
+        (lambda: Element(id=0, cap=1, weight=1.5), ValidationError,
+         "element 0: id, cap, mult and weight must be integers"),
+        (lambda: Instance(elements=PAIR, family=((0,),), d=True), ValidationError,
+         "d must be an integer, got True"),
+        (lambda: Instance(elements=PAIR, family=((True,),), d=1), ValidationError,
+         "set 0 names unknown element True"),
     ],
-    ids=["d-zero", "repeated-id", "unknown-id", "bool-copies"],
+    ids=["d-zero", "repeated-id", "unknown-id", "bool-copies", "bool-cap-weight", "bool-id",
+         "bool-mult", "float-weight", "bool-d", "bool-member"],
 )
 def test_models_reject_bad_fields(build, error, message):
     with pytest.raises(error) as got:

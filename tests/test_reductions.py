@@ -88,11 +88,23 @@ def test_csp_validation():
          "family member names unknown variable"),
         (lambda: verify_covering_family((), 6, Fraction(1, 2), Fraction(1, 2)),
          "covering family must be nonempty"),
+        # serialize_csp would write true, which parse_csp refuses.
+        (lambda: CspInstance(k=2, n=True, constraints=()), "csp k and n must be integers"),
+        (lambda: CspInstance(k=True, n=2, constraints=()), "csp k and n must be integers"),
+        (lambda: CspInstance(k=2, n=2, constraints=(Constraint(0, True, ((1, 1),)),)),
+         "constraint names unknown variable: Constraint(u=0, v=True, allowed=((1, 1),))"),
+        (lambda: CspInstance(k=2, n=2, constraints=(Constraint(0, 1, ((True, 1),)),)),
+         "allowed pair (True, 1) out of range"),
+        # The knapsack builds skip the MdkInstance checks, so Q is checked up front.
+        (lambda: csp_to_mdk(triple_edge_csp(n=2), Q=2.5), "Q must be an integer"),
+        (lambda: csp_to_mdk_covering(covered_csp(), ((0, 1),), Q=30.0), "Q must be an integer"),
     ],
     ids=[
         "csp-k-zero", "mdk-d-zero", "mdk-k-negative", "mdk-target-negative", "mdk-bools",
         "mdk-bool-d", "mdk-bool-target", "mdk-bool-vector", "mdk-q-small", "covering-q-small",
         "covering-empty-family", "covering-unknown-variable", "verify-empty-family",
+        "csp-bool-n", "csp-bool-k", "csp-bool-endpoint", "csp-bool-value", "mdk-q-float",
+        "covering-q-float",
     ],
 )
 def test_models_and_reductions_reject_bad_input(build, message):

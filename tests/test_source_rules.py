@@ -192,17 +192,23 @@ def test_every_dataclass_is_frozen():
     assert _unfrozen_dataclasses(probe, "probe") == ["probe:4 A", "probe:7 B", "probe:10 C"]
 
 
-def _shared_rule_sites(text: str, label: str) -> list[str]:
-    """Calls of json.dumps and assignment_ok and constructions of MalformedInput,
-    each as label:function callee, by innermost enclosing function (<module>
-    outside any)."""
-    tree = ast.parse(text, filename=label)
+def _owners(tree: ast.AST) -> dict[int, str]:
+    """id(node) -> the name of the innermost function holding the node."""
     owner = {}
     # ast.walk reaches an outer function before its inner ones, so the inner wins.
     for fn in ast.walk(tree):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for node in ast.walk(fn):
                 owner[id(node)] = fn.name
+    return owner
+
+
+def _shared_rule_sites(text: str, label: str) -> list[str]:
+    """Calls of json.dumps and assignment_ok and constructions of MalformedInput,
+    each as label:function callee, by innermost enclosing function (<module>
+    outside any)."""
+    tree = ast.parse(text, filename=label)
+    owner = _owners(tree)
     found = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -253,4 +259,47 @@ def test_each_shared_rule_has_one_copy():
         "probe:<module> json.dumps", "probe:<module> MalformedInput",
         "probe:<module> assignment_ok", "probe:f assignment_ok", "probe:f json.dumps",
         "probe:g MalformedInput",
+    ]
+
+
+def _trusted_builds(text: str, label: str) -> list[str]:
+    """Each read of core's _trusted (bare or as core._trusted) as label:function,
+    by innermost enclosing function (<module> outside any), and each import
+    that renames it.  AnnotatedTuple._trusted is another function."""
+    tree = ast.parse(text, filename=label)
+    owner = _owners(tree)
+    found = []
+    for node in ast.walk(tree):
+        bare = isinstance(node, ast.Name) and node.id == "_trusted"
+        qualified = (isinstance(node, ast.Attribute) and node.attr == "_trusted"
+                     and isinstance(node.value, ast.Name) and node.value.id == "core")
+        if bare or qualified:
+            found.append(f"{label}:{owner.get(id(node), '<module>')}")
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"{label}:{node.lineno} as {a.asname}"
+                      for a in node.names if a.name == "_trusted" and a.asname]
+    return found
+
+
+def test_only_canonical_builders_skip_validation():
+    # core._trusted builds a model without its checks.  Only builders whose
+    # output is canonical and valid by construction may call it, so no
+    # parser or generator path reaches a model unchecked.
+    found = {
+        entry
+        for path in sorted(SRC.glob("*.py"))
+        for entry in _trusted_builds(path.read_text(encoding="utf-8"), path.name)
+    }
+    assert found == {
+        "approx.py:expand_multiplicities", "reductions.py:_cvc_instance",
+        "reductions.py:csp_to_mdk", "reductions.py:csp_to_mdk_covering",
+    }, "core._trusted read in: " + ", ".join(sorted(found))
+    probe = (
+        "from .core import _trusted as t\nfrom . import core\n"
+        "def f():\n    def g():\n        return _trusted(A, x=1)\n"
+        "    return core._trusted(A), AnnotatedTuple._trusted(1, 2, 3, 4)\n"
+        "h = _trusted\nother._trusted(1)\n"
+    )
+    assert _trusted_builds(probe, "probe") == [
+        "probe:1 as t", "probe:<module>", "probe:g", "probe:f",
     ]
