@@ -53,8 +53,9 @@ def _search(inst: Instance, k: int, budget: int, weighted: bool) -> Result | Non
     """The feasible copy vector of size at most k with the smallest key
     (weight, size, vector), as a Result, or None; every weight is 0 unless
     weighted.  Its assignment is the matching that found the vector feasible,
-    which is check_feasible's: both run _augment over each set's bought
-    members in ascending id, and a member without capacity takes no set.
+    which is check_feasible's: both run _augment over each set's members in
+    ascending id, and a member with zero room, unbought or of cap 0, takes
+    no set.
 
     Vectors run over the _limits order and never exceed its limits, so the
     search visits at most the _count_vectors candidates the budget is
@@ -87,8 +88,7 @@ def _search(inst: Instance, k: int, budget: int, weighted: bool) -> Result | Non
         j = ((served + 1) & ~served).bit_length() - 1  # the lowest unserved set
         if j < len(rows):
             return None, [p for p in rows[j] if vec[p] < lims[p]]
-        room = {p: caps[p] * c for p, c in enumerate(vec) if c}
-        target, scanned = _augment([[p for p in row if vec[p]] for row in rows], room)
+        target, scanned = _augment(rows, {p: caps[p] * c for p, c in enumerate(vec)})
         if scanned is None:
             return target, None
         return None, {p for j in scanned for p in rows[j] if vec[p] < lims[p]}

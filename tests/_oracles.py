@@ -8,14 +8,17 @@ values and MDK picks, the equivalence classes and stars as index tuples from
 a full rescan of the family, a conflict test that rescans the family per
 star, the eager per-star scores that candidate_set computes lazily, and the
 enumerate-mode recursion without its failed-subtree memo or without both
-failure memos, and the exact search as it was before it went best-first
-(level by level, with a stopping rule per mode).
+failure memos, the exact search as it was before it went best-first
+(level by level, with a stopping rule per mode), and the matching kernel as
+it was before its direct sweep (one augmenting round per set, over each
+set's bought members only).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import insort
 from collections import Counter
 from fractions import Fraction
 
@@ -33,7 +36,7 @@ from caphs.errors import (
     ValidationError,
 )
 from caphs.exact import _count_vectors, _limits
-from caphs.feasibility import _augment, _bought, assignment_ok, check_feasible
+from caphs.feasibility import _augment, assignment_ok, check_feasible
 from caphs.independence import is_conflicting
 from caphs.reductions import Constraint, CspInstance, MdkInstance
 
@@ -72,6 +75,76 @@ def ford_fulkerson_value(cap, source: int, sink: int) -> int:
             res[u][v] -= push
             res[v][u] += push
         total += push
+
+
+def _bought(inst: Instance, sol: Solution) -> list[int]:
+    for x, c in sol.copies.items():
+        e = inst.element(x)  # raises UnknownElement
+        if e.mult is not None and c > e.mult:
+            raise ValidationError(f"solution buys {c} copies of {x}, mult is {e.mult}")
+    return sorted(x for x, c in sol.copies.items() if c >= 1)
+
+
+def filtered_network(inst: Instance, sol: Solution) -> tuple[list[list[int]], dict[int, int]]:
+    """The b-matching graph as check_feasible built it before the direct
+    sweep: per set, its bought members in ascending id, and per bought
+    element, its room cap * copies."""
+    room = {x: inst.element(x).cap * sol.copies[x] for x in _bought(inst, sol)}
+    members = [[x for x in s if x in room] for s in inst.family]
+    return members, room
+
+
+def augment_by_rounds(members: list[list[int]], room: dict[int, int]):
+    """Assign every set by breadth-first augmenting paths, one round per set,
+    as caphs.feasibility._augment did before its direct sweep.
+
+    Each round searches from the unassigned sets in ascending index, going
+    from a set to its members in the given order and from an element to the
+    sets it holds in ascending index, and shifts the sets on the path to the
+    first element reached with spare room one step forward.  Every member of
+    a set must be a key of room.
+
+    Returns (target, None) with an element per set index, or (None, scanned)
+    when a round finds no path.  Then every member of a scanned set is full
+    and held only by scanned sets, so the scanned sets outnumber their
+    members' room: a Hall violator.
+    """
+    target: dict[int, int] = {}
+    holders: dict[int, list[int]] = {x: [] for x in room}  # ascending set indices
+    free = list(range(len(members)))
+    while free:
+        # reached[x] is the set x was first reached from.  An assigned set is
+        # reached only from its own element, so that element is never revisited.
+        reached: dict[int, int] = {}
+        queue = list(free)
+        end = None
+        for j in queue:  # grows while it is scanned
+            for x in members[j]:
+                if x in reached:
+                    continue
+                reached[x] = j
+                # Elements would leave a BFS queue in the order they are
+                # reached, so testing for room here finds the same one.
+                if len(holders[x]) < room[x]:
+                    end = x
+                    break
+                queue.extend(holders[x])
+            if end is not None:
+                break
+        if end is None:
+            return None, queue
+        x = end
+        while True:
+            j = reached[x]
+            prev = target.get(j)
+            target[j] = x
+            insort(holders[x], j)
+            if prev is None:
+                free.remove(j)
+                break
+            holders[prev].remove(j)
+            x = prev
+    return target, None
 
 
 def dense_network(inst: Instance, sol: Solution):

@@ -7,14 +7,18 @@ Inputs are valid documents, valid documents with one key or value broken,
 documents of another kind, any JSON, and text that is not JSON.  Fraction-valued
 options (--epsilon, --alpha, --beta, rho=, bucket_base=) take values past the
 float range, just below 1, zero, negative, or with a zero denominator.
+Search constants that are valid but extreme (rho near 0, bucket bases near 1,
+huge top_t, thresholds and trial counts, threshold 0) must end solve-approx
+within a wall-clock bound, on its answer, its budget or its trial cap.
 """
 
 import contextlib
 import io
 import json
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from caphs.cli import CSV_COLUMNS, main
@@ -179,3 +183,64 @@ def test_any_document_ends_in_an_exit_code(workdir, run):
         assert len(out.strip().split(",")) == len(CSV_COLUMNS.split(","))
     else:
         assert isinstance(json.loads(out), dict)
+
+
+# Valid but extreme values of each --override-const search constant.
+EXTREME_CONSTANTS = {
+    "rho": ["1e-300", "0.000001", "1/3"],
+    "bucket_base": ["1.0001", "1.000000001", "100000000000000000000"],
+    "top_t": ["1", "2", "1000000000000"],
+    "small_class_threshold": ["0", "1", "1000000000000000"],
+    "max_coloring_trials": ["1", "1000000000000"],
+}
+
+
+@st.composite
+def extreme_runs(draw):
+    """solve-approx argv (k <= 3, budget <= 2000, either mode, some extreme
+    constants) and a valid instance document with n <= 6."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    sets = st.sets(st.integers(0, n - 1), min_size=1, max_size=d).map(sorted)
+    doc = {
+        "format": 1,
+        "d": d,
+        "elements": [
+            {"id": i, "cap": draw(st.integers(0, 3)), "mult": draw(st.none() | st.integers(1, 3)),
+             "weight": draw(st.integers(0, 5))}
+            for i in range(n)
+        ],
+        "family": draw(st.lists(sets, min_size=1, max_size=6)),
+    }
+    argv = ["solve-approx", "--k", str(draw(st.integers(1, 3))),
+            "--budget", str(draw(st.integers(1, 2000))),
+            "--mode", draw(st.sampled_from(["guided", "enumerate"]))]
+    for key, values in EXTREME_CONSTANTS.items():
+        value = draw(st.none() | st.sampled_from(values))
+        if value is not None:
+            argv += ["--override-const", f"{key}={value}"]
+    return argv, json.dumps(doc)
+
+
+# One coloring allowed: guided mode may stop on the trial cap, not the budget.
+ONE_TRIAL = (["solve-approx", "--k", "2", "--budget", "118", "--override-const", "top_t=2",
+              "--override-const", "max_coloring_trials=1"],
+             json.dumps({"format": 1, "d": 3, "elements": [{"id": 0, "cap": 1, "mult": 2, "weight": 5}],
+                         "family": [[0], [0]]}))
+
+
+@settings(max_examples=150, deadline=None)
+@example(run=ONE_TRIAL)
+@given(run=extreme_runs())
+def test_extreme_search_constants_end_in_bounded_time(workdir, run):
+    argv, text = run
+    path = workdir / "extreme.json"
+    path.write_text(text, encoding="utf-8")
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + [str(path)])
+    assert time.perf_counter() - start < 2.0, argv
+    doc = json.loads(out.getvalue())  # one JSON document
+    assert code in (0, 1, 2)
+    # Every constant is valid, so only the budget or the trial cap may stop the solve.
+    assert code != 2 or doc["error"]["type"] in ("BudgetExceeded", "NoColoringSeparates"), doc

@@ -1,9 +1,11 @@
 """Differential properties: the best-first deficit-branching search returns
 exactly what checking every copy vector in (size, lexicographic) order
-returns, and exactly what the level-by-level search it replaced returns."""
+returns, exactly what the level-by-level search it replaced returns, and
+exactly what it returns on the round-by-round matcher without its sweep."""
 
 import functools
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +15,7 @@ from caphs.errors import BudgetExceeded
 from caphs.exact import solve_exact, solve_exact_weighted
 from caphs.feasibility import _augment
 
-from _oracles import enumerate_exact, enumerate_exact_weighted, level_search_exact
+from _oracles import augment_by_rounds, enumerate_exact, enumerate_exact_weighted, level_search_exact
 
 
 @st.composite
@@ -78,6 +80,25 @@ def test_search_matches_the_level_by_level_search(inst, k):
     for solver, weighted in ((solve_exact, False), (solve_exact_weighted, True)):
         reference = functools.partial(level_search_exact, weighted=weighted)
         assert _outcome(solver, inst, k, budget) == _outcome(reference, inst, k, budget)
+
+
+def _rounds_on_bought_members(rows, room):
+    """augment_by_rounds on the network the search passed before the sweep:
+    each row cut to its members with room, and room to those members."""
+    return augment_by_rounds([[p for p in row if room[p]] for row in rows],
+                             {p: r for p, r in room.items() if r})
+
+
+@settings(max_examples=150, deadline=None)
+@example(LIGHTER_PAIR, 2)
+@given(instances(), st.integers(min_value=0, max_value=4))
+def test_search_is_unchanged_on_the_round_by_round_matcher(inst, k):
+    budget = 10**6
+    for solver in (solve_exact, solve_exact_weighted):
+        got = _outcome(solver, inst, k, budget)
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(exact, "_augment", _rounds_on_bought_members)
+            assert _outcome(solver, inst, k, budget) == got
 
 
 def test_weight_mode_stops_at_its_first_feasible_vector(monkeypatch):

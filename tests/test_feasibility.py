@@ -1,21 +1,25 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import caphs.feasibility as feasibility
 from caphs.core import Assignment, Element, Instance, Solution, ValidationError, generate_instance
 from caphs.errors import CaphsError
 from caphs.feasibility import _augment, assignment_ok, build_network, check_feasible
+from caphs.reductions import Constraint, CspInstance, csp_to_mdk, mdk_to_cvc, solve_mdk_exact
 
 from _oracles import (
     OracleTooLarge,
     assign_backtracking,
+    augment_by_rounds,
     brute_force_assignment,
     dense_network,
     edmonds_karp_assignment,
+    filtered_network,
     ford_fulkerson_value,
 )
+from test_reductions import REDUCE_PAIRS_SEED11
 
 GEN = {
     "n": 5,
@@ -104,6 +108,66 @@ def test_failed_search_reports_a_hall_violator(case):
     assert len(scanned) > sum(room[x] for x in reached)
 
 
+def _matching(result):
+    """(target items in insertion order, scanned) of an _augment result."""
+    target, scanned = result
+    return None if target is None else list(target.items()), scanned
+
+
+# Feasible with copies above 1 and a cap-0 member; infeasible with an
+# unbought member and a Hall violator the sweep alone cannot see.
+SHARED = (Element(id=0, cap=0), Element(id=1, cap=1, mult=3), Element(id=2, cap=2))
+
+
+@settings(max_examples=400)
+@example((Instance(elements=SHARED, family=((0, 1), (1, 2), (1,), (2,)), d=2),
+          Solution(copies={0: 1, 1: 2, 2: 1})))
+@example((Instance(elements=SHARED, family=((1, 2), (1,), (1, 2), (0, 1)), d=2),
+          Solution(copies={1: 1, 2: 1})))
+@given(instances_with_solutions())
+def test_sweep_then_rounds_matches_rounds_alone(case):
+    # The sweep makes the rounds' first assignments, and members without room
+    # change nothing: the same target in the same order, or the same scanned
+    # sets in the same order.
+    inst, sol = case
+    want = _matching(augment_by_rounds(*filtered_network(inst, sol)))
+    assert _matching(_augment(*build_network(inst, sol))) == want
+
+
+def _seed11_covers():
+    """The two satisfiable reduction-chain covers of the seed-11 corpus, each
+    with the solution its MDK picks buy."""
+    for first in (0, 6):
+        allowed = REDUCE_PAIRS_SEED11[first : first + 3]
+        csp = CspInstance(k=2, n=2, constraints=tuple(Constraint(0, 1, a) for a in allowed))
+        mdk = csp_to_mdk(csp, Q=csp.n + 1)
+        picks = solve_mdk_exact(mdk)
+        nvec = len(mdk.vectors)
+        yield mdk_to_cvc(mdk), Solution({**{j: 1 for j in picks}, **{nvec + i: 1 for i in range(mdk.d)}})
+
+
+def test_the_sweep_alone_assigns_a_set_with_room_everywhere(monkeypatch):
+    # Only the augmenting rounds insort; a network the sweep completes must
+    # never reach them.
+    def no_rounds(*args):
+        raise AssertionError("an augmenting round ran")
+
+    monkeypatch.setattr(feasibility, "insort", no_rounds)
+    for cover, sol in _seed11_covers():
+        assert cover.m == 171
+        assert assignment_ok(cover, sol, check_feasible(cover, sol))
+    # Element 0 is bought with cap 0 and element 2 is not bought: both are
+    # passed over, and every set takes element 1.
+    inst = Instance(elements=(Element(id=0, cap=0), Element(id=1, cap=1, mult=3), Element(id=2, cap=1)),
+                    family=((0, 1), (1, 2), (0, 1)), d=2)
+    asg = check_feasible(inst, Solution(copies={0: 1, 1: 3}))
+    assert asg.target == {0: 1, 1: 1, 2: 1}
+    # The control: a set that must displace another needs a round.
+    shift = Instance(elements=(Element(id=0, cap=1), Element(id=1, cap=1)), family=((0, 1), (0,)), d=2)
+    with pytest.raises(AssertionError, match="round"):
+        check_feasible(shift, Solution(copies={0: 1, 1: 1}))
+
+
 def test_matcher_keeps_dense_bfs_tie_breaks():
     feasible = 0
     for inst, sol in random_cases(5, 400):
@@ -118,14 +182,15 @@ def test_matcher_keeps_dense_bfs_tie_breaks():
 
 
 def test_build_network_shape():
+    # Members are the family itself; room has every element id, 0 unless bought.
     inst = generate_instance(GEN, seed=3)
     sol = Solution(copies={0: 1, 2: 2})
     members, room = build_network(inst, sol)
-    assert room == {0: inst.element(0).cap, 2: 2 * inst.element(2).cap}
-    assert len(members) == inst.m
-    for j, row in enumerate(members):
-        assert row == [x for x in inst.family[j] if x in (0, 2)]
-        assert row == sorted(row)
+    assert room == {**dict.fromkeys(range(inst.n), 0),
+                    0: inst.element(0).cap, 2: 2 * inst.element(2).cap}
+    assert members is inst.family
+    for row in members:
+        assert list(row) == sorted(row)
 
 
 def test_check_feasible_raises_when_postcondition_fails(monkeypatch):
