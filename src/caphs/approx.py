@@ -213,13 +213,6 @@ class AnnotatedTuple:
             rows.append(tuple(sorted((cls, g) for cls, g in row if g)))
         object.__setattr__(self, "gamma", tuple(rows))
 
-    @classmethod
-    def _trusted(cls, S, parts, pi, gamma) -> "AnnotatedTuple":
-        """A canonical, valid tuple built without __post_init__: every tuple a solve builds."""
-        t = object.__new__(cls)
-        t.__dict__.update(S=S, parts=parts, pi=pi, gamma=gamma, r=len(parts))
-        return t
-
 
 @dataclass(frozen=True)
 class ExtendedResult:
@@ -242,8 +235,8 @@ class Search:
     Search(inst, k, cfg) searches for target size k: cfg (the defaults when
     None) resolved for inst.d and k.  It takes cfg's two budgets and reads
     inst once for caps, each element id's capacity (incidence is inst.hits).
-    It memoizes what depends only on S (its frame: each realized class to its
-    set mask, in class order, the sorted order that every pi a solve builds
+    It memoizes what depends only on S (its frame: equivalence_classes, each
+    realized class to its set mask in the class order every pi a solve builds
     keeps too) or on a class size and k, which fixes the bucket base
     (the gamma values enumerate_tuples ranges over).  resize(k) is the one
     way to change the target size; budgets and memos carry across sizes.
@@ -312,7 +305,7 @@ class Search:
         """Each realized class of a sorted S to its set mask, in class order."""
         got = self._frames.get(S)
         if got is None:
-            got = self._frames[S] = dict(sorted(equivalence_classes(self.inst, S).items()))
+            got = self._frames[S] = equivalence_classes(self.inst, S)
         return got
 
     def gamma_values(self, size: int) -> list[int]:
@@ -460,16 +453,17 @@ def enumerate_tuples(S, parts, ctx: Search):
     """
     S = tuple(sorted(S))
     parts = tuple(tuple(sorted(p)) for p in parts)
+    r = len(parts)
     if len(S) == ctx.k:
         ctx.charge_tuple()
-        yield AnnotatedTuple._trusted(S, parts, {}, ())
+        yield _trusted(AnnotatedTuple, S=S, parts=parts, pi={}, gamma=(), r=r)
         return
     frame = ctx.frame(S)
     # Rows are cut per tuple from one product, rows^r of which may dwarf the
     # tuple budget; each distinct row is built once, after its first charge.
     n = len(frame)
-    cuts = [(i, i + n) for i in range(0, n * len(parts), n)]
-    values = [ctx.gamma_values(mask.bit_count()) for mask in frame.values()] * len(parts)
+    cuts = [(i, i + n) for i in range(0, n * r, n)]
+    values = [ctx.gamma_values(mask.bit_count()) for mask in frame.values()] * r
     rows: dict = {}
     # pi sends the empty class, first in class order, to min(S), and any other anywhere in S.
     for choice in itertools.product(*([S if cls else S[:1] for cls in frame] if S else [])):
@@ -483,7 +477,7 @@ def enumerate_tuples(S, parts, ctx: Search):
                 if row is None:  # the (class, demand) pairs with a positive demand
                     row = rows[key] = tuple(itertools.compress(zip(frame, key), key))
                 gamma.append(row)
-            yield AnnotatedTuple._trusted(S, parts, pi, tuple(gamma))
+            yield _trusted(AnnotatedTuple, S=S, parts=parts, pi=pi, gamma=tuple(gamma), r=r)
 
 
 def good_tuple_from_opt(
@@ -508,7 +502,7 @@ def good_tuple_from_opt(
         tuple((cls, ctx.gamma_values(c)[-1]) for cls, got in held.items() if (c := got.get(v, 0)))
         for v in rep
     )
-    return AnnotatedTuple._trusted(S, parts, pi, gamma)
+    return _trusted(AnnotatedTuple, S=S, parts=parts, pi=pi, gamma=gamma, r=len(parts))
 
 
 def solve_annotated(t: AnnotatedTuple, ctx: Search) -> Solution | None:
@@ -581,14 +575,12 @@ def _oracle_reps(S, parts, opt: Solution) -> list[int]:
     return rep
 
 
-def _solve_guided(
-    t: AnnotatedTuple, opt: Solution, asg: Assignment, ctx: Search
-) -> Solution | None:
-    """Guided mode, one step per pass while t has parts: tau1, tau2 send each s
-    to the two parts whose oracle elements cover most of star s; the first oracle
-    element left in X'' is committed (t becomes the tuple the optimum induces
-    below it), else t is closed.  The r = 0 leaf is closed after the loop."""
-    while t.r:
+def _solve_guided(S, parts, opt: Solution, asg: Assignment, ctx: Search) -> Solution | None:
+    """Guided mode from (S, parts): per pass, t is the tuple the optimum induces
+    on them; tau1, tau2 send each s to the two parts whose oracle elements cover
+    most of star s; the first oracle element left in X'' joins S and its part
+    leaves, else t is closed.  The r = 0 leaf is closed after the loop."""
+    while (t := good_tuple_from_opt(S, parts, opt, asg, ctx)).r:
         rep = _oracle_reps(t.S, t.parts, opt)
         st = stars(ctx.frame(t.S), t.pi)
         tau1, tau2 = {}, {}
@@ -600,8 +592,7 @@ def _solve_guided(
         hit = next((i for i in range(t.r) if rep[i] in xpp[i]), None)
         if hit is None:
             return solve_extended(t, tau1, tau2, xpp, ctx).solution
-        rest = t.parts[:hit] + t.parts[hit + 1 :]
-        t = good_tuple_from_opt(t.S + (rep[hit],), rest, opt, asg, ctx)
+        S, parts = t.S + (rep[hit],), t.parts[:hit] + t.parts[hit + 1 :]
     return solve_extended(t, {}, {}, (), ctx).solution
 
 
@@ -719,8 +710,7 @@ def _guided(inst: Instance, k: int, cfg: SolverConfig, oracle: Result) -> Result
         delta = _window_width(cfg.epsilon, W, ell, inst2.n)
         bvec = [inst2.element(v).weight // delta for v in _oracle_reps((), parts, opt2)]
         parts = _weight_windows(inst2, parts, bvec, delta)
-    root = good_tuple_from_opt((), parts, opt2, asg2, ctx)
-    sol2 = _solve_guided(root, opt2, asg2, ctx)
+    sol2 = _solve_guided((), parts, opt2, asg2, ctx)
     return None if sol2 is None else _finish(inst, sol2, exp.back)
 
 

@@ -10,8 +10,9 @@ Instance.hits is the one element-to-set incidence: how many sets of a group
 Validation happens at the boundary: the parsers check a document's shape, and
 every model checks its fields when built, refusing a bool where an integer
 belongs.  The builders whose output is canonical and valid by construction
-(reductions._cvc_instance, csp_to_mdk, csp_to_mdk_covering and
-approx.expand_multiplicities) build through _trusted and skip the re-check.
+(reductions._cvc_instance, csp_to_mdk, csp_to_mdk_covering, and approx's
+expand_multiplicities, enumerate_tuples and good_tuple_from_opt) build
+through _trusted, the one unchecked builder, and skip the re-check.
 """
 
 from __future__ import annotations
@@ -166,8 +167,8 @@ def equivalence_classes(inst: Instance, S) -> dict[tuple[int, ...], int]:
 
     Returns:
         A dict from each realized class, the sorted tuple A ∩ S, to the mask
-        of its family indices, in order of the class's first set; the empty
-        tuple collects every set disjoint from S.  The masks partition
+        of its family indices, in class order (sorted); the empty tuple
+        collects every set disjoint from S.  The masks partition
         range(inst.m): each x of S, ascending, splits every class by hits[x].
     """
     classes = {(): (1 << inst.m) - 1} if inst.m else {}
@@ -182,7 +183,7 @@ def equivalence_classes(inst: Instance, S) -> dict[tuple[int, ...], int]:
             if outside := mask & ~h:
                 split[E] = outside
         classes = split
-    return dict(sorted(classes.items(), key=lambda item: item[1] & -item[1]))
+    return dict(sorted(classes.items()))
 
 
 def stars(classes: dict, pi: dict[tuple[int, ...], int]) -> dict[int, int]:

@@ -489,7 +489,8 @@ def construct_small_dominator(g):
 
 def rescan_classes(inst: Instance, S) -> dict[tuple[int, ...], tuple[int, ...]]:
     """equivalence_classes as index tuples: each set's A ∩ S read off its
-    member list, classes in order of their first set."""
+    member list.  The classes come in order of their first set; sorted, they
+    are in class order, as equivalence_classes returns them."""
     s_set = set(S)
     for x in s_set:
         if x not in inst.by_id:

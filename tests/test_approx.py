@@ -689,6 +689,37 @@ def test_guided_weighted_stays_within_bound():
     assert checked >= 10
 
 
+def test_guided_returns_its_oracle_at_default_constants(monkeypatch):
+    # At the default constants no part is ranked, so every oracle element
+    # stays in X'': the descent commits them all, closes once on the r = 0
+    # leaf (the lifted optimum) and maps back to the oracle's own Result.
+    closed = []
+    real = approx.solve_extended
+
+    def recording(t, *rest):
+        closed.append(t.r)
+        return real(t, *rest)
+
+    monkeypatch.setattr(approx, "solve_extended", recording)
+    answered = 0
+    for n, extra, weights, seed, k in itertools.product(
+        range(3, 9), (0, 2), ((1, 1), (1, 9)), range(20), range(1, 5)
+    ):
+        inst = generate_instance({**GEN, "n": n, "m": n + extra, "weight_range": weights}, seed)
+        for cfg, exact in ((SolverConfig(), solve_exact),
+                           (SolverConfig(epsilon=Fraction(1, 2)), solve_exact_weighted)):
+            oracle = exact(inst, k)
+            if oracle is None:
+                continue
+            closed.clear()
+            # An equal Result: the same copies, assignment.target and weight.
+            assert solve_approx(inst, k, cfg, mode=GUIDED) == oracle
+            assert closed == [0]
+            answered += 1
+    # Pinned so that a change that makes guided answer less cannot pass vacuously.
+    assert answered == 1560
+
+
 def test_guided_none_when_infeasible():
     inst = generate_instance(GEN_UNW, seed=7)
     assert solve_exact(inst, 2) is None

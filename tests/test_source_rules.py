@@ -265,7 +265,7 @@ def test_each_shared_rule_has_one_copy():
 def _trusted_builds(text: str, label: str) -> list[str]:
     """Each read of core's _trusted (bare or as core._trusted) as label:function,
     by innermost enclosing function (<module> outside any), and each import
-    that renames it.  AnnotatedTuple._trusted is another function."""
+    that renames it."""
     tree = ast.parse(text, filename=label)
     owner = _owners(tree)
     found = []
@@ -291,7 +291,8 @@ def test_only_canonical_builders_skip_validation():
         for entry in _trusted_builds(path.read_text(encoding="utf-8"), path.name)
     }
     assert found == {
-        "approx.py:expand_multiplicities", "reductions.py:_cvc_instance",
+        "approx.py:enumerate_tuples", "approx.py:expand_multiplicities",
+        "approx.py:good_tuple_from_opt", "reductions.py:_cvc_instance",
         "reductions.py:csp_to_mdk", "reductions.py:csp_to_mdk_covering",
     }, "core._trusted read in: " + ", ".join(sorted(found))
     probe = (
@@ -303,3 +304,15 @@ def test_only_canonical_builders_skip_validation():
     assert _trusted_builds(probe, "probe") == [
         "probe:1 as t", "probe:<module>", "probe:g", "probe:f",
     ]
+
+
+def test_only_core_trusted_builds_without_init():
+    # object.__new__ skips a model's checks.  core._trusted is the one place
+    # that calls it, so the rule above sees every unchecked build.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = _owners(tree)
+        found += [f"{path.name}:{owner.get(id(node), '<module>')}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "__new__"]
+    assert found == ["core.py:_trusted"], "__new__ read in: " + ", ".join(found)

@@ -1,20 +1,26 @@
 """The builders that skip the model checks build what the checks would accept.
 
-mdk_to_cvc, mdk_to_wcvc, csp_to_mdk, csp_to_mdk_covering and
-expand_multiplicities build their output through core._trusted, without
-__post_init__.  Rebuilding that output with the checking constructors must
-give an equal object: the same field types, every set already sorted, and
-no field the checks would refuse.
+mdk_to_cvc, mdk_to_wcvc, csp_to_mdk, csp_to_mdk_covering,
+expand_multiplicities, enumerate_tuples and good_tuple_from_opt build their
+output through core._trusted, without __post_init__.  Rebuilding that output
+with the checking constructors must give an equal object: the same field
+types, every set already sorted, and no field the checks would refuse.
 """
 
 import hashlib
 import random
 from dataclasses import replace
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caphs.approx import expand_multiplicities
+from caphs.approx import (
+    AnnotatedTuple,
+    Search,
+    SolverConfig,
+    enumerate_tuples,
+    expand_multiplicities,
+)
 from caphs.core import Element, Instance, generate_instance, serialize_instance
 from caphs.reductions import (
     Constraint,
@@ -101,6 +107,28 @@ def test_clone_builds_equal_the_checked_builds(n, m, d, seed, unbounded, k):
         inst = replace(inst, elements=(replace(inst.elements[0], mult=None),) + inst.elements[1:])
     clones = expand_multiplicities(inst, k).instance
     assert checked_instance(clones) == clones
+
+
+@settings(deadline=None)  # two parts on four classes of two sets yield 52 488 tuples
+@given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 3), st.integers(0, 10 ** 6),
+       st.data())
+def test_trusted_tuples_equal_the_checked_builds(n, m, d, seed, data):
+    # S of up to two ids and up to two singleton parts, so the S = () root
+    # and the r = 0 leaf are both drawn.  The checked build puts pi in class
+    # order; dict equality ignores order, but the replay keys read pi's items
+    # as they stand, so the items are compared as a list too.
+    params = {"n": n, "m": m, "d": d, "cap_range": (0, 3), "weight_range": (1, 1),
+              "mult_range": (1, 1)}
+    inst = generate_instance(params, seed)
+    ids = data.draw(st.permutations(range(n)))
+    s = data.draw(st.integers(0, min(2, n)))
+    r = data.draw(st.integers(0 if s else 1, min(2, n - s)))
+    S, parts = tuple(ids[:s]), tuple((v,) for v in ids[s : s + r])
+    cfg = SolverConfig(tuple_budget=10 ** 9)
+    for t in enumerate_tuples(S, parts, Search(inst, s + r, cfg)):
+        checked = AnnotatedTuple(S=t.S, parts=t.parts, pi=t.pi, gamma=t.gamma)
+        assert vars(t) == vars(checked)
+        assert list(t.pi.items()) == list(checked.pi.items())
 
 
 def test_cover_builds_serialize_as_the_checked_builds_did():
