@@ -15,18 +15,17 @@ The enumeration remembers every subtree that failed, with the tuple and
 recursion charges it made, keyed by what the subtree reads: (S, parts) for
 the tuples on them, and for one tuple with r >= 1 (S, parts, pi, X', then
 gamma or ()), gamma only when candidate_set reads it: when some X'_i is
-ranked.  Every key recorded has |S| + len(parts) = k, so none holds k.
-Meeting a key again subtracts its charges when both budgets cover them and
-otherwise searches it again, so BudgetExceeded fires at the same charge, with
-the same message, as a search without the memos.  A leaf (|S| = k) reads
-neither pi nor gamma, so enumerate_tuples builds no frame.
+ranked.  Meeting a key again subtracts its charges when both budgets cover
+them and otherwise searches it again, so BudgetExceeded fires at the same
+charge, with the same message, as a search without the memos.  A leaf
+(|S| = k) reads neither pi nor gamma, so enumerate_tuples builds no frame.
 
 The closing step charges nothing and runs afresh for each extended tuple;
-Search keeps its quotas by (r, tau pairs) and its conflicts by (S, pi, k),
-since k fixes rho.  Before it builds a Solution, the closing step rejects a
-pick that leaves some set without a picked member or whose capacities sum
-below m, from Instance.hits and the capacities Search holds: the only check
-of those two rules.  check_feasible's matching decides the rest.
+Search keeps its quotas by (r, tau pairs) and its conflicts by (S, pi).
+Before it builds a Solution, the closing step rejects a pick that leaves some
+set without a picked member or whose capacities sum below m, from
+Instance.hits and the capacities Search holds: the only check of those two
+rules.  check_feasible's matching decides the rest.
 
 A class or a star is a set mask: frame(S) holds the class masks, a star ORs
 those that pi sends to s, and guided mode counts the sets of one charged to x
@@ -37,9 +36,10 @@ of X'_i for a small part; only a part above small_class_threshold is ranked,
 so candidate_set scores those parts alone.
 
 Every layer takes the pieces of a tuple it reads (t, tau1, tau2, X'') and one
-Search last: the instance, its capacities, the target size k,
-the config resolved for it, both budgets and the per-S memos of one search.
-A direct call builds it with Search(inst, k, cfg); Search.resize changes k.
+Search last: the instance, its capacities, the target size k, the config
+resolved for it, both budgets and the memos of one search.  A direct call
+builds it with Search(inst, k, cfg).  Search.resize changes k and starts every
+memo but the frames empty, so no key holds k or the rho and base it fixes.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class SolverConfig:
     by resolved(); the size itself is the k of a solve.
 
     The theory constants are enormous (top_t = d*k^10 and so on); stress tests
-    override them downward, which only ever shrinks the search space.
+    override them downward, but a bucket_base nearer 1 adds rungs and gamma rows.
     """
 
     rho: Fraction | None = None
@@ -235,42 +235,39 @@ class Search:
     Search(inst, k, cfg) searches for target size k: cfg (the defaults when
     None) resolved for inst.d and k.  It takes cfg's two budgets and reads
     inst once for caps, each element id's capacity (incidence is inst.hits).
-    It memoizes what depends only on S (its frame: equivalence_classes, each
-    realized class to its set mask in the class order every pi a solve builds
-    keeps too) or on a class size and k, which fixes the bucket base
-    (the gamma values enumerate_tuples ranges over).  resize(k) is the one
-    way to change the target size; budgets and memos carry across sizes.
+    The budgets and _frames live for the whole search: a frame depends only
+    on S (equivalence_classes: each realized class to its set mask, in the
+    class order every pi a solve builds keeps too).  Every other memo lives
+    for one size, whose k fixes the config it reads; resize(k), the one way
+    to change the target size, starts it empty.
 
-    _failed maps the key of an enumerate-mode subtree that found nothing to
-    the (tuple, recursion) charges it made: (sorted S, parts) from
-    _search_below, and (S, parts, pi items, X', then gamma or ())
-    from solve_annotated.  replayed() and record_failure() are the one rule
-    both apply.  Only failures are stored, and every entry charged at least
-    one tuple itself, so there are at most tuple_budget.
-
-    The closing step is computed afresh each time; what it looks up is kept:
-    _quotas maps (r, the (tau1(s), tau2(s)) pairs over sorted S) to the quota
-    vector, and _independence maps (S, pi items, k), k standing for
-    the rho it fixes, to an IndependenceContext with its conflict cache.
+    _gammas maps a class size to the gamma values enumerate_tuples ranges
+    over.  _failed maps the key of an enumerate-mode subtree that found
+    nothing to the (tuple, recursion) charges it made: (sorted S, parts)
+    from _search_below, and (S, parts, pi items, X', then gamma or ()) from
+    solve_annotated.  replayed() and record_failure() are the one rule both
+    apply.  Only failures are stored, and every entry charged at least one
+    tuple itself, so there are at most tuple_budget.  The closing step is
+    computed afresh each time; what it looks up is kept: _quotas maps (r,
+    the (tau1(s), tau2(s)) pairs over sorted S) to the quota vector, and
+    _independence maps (S, pi items) to an IndependenceContext, the one
+    place a search builds stars, with its conflict cache.
     """
 
     def __init__(self, inst: Instance, k: int, cfg: SolverConfig | None = None):
         self.inst = inst
         self._given = cfg if cfg is not None else SolverConfig()
-        self.resize(k)
         self.tuples = self._given.tuple_budget
         self.recursions = self._given.recursion_budget
         self.caps = {e.id: e.cap for e in inst.elements}
         self._frames: dict = {}
-        self._gammas: dict = {}
-        self._failed: dict = {}
-        self._quotas: dict = {}
-        self._independence: dict = {}
+        self.resize(k)
 
     def resize(self, k: int):
-        """Search for size k from now on, with the config resolved for it."""
+        """Search for size k from now on: its config resolved, every memo but the frames empty."""
         self.cfg = self._given.resolved(self.inst.d, k)
         self.k = k
+        self._gammas, self._independence, self._quotas, self._failed = {}, {}, {}, {}
 
     def charge_tuple(self):
         if self.tuples <= 0:
@@ -310,10 +307,9 @@ class Search:
 
     def gamma_values(self, size: int) -> list[int]:
         """0 plus the bucket rungs up to size: the demands on a class that big."""
-        key = (size, self.k)  # k fixes the bucket base; a Fraction hashes slowly
-        if key not in self._gammas:
-            self._gammas[key] = [0] + bucket_values_upto(size, self.cfg.bucket_base)
-        return self._gammas[key]
+        if size not in self._gammas:
+            self._gammas[size] = [0] + bucket_values_upto(size, self.cfg.bucket_base)
+        return self._gammas[size]
 
     def quotas(self, r: int, pairs: tuple) -> tuple[int, ...]:
         """2 for each part the minimum dominator takes, else 1: blue j is adjacent
@@ -329,8 +325,8 @@ class Search:
         return self._quotas[r, pairs]
 
     def independence(self, S: tuple[int, ...], pi: dict) -> IndependenceContext:
-        """The (S, pi, rho) conflict relation and its caches, one per search."""
-        key = (S, tuple(pi.items()), self.k)  # k fixes rho; a Fraction hashes slowly
+        """The (S, pi, rho) conflict relation, its stars and caches, one per size."""
+        key = (S, tuple(pi.items()))
         if key not in self._independence:
             st = stars(self.frame(S), pi)
             self._independence[key] = IndependenceContext(stars=st, rho=self.cfg.rho)
@@ -582,7 +578,7 @@ def _solve_guided(S, parts, opt: Solution, asg: Assignment, ctx: Search) -> Solu
     leaves, else t is closed.  The r = 0 leaf is closed after the loop."""
     while (t := good_tuple_from_opt(S, parts, opt, asg, ctx)).r:
         rep = _oracle_reps(t.S, t.parts, opt)
-        st = stars(ctx.frame(t.S), t.pi)
+        st = ctx.independence(t.S, t.pi).stars
         tau1, tau2 = {}, {}
         for s in t.S:
             cover = [(st.get(s, 0) & asg.owned.get(v, 0)).bit_count() for v in rep]

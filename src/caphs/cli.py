@@ -112,8 +112,9 @@ def fraction(text: str) -> Fraction:
         raise ValueError(f"{text!r} has a zero denominator") from None
 
 
-_OVERRIDE_FRACTIONS = {"rho", "bucket_base"}
-_OVERRIDE_INTS = {"top_t", "small_class_threshold", "max_coloring_trials"}
+# What --override-const may set, in help order, each with the parser of its value.
+_OVERRIDES = dict(rho=fraction, top_t=int, small_class_threshold=int,
+                  bucket_base=fraction, max_coloring_trials=int)
 
 
 def _config_from(args) -> SolverConfig:
@@ -123,12 +124,9 @@ def _config_from(args) -> SolverConfig:
         fields.update(tuple_budget=args.budget, recursion_budget=args.budget)
     for kv in args.override_const or []:
         key, _, val = kv.partition("=")
-        if key in _OVERRIDE_FRACTIONS:
-            fields[key] = fraction(val)
-        elif key in _OVERRIDE_INTS:
-            fields[key] = int(val)
-        else:
+        if key not in _OVERRIDES:
             raise ValueError(f"unknown override {key!r}")
+        fields[key] = _OVERRIDES[key](val)
     return SolverConfig(**fields)
 
 
@@ -311,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="KEY=VAL",
-        help="search constant override (rho, top_t, small_class_threshold, bucket_base, max_coloring_trials)",
+        help=f"search constant override ({', '.join(_OVERRIDES)})",
     )
     c.set_defaults(func=cmd_solve_approx)
 

@@ -373,6 +373,14 @@ def mdk_to_wcvc(mdk: MdkInstance) -> Instance:
     return _cvc_instance(mdk, weighted=True)
 
 
+def _subfamily_size(count: int, alpha, budget: int) -> int:
+    """ceil(alpha * count), or BudgetExceeded when more than budget subfamilies have that size."""
+    s_min = math.ceil(Fraction(alpha) * count)
+    if (total := math.comb(count, s_min)) > budget:
+        raise BudgetExceeded(f"{total} subfamilies of size {s_min} exceed budget {budget}")
+    return s_min
+
+
 def verify_covering_family(family, n: int, alpha, beta, budget: int = 10 ** 6) -> bool:
     """Check that every ceil(alpha*|F|)-subfamily covers (1-beta)n ground elements.
 
@@ -385,7 +393,7 @@ def verify_covering_family(family, n: int, alpha, beta, budget: int = 10 ** 6) -
     for s in fam:
         if any(not (0 <= x < n) for x in s):
             raise ValidationError("family member outside ground set")
-    s_min = math.ceil(Fraction(alpha) * len(fam))
+    s_min = _subfamily_size(len(fam), alpha, budget)
     need = (1 - Fraction(beta)) * n
 
     def ok(idxs) -> bool:
@@ -394,9 +402,6 @@ def verify_covering_family(family, n: int, alpha, beta, budget: int = 10 ** 6) -
             union |= fam[j]
         return Fraction(len(union)) >= need
 
-    total = math.comb(len(fam), s_min)
-    if total > budget:
-        raise BudgetExceeded(f"{total} subfamilies of size {s_min} exceed budget {budget}")
     return all(ok(idxs) for idxs in itertools.combinations(range(len(fam)), s_min))
 
 
@@ -417,13 +422,12 @@ def _covering_threshold(alpha: Fraction, beta: Fraction) -> float:
     return num / den if den else math.inf
 
 
-def build_covering_family(
-    n: int, alpha, beta, r: int, seed: int = 0, trials: int = 200
-):
+def build_covering_family(n: int, alpha, beta, r: int, seed: int = 0, trials: int = 200):
     """Sample uniform r-subsets until the covering property verifies, or None.
 
     The parameter gate r > log_{1/(1-beta)}(e^2/alpha) is the regime where a
     random family of ceil(n/alpha) subsets works with constant probability.
+    A family too large to verify raises BudgetExceeded before any is drawn.
     """
     alpha = Fraction(alpha)
     beta = Fraction(beta)
@@ -436,6 +440,8 @@ def build_covering_family(
         raise ParameterViolation(f"r={r} exceeds the ground set size {n}")
     size = math.ceil(Fraction(n) / alpha)
     rng = Stream(int(seed))
+    if trials >= 1:
+        _subfamily_size(size, alpha, 10 ** 6)
     for _ in range(trials):
         fam = [tuple(sorted(rng.choice(n, r))) for _ in range(size)]
         if verify_covering_family(fam, n, alpha, beta):

@@ -35,6 +35,7 @@ from caphs.core import (
     Assignment,
     Element,
     Instance,
+    Result,
     Solution,
     generate_instance,
 )
@@ -42,6 +43,7 @@ from caphs.errors import (
     BudgetExceeded,
     InvariantViolated,
     NoColoringSeparates,
+    OracleInconsistent,
     PreconditionViolated,
 )
 from caphs.exact import solve_exact, solve_exact_weighted
@@ -490,8 +492,9 @@ def closing_runs(draw):
 @given(closing_runs())
 def test_closing_on_shared_memos_matches_a_fresh_search(runs):
     # One Search closes every case, resized for each size as solve_approx
-    # does, so its quota and independence memos fill across cases and sizes;
-    # each answer must equal that of a Search that closed nothing else.
+    # does, so its frames fill across cases and sizes and its quota and
+    # independence memos across the cases of one size; each answer must
+    # equal that of a Search that closed nothing else.
     for inst, cfg, cases in runs:
         shared = Search(inst, 1, cfg)
         for t, tau1, tau2 in cases * 2:
@@ -502,6 +505,41 @@ def test_closing_on_shared_memos_matches_a_fresh_search(runs):
                 xpp = candidate_set(t, tau1, info_tuple(t, ctx), ctx) if t.r else ()
                 got.append(solve_extended(t, tau1, tau2, xpp, ctx))
             assert got[0] == got[1]
+
+
+def _search_outcome(parts, ctx):
+    """What _search_below((), parts, ctx) answers, and the budgets it leaves."""
+    try:
+        got = approx._search_below((), parts, ctx)
+        got = None if got is None else got.copies
+    except BudgetExceeded as exc:
+        got = str(exc)
+    return got, (ctx.tuples, ctx.recursions)
+
+
+def test_a_resized_search_matches_a_fresh_one():
+    # Only the frames outlive a size.  At each size k, a Search that searched
+    # the other sizes first, each from full budgets, must answer and charge
+    # as a fresh Search.  Elements 1 and 2 share one of their 16 sets, so
+    # they conflict at rho 1/81 (size 3) and not at 1/16 (size 2), and every
+    # feasible pick holds 0, 1 and 2: a conflict relation kept from size 3
+    # loses the size-2 answer.  The root class of 33 sets has other rungs at each
+    # size, so gamma values kept from another size change what is charged.
+    family = ((0,), (0, 3), (1, 2)) + ((1,),) * 15 + ((2,),) * 15
+    caps = (2, 16, 16, 1)
+    inst = Instance(elements=tuple(Element(id=i, cap=c) for i, c in enumerate(caps)), family=family, d=2)
+    parts = {1: ((0, 1, 2, 3),), 2: ((0,), (1, 2)), 3: ((0,), (1,), (3,))}
+    cfg = SolverConfig()
+    answers = []
+    for k in (1, 2, 3):
+        shared = Search(inst, k, cfg)
+        for ell in (*(e for e in (1, 2, 3) if e != k), k):
+            shared.resize(ell)
+            shared.tuples, shared.recursions = cfg.tuple_budget, cfg.recursion_budget
+            got = _search_outcome(parts[ell], shared)
+        assert got == _search_outcome(parts[k], Search(inst, k, cfg))
+        answers.append(got[0])
+    assert answers == [None, {0: 1, 1: 1, 2: 1}, "recursion budget exhausted"]
 
 
 @st.composite
@@ -734,6 +772,15 @@ def test_guided_coloring_exhaustion_raises():
     good = SolverConfig(seed=4, max_coloring_trials=1)
     res = solve_approx(inst, 4, cfg=good, mode=GUIDED)
     assert res is not None and res.solution.size() == 4
+
+
+def test_guided_rejects_an_oracle_that_overloads_an_element():
+    # One copy of element 0 (capacity 1) cannot take both sets the oracle
+    # charges to it, so spreading the optimum over the clones fails.
+    inst = Instance(elements=(Element(id=0, cap=1), Element(id=1, cap=1)), family=((0, 1), (0, 1)), d=2)
+    oracle = Result(solution=Solution({0: 1}), assignment=Assignment({0: 0, 1: 0}), weight=1)
+    with pytest.raises(OracleInconsistent, match="oracle assignment overloads an element"):
+        approx._guided(inst, 1, SolverConfig(), oracle)
 
 
 def _record_guided(monkeypatch, inst, k, cfg):

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from caphs import cli
 from caphs.cli import CSV_COLUMNS, main
 from caphs.core import parse_instance, serialize_solution, Solution, Assignment
 from caphs.reductions import parse_mdk, serialize_csp, serialize_mdk, MdkInstance
@@ -302,6 +303,32 @@ def test_reduce_covering_takes_fractions_a_float_cannot_hold(tmp_path, capsys, o
         assert parse_mdk(out).k == 8
     else:
         assert json.loads(out)["error"]["type"] == kind
+
+
+def test_reduce_covering_refuses_an_unverifiable_family_before_drawing(capsys, tmp_path):
+    # At alpha 1/1000000 a family of 4 000 000 sets has more subfamilies of
+    # size 4 than the verifier's budget, so no family is drawn at all.
+    csp_path = tmp_path / "k4.json"
+    cons = [{"u": u, "v": v, "allowed": [[1, 1], [2, 2]]} for u in range(4) for v in range(u + 1, 4)]
+    csp_path.write_text(json.dumps({"format": 1, "k": 4, "n": 2, "constraints": cons}))
+    options = ("--beta", "999999999/1000000000", "--r", "4", "--alpha", "1/1000000")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "reduce", "csp-mdk-cov", str(csp_path), *options)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert json.loads(out) == {"error": {
+        "type": "BudgetExceeded",
+        "message": "10666650666673999999000000 subfamilies of size 4 exceed budget 1000000",
+    }}
+
+
+def test_bench_reports_a_shortfall(capsys, monkeypatch):
+    # When no corpus instance yields a row, bench prints the header alone.
+    monkeypatch.setattr(cli, "_certify_row", lambda *args: None)
+    code, out, err = run(capsys, "bench", "--count", "2")
+    assert code == 1
+    assert out == CSV_COLUMNS + "\n"
+    assert "only 0 of 2 rows produced" in err
 
 
 def test_bench_produces_csv(capsys):
