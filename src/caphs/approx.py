@@ -571,13 +571,13 @@ def _oracle_reps(S, parts, opt: Solution) -> list[int]:
     return rep
 
 
-def _solve_guided(S, parts, opt: Solution, asg: Assignment, ctx: Search) -> Solution | None:
-    """Guided mode from (S, parts): per pass, t is the tuple the optimum induces
-    on them; tau1, tau2 send each s to the two parts whose oracle elements cover
-    most of star s; the first oracle element left in X'' joins S and its part
-    leaves, else t is closed.  The r = 0 leaf is closed after the loop."""
+def _solve_guided(S, parts, rep, opt: Solution, asg: Assignment, ctx: Search) -> Solution | None:
+    """Guided mode from (S, parts), where rep[i] is the oracle element of
+    parts[i]: per pass, t is the tuple the optimum induces on them; tau1, tau2
+    send each s to the two parts whose oracle elements cover most of star s;
+    the first oracle element left in X'' joins S and leaves with its part,
+    else t is closed.  The r = 0 leaf is closed after the loop."""
     while (t := good_tuple_from_opt(S, parts, opt, asg, ctx)).r:
-        rep = _oracle_reps(t.S, t.parts, opt)
         st = ctx.independence(t.S, t.pi).stars
         tau1, tau2 = {}, {}
         for s in t.S:
@@ -589,6 +589,7 @@ def _solve_guided(S, parts, opt: Solution, asg: Assignment, ctx: Search) -> Solu
         if hit is None:
             return solve_extended(t, tau1, tau2, xpp, ctx).solution
         S, parts = t.S + (rep[hit],), t.parts[:hit] + t.parts[hit + 1 :]
+        rep = rep[:hit] + rep[hit + 1 :]
     return solve_extended(t, {}, {}, (), ctx).solution
 
 
@@ -690,10 +691,13 @@ def _guided(inst: Instance, k: int, cfg: SolverConfig, oracle: Result) -> Result
     ctx = Search(inst2, ell, cfg)
     opt2, asg2 = _lift_oracle(inst2, exp.copy_ids, oracle.solution, oracle.assignment)
     colorings = _colorings(inst2, cfg, ell)
-    for cand in colorings:
-        hit = {i for i, part in enumerate(cand) for v in part if v in opt2.copies}
-        if len(hit) == ell:
-            parts = tuple(tuple(sorted(p)) for p in cand)
+    # The oracle's clones, by position in the coloring's ids: only their colors decide.
+    where = [(i, x) for i, x in enumerate(colorings.ids) if x in opt2.copies]
+    for row in colorings.rows():
+        rep = {row[i]: x for i, x in where}
+        if len(rep) == ell:
+            parts = tuple(tuple(sorted(p)) for p in colorings.parts(row))
+            rep = [rep[c] for c in range(ell)]
             break
     else:
         raise NoColoringSeparates(
@@ -704,9 +708,9 @@ def _guided(inst: Instance, k: int, cfg: SolverConfig, oracle: Result) -> Result
         w_star = opt2.weight(inst2)
         W = next(w for w in weight_estimates(inst2) if w >= w_star)
         delta = _window_width(cfg.epsilon, W, ell, inst2.n)
-        bvec = [inst2.element(v).weight // delta for v in _oracle_reps((), parts, opt2)]
+        bvec = [inst2.element(v).weight // delta for v in rep]
         parts = _weight_windows(inst2, parts, bvec, delta)
-    sol2 = _solve_guided((), parts, opt2, asg2, ctx)
+    sol2 = _solve_guided((), parts, rep, opt2, asg2, ctx)
     return None if sol2 is None else _finish(inst, sol2, exp.back)
 
 

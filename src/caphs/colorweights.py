@@ -12,9 +12,11 @@ from .pcg import Stream
 class Colorings:
     """The colorings random_colorings returns, drawn as they are iterated.
 
-    Each iteration reseeds a Stream and draws one row per coloring, so a
-    caller that stops early draws no row it does not use.  With one part
-    every row is zeros, so nothing is drawn: each coloring is ids as one part.
+    rows() reseeds a Stream and draws each coloring as one row of colors, one
+    per id, with a single Stream.bounded_row call, so a caller that stops early
+    draws no row it does not use; parts(row) turns a row into its k parts, and
+    iterating yields parts(row) for every row.  With one part every row is
+    zeros, so nothing is drawn and no Stream is built.
     """
 
     def __init__(self, ids, k: int, trials: int, seed: int):
@@ -27,17 +29,25 @@ class Colorings:
         return self.trials
 
     def __iter__(self):
-        k, ids = self.k, self.ids
-        if k == 1:
+        return map(self.parts, self.rows())
+
+    def rows(self):
+        """Each coloring as the list of its ids' colors, in [0, k)."""
+        n = len(self.ids)
+        if self.k == 1:
             for _ in range(self.trials):
-                yield [list(ids)]
+                yield [0] * n
             return
-        draw = Stream(self.seed).bounded
+        draw, r = Stream(self.seed).bounded_row, self.k - 1
         for _ in range(self.trials):
-            parts: list[list[int]] = [[] for _ in range(k)]
-            for x in ids:
-                parts[draw(k - 1)].append(x)
-            yield parts
+            yield draw(r, n)
+
+    def parts(self, row) -> list[list[int]]:
+        """The k parts of a row: part c lists the ids colored c, in the order of ids."""
+        parts: list[list[int]] = [[] for _ in range(self.k)]
+        for x, c in zip(self.ids, row):
+            parts[c].append(x)
+        return parts
 
 
 def random_colorings(ids, k: int, trials: int, seed: int) -> Colorings:

@@ -9,10 +9,13 @@ Instance.hits is the one element-to-set incidence: how many sets of a group
 
 Validation happens at the boundary: the parsers check a document's shape, and
 every model checks its fields when built, refusing a bool where an integer
-belongs.  The builders whose output is canonical and valid by construction
-(reductions._cvc_instance, csp_to_mdk, csp_to_mdk_covering, and approx's
-expand_multiplicities, enumerate_tuples and good_tuple_from_opt) build
-through _trusted, the one unchecked builder, and skip the re-check.
+belongs.  Each Element and Instance rule lives in one helper, _check_element
+or _checked_family, which the model checks call and parse_instance calls
+inside its loops, so a parsed document is checked once and its models are
+built through _trusted, the one unchecked builder.  The builders whose output
+is canonical and valid by construction (reductions._cvc_instance, csp_to_mdk,
+csp_to_mdk_covering, and approx's expand_multiplicities, enumerate_tuples and
+good_tuple_from_opt) build through it too and skip the re-check.
 """
 
 from __future__ import annotations
@@ -43,12 +46,18 @@ class Element:
         if not (_is_int(self.id) and _is_int(self.cap) and _is_int(self.weight)
                 and (self.mult is None or _is_int(self.mult))):
             raise ValidationError(f"element {self.id!r}: id, cap, mult and weight must be integers")
-        if self.cap < 0:
-            raise ValidationError(f"element {self.id}: negative capacity {self.cap}")
-        if self.weight < 0:
-            raise ValidationError(f"element {self.id}: negative weight {self.weight}")
-        if self.mult is not None and self.mult < 1:
-            raise ValidationError(f"element {self.id}: multiplicity {self.mult} < 1")
+        _check_element(self.id, self.cap, self.mult, self.weight)
+
+
+def _check_element(ident: int, cap: int, mult: int | None, weight: int) -> None:
+    """An element's value rules, on integer fields: cap and weight at least 0,
+    mult at least 1 or None."""
+    if cap < 0:
+        raise ValidationError(f"element {ident}: negative capacity {cap}")
+    if weight < 0:
+        raise ValidationError(f"element {ident}: negative weight {weight}")
+    if mult is not None and mult < 1:
+        raise ValidationError(f"element {ident}: multiplicity {mult} < 1")
 
 
 def copy_limit(e: Element, k: int) -> int:
@@ -64,28 +73,8 @@ class Instance:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
-        ids = [e.id for e in self.elements]
-        if len(ids) != len(set(ids)):
-            raise ValidationError("duplicate element ids")
-        if not _is_int(self.d):
-            raise ValidationError(f"d must be an integer, got {self.d!r}")
-        if self.d < 1:
-            raise ValidationError(f"d must be positive, got {self.d}")
-        known = set(ids)
-        fam = []
-        for idx, members in enumerate(self.family):
-            members = tuple(sorted(members))
-            if not members:
-                raise ValidationError(f"set {idx} is empty")
-            if len(set(members)) != len(members):
-                raise ValidationError(f"set {idx} repeats an element id")
-            if len(members) > self.d:
-                raise ValidationError(f"set {idx} has {len(members)} > d={self.d} elements")
-            for x in members:
-                if not _is_int(x) or x not in known:
-                    raise ValidationError(f"set {idx} names unknown element {x}")
-            fam.append(members)
-        object.__setattr__(self, "family", tuple(fam))
+        family = _checked_family([e.id for e in self.elements], self.family, self.d)
+        object.__setattr__(self, "family", family)
 
     @cached_property
     def by_id(self) -> dict[int, Element]:
@@ -113,6 +102,34 @@ class Instance:
     @property
     def m(self) -> int:
         return len(self.family)
+
+
+def _checked_family(ids: list, family, d, int_members: bool = False) -> tuple[tuple[int, ...], ...]:
+    """family with every set sorted, once the instance rules hold: distinct
+    element ids, an integer d of at least 1, and sets that are nonempty, repeat
+    no id, hold at most d ids and name only the given ones.  int_members says
+    that every member is an integer already, so only membership is tested."""
+    known = set(ids)
+    if len(ids) != len(known):
+        raise ValidationError("duplicate element ids")
+    if not _is_int(d):
+        raise ValidationError(f"d must be an integer, got {d!r}")
+    if d < 1:
+        raise ValidationError(f"d must be positive, got {d}")
+    out = []
+    for idx, members in enumerate(family):
+        members = tuple(sorted(members))
+        if not members:
+            raise ValidationError(f"set {idx} is empty")
+        if len(set(members)) != len(members):
+            raise ValidationError(f"set {idx} repeats an element id")
+        if len(members) > d:
+            raise ValidationError(f"set {idx} has {len(members)} > d={d} elements")
+        if not (known.issuperset(members) and (int_members or all(map(_is_int, members)))):
+            x = next(x for x in members if not _is_int(x) or x not in known)
+            raise ValidationError(f"set {idx} names unknown element {x}")
+        out.append(members)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -355,7 +372,8 @@ def _load_object(text: str, what: str) -> dict:
 def _unique_keys(pairs: list) -> dict:
     """A decoded JSON object; a key it repeats is MalformedInput, not last-wins."""
     obj = dict(pairs)
-    _expect(len(obj) == len(pairs), "a JSON object repeats a key")
+    if len(obj) != len(pairs):
+        raise MalformedInput("a JSON object repeats a key")
     return obj
 
 
@@ -383,31 +401,41 @@ def parse_instance(text: str) -> Instance:
 
     Raises MalformedInput for syntax or structural problems and
     ValidationError when the described instance breaks a model invariant
-    (oversized or empty sets, unknown ids, negative capacities, ...).
+    (oversized or empty sets, unknown ids, negative capacities, ...).  Each
+    rule is checked once, by the helpers the Element and Instance checks
+    share, and the models are built through _trusted.  An element's value
+    error fires at that element; every shape error of the family fires
+    before the instance's own rules are checked.
     """
     obj = _load_object(text, "instance document")
     if "format" in obj:
         _check_format(obj["format"])
     for key in ("d", "elements", "family"):
         _expect(key in obj, f"missing key {key!r}")
-    _expect(_is_int(obj["d"]), "d must be an integer")
+    d = obj["d"]
+    _expect(_is_int(d), "d must be an integer")
     _expect(isinstance(obj["elements"], list), "elements must be a list")
     _expect(isinstance(obj["family"], list), "family must be a list")
     elements = []
+    # Per element and per set the checks raise directly, without a call each
+    # to _expect or _is_int: a decoded JSON integer is an int and true or
+    # false a bool, so on the document's values type(v) is int is _is_int(v).
     for ent in obj["elements"]:
-        _expect(isinstance(ent, dict), "each element must be an object")
-        _expect("id" in ent and "cap" in ent, "element needs id and cap")
-        _expect(_is_int(ent["id"]) and _is_int(ent["cap"]),
-                "element id and cap must be integers")
-        mult = ent.get("mult", UNBOUNDED)
-        _expect(mult is None or _is_int(mult), "mult must be an integer or null")
-        _expect("weight" in ent and _is_int(ent["weight"]),
-                "element needs an integer weight")
-        weight = ent["weight"]
-        elements.append(Element(id=ent["id"], cap=ent["cap"], mult=mult, weight=weight))
-    family = []
+        if not isinstance(ent, dict):
+            raise MalformedInput("each element must be an object")
+        if "id" not in ent or "cap" not in ent:
+            raise MalformedInput("element needs id and cap")
+        ident, cap, mult, weight = ent["id"], ent["cap"], ent.get("mult", UNBOUNDED), ent.get("weight")
+        if type(ident) is not int or type(cap) is not int:
+            raise MalformedInput("element id and cap must be integers")
+        if mult is not None and type(mult) is not int:
+            raise MalformedInput("mult must be an integer or null")
+        if type(weight) is not int:
+            raise MalformedInput("element needs an integer weight")
+        _check_element(ident, cap, mult, weight)
+        elements.append(_trusted(Element, id=ident, cap=cap, mult=mult, weight=weight))
     for s in obj["family"]:
-        _expect(isinstance(s, list) and all(_is_int(x) for x in s),
-                "each family set must be a list of integer ids")
-        family.append(tuple(s))
-    return Instance(elements=tuple(elements), family=tuple(family), d=obj["d"])
+        if not (isinstance(s, list) and all([type(x) is int for x in s])):
+            raise MalformedInput("each family set must be a list of integer ids")
+    family = _checked_family([e.id for e in elements], obj["family"], d, int_members=True)
+    return _trusted(Instance, elements=tuple(elements), family=family, d=d)

@@ -2,11 +2,12 @@
 the bounded draws of numpy.random.Generator.
 
 Stream(seed) draws the same numbers as numpy.random.default_rng(seed) for
-the calls caphs makes, integers(lo, hi) and choice(n, r) without
-replacement, and raises the same errors with the same messages.  PCG64 is
-O'Neill's 128-bit LCG with the XSL-RR output (O'Neill 2014), and bounded
-integers are drawn by Lemire's multiply-and-reject method (Lemire 2019),
-unmasked, as numpy's Generator draws them.
+the calls caphs makes, integers(lo, hi), choice(n, r) without replacement
+and bounded_row(r, n), one row of integers(0, r + 1, n) per call, and raises
+the same errors with the same messages.  PCG64 is O'Neill's 128-bit LCG with
+the XSL-RR output (O'Neill 2014), and bounded integers are drawn by Lemire's
+multiply-and-reject method (Lemire 2019), unmasked, as numpy's Generator
+draws them.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ def _seed_words(seed: int) -> list[int]:
 
 
 class Stream:
-    """numpy.random.default_rng(seed) for integers and choice without replacement."""
+    """numpy.random.default_rng(seed) for integers, rows of bounded integers
+    and choice without replacement."""
 
     __slots__ = ("_state", "_inc", "_half")
 
@@ -114,6 +116,35 @@ class Stream:
             while m & mask < threshold:
                 m = draw() * excl
         return m >> bits
+
+    def bounded_row(self, r: int, n: int) -> list[int]:
+        """[bounded(r) for _ in range(n)] in one call: below 2^32 - 1 the LCG
+        step, the XSL-RR output and 32-bit Lemire run inline, and the half
+        word left over is kept for the next draw, as next32 keeps it."""
+        if r == 0 or r >= _MASK32:
+            return [self.bounded(r) for _ in range(n)]
+        excl = r + 1
+        # Lemire accepts m unless its low word falls below 2^32 mod excl.
+        threshold = (1 << 32) % excl
+        state, inc, half = self._state, self._inc, self._half
+        out = []
+        for _ in range(n):
+            while True:
+                if half is None:
+                    state = (state * _PCG_MULT + inc) & _MASK128
+                    x = (state >> 64 ^ state) & _MASK64
+                    rot = state >> 122
+                    x = (x >> rot | x << (64 - rot)) & _MASK64
+                    m = (x & _MASK32) * excl
+                    half = x >> 32
+                else:
+                    m = half * excl
+                    half = None
+                if m & _MASK32 >= threshold:
+                    break
+            out.append(m >> 32)
+        self._state, self._half = state, half
+        return out
 
     def integers(self, lo: int, hi: int) -> int:
         """A uniform integer in [lo, hi), with Generator.integers' int64 checks."""

@@ -11,7 +11,10 @@ enumerate-mode recursion without its failed-subtree memo or without both
 failure memos, the exact search as it was before it went best-first
 (level by level, with a stopping rule per mode), and the matching kernel as
 it was before its direct sweep (one augmenting round per set, over each
-set's bought members only).
+set's bought members only).  It also keeps the instance parser as it was
+before it checked each rule once (a shape pass, then the Element and Instance
+checks, written out here) and guided mode's separation step as it was before
+it read only the oracle's colors (parts built for every coloring drawn).
 """
 
 from __future__ import annotations
@@ -25,11 +28,23 @@ from fractions import Fraction
 import numpy as np
 
 from caphs import approx
-from caphs.core import Assignment, Instance, Result, Solution
+from caphs.core import (
+    UNBOUNDED,
+    Assignment,
+    Element,
+    Instance,
+    Result,
+    Solution,
+    _check_format,
+    _expect,
+    _is_int,
+    _load_object,
+)
 from caphs.errors import (
     BudgetExceeded,
     CaphsError,
     InvariantViolated,
+    NoColoringSeparates,
     PartialPlurality,
     PreconditionViolated,
     UnknownElement,
@@ -755,3 +770,90 @@ def random_bipartite_mindeg2(b: int, r: int, seed: int):
         picks = rng.choice(r, size=deg, replace=False)
         adj[v] = tuple(sorted(int(x) for x in picks))
     return blues, reds, adj
+
+
+def _element_checks(ident, cap, mult, weight) -> None:
+    """Element's value checks, in its order."""
+    if cap < 0:
+        raise ValidationError(f"element {ident}: negative capacity {cap}")
+    if weight < 0:
+        raise ValidationError(f"element {ident}: negative weight {weight}")
+    if mult is not None and mult < 1:
+        raise ValidationError(f"element {ident}: multiplicity {mult} < 1")
+
+
+def _instance_checks(ids, family, d) -> None:
+    """Instance's checks, in its order, on every set sorted."""
+    if len(ids) != len(set(ids)):
+        raise ValidationError("duplicate element ids")
+    if d < 1:
+        raise ValidationError(f"d must be positive, got {d}")
+    known = set(ids)
+    for idx, members in enumerate(family):
+        members = tuple(sorted(members))
+        if not members:
+            raise ValidationError(f"set {idx} is empty")
+        if len(set(members)) != len(members):
+            raise ValidationError(f"set {idx} repeats an element id")
+        if len(members) > d:
+            raise ValidationError(f"set {idx} has {len(members)} > d={d} elements")
+        for x in members:
+            if x not in known:
+                raise ValidationError(f"set {idx} names unknown element {x}")
+
+
+def shape_then_model_parse_instance(text: str) -> Instance:
+    """The instance parser in two stages: every shape check of the document,
+    with each element's value checks at the element, then the instance checks,
+    then the models built by their checking constructors."""
+    obj = _load_object(text, "instance document")
+    if "format" in obj:
+        _check_format(obj["format"])
+    for key in ("d", "elements", "family"):
+        _expect(key in obj, f"missing key {key!r}")
+    _expect(_is_int(obj["d"]), "d must be an integer")
+    _expect(isinstance(obj["elements"], list), "elements must be a list")
+    _expect(isinstance(obj["family"], list), "family must be a list")
+    elements = []
+    for ent in obj["elements"]:
+        _expect(isinstance(ent, dict), "each element must be an object")
+        _expect("id" in ent and "cap" in ent, "element needs id and cap")
+        _expect(_is_int(ent["id"]) and _is_int(ent["cap"]),
+                "element id and cap must be integers")
+        mult = ent.get("mult", UNBOUNDED)
+        _expect(mult is None or _is_int(mult), "mult must be an integer or null")
+        _expect("weight" in ent and _is_int(ent["weight"]),
+                "element needs an integer weight")
+        _element_checks(ent["id"], ent["cap"], mult, ent["weight"])
+        elements.append(Element(id=ent["id"], cap=ent["cap"], mult=mult, weight=ent["weight"]))
+    family = []
+    for s in obj["family"]:
+        _expect(isinstance(s, list) and all(_is_int(x) for x in s),
+                "each family set must be a list of integer ids")
+        family.append(tuple(s))
+    _instance_checks([e.id for e in elements], family, obj["d"])
+    return Instance(elements=tuple(elements), family=tuple(family), d=obj["d"])
+
+
+def separating_parts(inst2: Instance, cfg, ell: int, opt2: Solution):
+    """Guided mode's root parts: the first coloring of inst2's elements into
+    ell parts, each built whole, that puts the oracle's ell clones in ell
+    distinct parts, then with epsilon set each part cut to the weight window
+    of its oracle element; NoColoringSeparates when none does."""
+    colorings = approx._colorings(inst2, cfg, ell)
+    for cand in colorings:
+        hit = {i for i, part in enumerate(cand) for v in part if v in opt2.copies}
+        if len(hit) == ell:
+            parts = tuple(tuple(sorted(p)) for p in cand)
+            break
+    else:
+        raise NoColoringSeparates(
+            f"no coloring among {len(colorings)} separated the oracle solution"
+        )
+    if cfg.epsilon is not None:
+        w_star = opt2.weight(inst2)
+        W = next(w for w in approx.weight_estimates(inst2) if w >= w_star)
+        delta = approx._window_width(cfg.epsilon, W, ell, inst2.n)
+        bvec = [inst2.element(v).weight // delta for v in approx._oracle_reps((), parts, opt2)]
+        parts = approx._weight_windows(inst2, parts, bvec, delta)
+    return parts

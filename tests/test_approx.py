@@ -55,6 +55,7 @@ from _oracles import (
     plain_search_below,
     ranked_candidate_set,
     rescan_classes,
+    separating_parts,
 )
 
 GEN = {
@@ -767,8 +768,15 @@ def test_guided_none_when_infeasible():
 def test_guided_coloring_exhaustion_raises():
     inst = generate_instance(GEN, seed=7)
     cfg = SolverConfig(seed=0, max_coloring_trials=1)
-    with pytest.raises(NoColoringSeparates):
+    with pytest.raises(NoColoringSeparates) as got:
         solve_approx(inst, 4, cfg=cfg, mode=GUIDED)
+    # The same text as the loop that builds every coloring's parts raises.
+    oracle = solve_exact(inst, 4)
+    exp = expand_multiplicities(inst, 4)
+    opt2, _ = approx._lift_oracle(exp.instance, exp.copy_ids, oracle.solution, oracle.assignment)
+    with pytest.raises(NoColoringSeparates) as want:
+        separating_parts(exp.instance, cfg, oracle.solution.size(), opt2)
+    assert str(got.value) == str(want.value) == "no coloring among 1 separated the oracle solution"
     good = SolverConfig(seed=4, max_coloring_trials=1)
     res = solve_approx(inst, 4, cfg=good, mode=GUIDED)
     assert res is not None and res.solution.size() == 4
@@ -781,6 +789,59 @@ def test_guided_rejects_an_oracle_that_overloads_an_element():
     oracle = Result(solution=Solution({0: 1}), assignment=Assignment({0: 0, 1: 0}), weight=1)
     with pytest.raises(OracleInconsistent, match="oracle assignment overloads an element"):
         approx._guided(inst, 1, SolverConfig(), oracle)
+
+
+@pytest.mark.parametrize("epsilon", [None, Fraction(1, 2)], ids=["size", "weighted"])
+def test_guided_separates_on_the_first_coloring_the_whole_parts_loop_accepts(monkeypatch, epsilon):
+    # Reading only the oracle clones' colors picks the same root parts, and
+    # the same oracle element per part, as building every coloring's parts.
+    roots = []
+    real = approx._solve_guided
+
+    def recording(S, parts, rep, *rest):
+        roots.append((parts, rep))
+        return real(S, parts, rep, *rest)
+
+    monkeypatch.setattr(approx, "_solve_guided", recording)
+    cfg = SolverConfig(epsilon=epsilon)
+    exact = solve_exact if epsilon is None else solve_exact_weighted
+    sizes = Counter()
+    for (n, m), seed, k in itertools.product(((4, 2), (5, 4), (6, 8), (8, 8)), range(6), range(1, 5)):
+        inst = generate_instance({**GEN, "n": n, "m": m}, seed)
+        oracle = exact(inst, k)
+        if oracle is None:
+            continue
+        roots.clear()
+        approx._guided(inst, k, cfg, oracle)
+        exp = expand_multiplicities(inst, k)
+        opt2, _ = approx._lift_oracle(exp.instance, exp.copy_ids, oracle.solution, oracle.assignment)
+        want = separating_parts(exp.instance, cfg, oracle.solution.size(), opt2)
+        assert roots == [(want, approx._oracle_reps((), want, opt2))]
+        sizes[oracle.solution.size()] += 1
+    assert sorted(sizes) == [1, 2, 3, 4], sizes
+
+
+def test_guided_finds_the_oracle_elements_once_per_tuple(monkeypatch):
+    # The descent carries each part's oracle element down from the coloring,
+    # so only good_tuple_from_opt's own precondition check looks them up.
+    calls = Counter()
+
+    def count(name):
+        real = getattr(approx, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(approx, name, wrapped)
+
+    count("_oracle_reps")
+    count("good_tuple_from_opt")
+    inst = generate_instance({**GEN, "n": 8, "m": 8}, seed=0)
+    for cfg in (SolverConfig(), SolverConfig(epsilon=Fraction(1, 2))):
+        assert solve_approx(inst, 4, cfg, mode=GUIDED).solution.size() == 4
+    # Each size-4 descent builds five tuples: four commits and the r = 0 leaf.
+    assert calls == {"_oracle_reps": 10, "good_tuple_from_opt": 10}
 
 
 def _record_guided(monkeypatch, inst, k, cfg):

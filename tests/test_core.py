@@ -3,7 +3,7 @@ import json
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caphs.core import (
@@ -25,7 +25,7 @@ from caphs.core import (
 )
 from caphs.errors import UnknownElement
 
-from _oracles import rescan_classes, rescan_stars
+from _oracles import rescan_classes, rescan_stars, shape_then_model_parse_instance
 
 GEN_PARAMS = {
     "n": 6,
@@ -219,6 +219,130 @@ def test_parse_rejects_malformed_documents():
             parse("[" * 100_000)
         with pytest.raises(MalformedInput):
             parse("9" * 5000)
+
+
+def _fault(draw, doc):
+    """The document doc with one more fault in a field or a container."""
+    kind = draw(st.sampled_from((
+        "repeat", "bool", "negative", "mult 0", "duplicate id", "empty set", "too wide",
+        "unknown id", "d 0", "container", "missing key",
+    )))
+    elements, family = doc.get("elements"), doc.get("family")
+    ents = [e for e in elements if isinstance(e, dict)] if isinstance(elements, list) else []
+    sets = [s for s in family if isinstance(s, list)] if isinstance(family, list) else []
+    if kind == "bool":
+        where = draw(st.sampled_from(("element", "member", "d")))
+        if where == "element" and ents:
+            draw(st.sampled_from(ents))[draw(st.sampled_from(("id", "cap", "mult", "weight")))] = True
+        elif where == "member" and [s for s in sets if s]:
+            chosen = draw(st.sampled_from([s for s in sets if s]))
+            chosen[draw(st.integers(0, len(chosen) - 1))] = draw(st.booleans())
+        else:
+            doc["d"] = draw(st.booleans())
+    elif kind in ("negative", "mult 0") and ents:
+        ent = draw(st.sampled_from(ents))
+        if kind == "mult 0":
+            ent["mult"] = 0
+        else:
+            ent[draw(st.sampled_from(("cap", "weight")))] = draw(st.integers(-3, -1))
+    elif kind == "duplicate id" and len(ents) >= 2:
+        a, b = draw(st.permutations(ents))[:2]
+        a["id"] = b.get("id")
+    elif kind in ("empty set", "repeat", "too wide", "unknown id") and isinstance(family, list):
+        ids = [e["id"] for e in ents if type(e.get("id")) is int]
+        if kind == "empty set":
+            family.append([])
+        elif kind == "repeat":
+            family.append([ids[0], ids[0]] if ids else [0, 0])
+        elif kind == "too wide":
+            width = (doc["d"] if isinstance(doc.get("d"), int) else 1) + 1
+            family.append([max(ids or [0]) + 1 + i for i in range(width)])
+        else:
+            family.append([max(ids or [0]) + draw(st.integers(1, 3))])
+        family.insert(draw(st.integers(0, len(family) - 1)), family.pop())
+    elif kind == "d 0":
+        doc["d"] = 0
+    elif kind == "container":
+        where = draw(st.sampled_from(("elements", "family", "element", "set", "document")))
+        wrong = draw(st.sampled_from(({}, 3, "x", None)))
+        if where == "element" and ents:
+            elements[elements.index(draw(st.sampled_from(ents)))] = [wrong]
+        elif where == "set" and sets:
+            family[draw(st.integers(0, len(family) - 1))] = wrong
+        elif where == "document":
+            return [doc]
+        else:
+            doc[where if where in ("elements", "family") else "family"] = wrong
+    elif kind == "missing key":
+        if draw(st.booleans()) and ents:
+            draw(st.sampled_from(ents)).pop(draw(st.sampled_from(("id", "cap", "weight"))), None)
+        else:
+            doc.pop(draw(st.sampled_from(("d", "elements", "family"))), None)
+    return doc
+
+
+@st.composite
+def instance_documents(draw):
+    """A valid instance document, then zero, one or two faults."""
+    ids = draw(st.lists(st.integers(-3, 20), min_size=1, max_size=5, unique=True))
+    d = draw(st.integers(1, 3))
+    elements = []
+    for x in ids:
+        ent = {"id": x, "cap": draw(st.integers(0, 3)), "weight": draw(st.integers(0, 9))}
+        if draw(st.booleans()):
+            ent["mult"] = draw(st.one_of(st.none(), st.integers(1, 3)))
+        elements.append(ent)
+    family = draw(st.lists(
+        st.lists(st.sampled_from(ids), min_size=1, max_size=min(d, len(ids)), unique=True), max_size=6,
+    ))
+    doc = {"d": d, "elements": elements, "family": family}
+    if draw(st.booleans()):
+        doc = {"format": 1, **doc}
+    for _ in range(draw(st.sampled_from((1, 2, 0, 2, 1)))):
+        doc = _fault(draw, doc) if isinstance(doc, dict) else doc
+    return json.dumps(doc)
+
+
+def _parsed(parse, text):
+    try:
+        inst = parse(text)
+    except (MalformedInput, ValidationError) as exc:
+        return type(exc), str(exc)
+    return inst.elements, inst.family, inst.d, inst.hits
+
+
+@settings(max_examples=600)
+@given(instance_documents())
+def test_parse_instance_matches_the_shape_then_model_parser(text):
+    # The one-pass parser returns the same instance, or raises the same error
+    # type with the same message, which for two faults is the same fault.
+    assert _parsed(parse_instance, text) == _parsed(shape_then_model_parse_instance, text)
+
+
+def test_parse_instance_keeps_which_fault_fires_first():
+    # An element's value error fires before a later element's shape error.
+    doc = {"d": 1, "elements": [{"id": 0, "cap": -1, "weight": 1}, {"id": True, "cap": 1, "weight": 1}],
+           "family": [[0]]}
+    with pytest.raises(ValidationError, match=r"^element 0: negative capacity -1$"):
+        parse_instance(json.dumps(doc))
+
+    # Every shape error of the family fires before the instance rules, which
+    # fire in order: duplicate ids, d, then set by set.
+    def document(ids, d, family):
+        return json.dumps({"d": d, "elements": [{"id": x, "cap": 1, "weight": 1} for x in ids],
+                           "family": family})
+
+    for text, error, message in (
+        (document([0, 0], 0, [[], [0, 0], [5], "x"]), MalformedInput, "each family set must be a list of integer ids"),
+        (document([0, 0], 0, [[], [0, 0], [5]]), ValidationError, "duplicate element ids"),
+        (document([0, 1], 0, [[], [0, 0], [5]]), ValidationError, "d must be positive, got 0"),
+        (document([0, 1], 2, [[], [0, 0], [5]]), ValidationError, "set 0 is empty"),
+        (document([0, 1], 2, [[0, 0], [5]]), ValidationError, "set 0 repeats an element id"),
+        (document([0, 1], 1, [[0, 5]]), ValidationError, "set 0 has 2 > d=1 elements"),
+        (document([0, 1], 2, [[1, 0], [5]]), ValidationError, "set 1 names unknown element 5"),
+    ):
+        with pytest.raises(error, match=f"^{message}$"):
+            parse_instance(text)
 
 
 def test_solution_and_assignment_basics():

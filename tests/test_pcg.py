@@ -68,6 +68,40 @@ def test_rows_carry_the_half_word_across_rows(seed, k, n):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize(
+    "k, n",
+    # One color (nothing drawn), the 32-bit path up to 2^31 + 1 values, and
+    # the wider bounds that bounded_row hands to bounded.
+    [(1, 4), (2, 1), (3, 7), (5, 12), (2**31 + 1, 3), (2**32, 3), (2**32 + 1, 2), (2**40, 5)],
+)
+def test_bounded_row_equals_the_numpy_table_and_the_scalar_draws(seed, k, n):
+    table = np.random.default_rng(seed).integers(0, k, (9, n)).tolist()
+    rows, scalar = Stream(seed), Stream(seed)
+    assert [rows.bounded_row(k - 1, n) for _ in range(9)] == table
+    assert [[scalar.bounded(k - 1) for _ in range(n)] for _ in range(9)] == table
+
+
+@pytest.mark.parametrize("seed, excl", [(6, 3824648961), (10, 3088573783)])
+def test_bounded_row_rejects_one_below_the_threshold(seed, excl):
+    # The seed's first 32-bit word times excl leaves threshold - 1, so the
+    # row must reject it and draw that id again.
+    word = int(np.random.default_rng(seed).bit_generator.random_raw(1)[0]) % 2**32
+    assert word * excl % 2**32 == 2**32 % excl - 1
+    assert Stream(seed).bounded_row(excl - 1, 5) == np.random.default_rng(seed).integers(0, excl, 5).tolist()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_scalar_draw_takes_the_half_word_a_row_left(seed):
+    s, g = _stream_and_numpy(seed)
+    assert s.bounded_row(2, 3) == g.integers(0, 3, 3).tolist()
+    assert s._half is not None  # three 32-bit draws leave the high half of a word
+    assert s.integers(0, 5) == int(g.integers(0, 5))
+    assert s.integers(0, 2**40) == int(g.integers(0, 2**40))  # a 64-bit draw keeps the half
+    assert s.bounded_row(6, 4) == g.integers(0, 7, 4).tolist()
+    assert s.integers(0, 9) == int(g.integers(0, 9))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize(
     "n, r",
     # Floyd's algorithm with a shuffle, then the tail shuffle past n > 10000
     # and r > n // 50, with its first position floored at 1.

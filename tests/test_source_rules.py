@@ -283,8 +283,9 @@ def _trusted_builds(text: str, label: str) -> list[str]:
 
 def test_only_canonical_builders_skip_validation():
     # core._trusted builds a model without its checks.  Only builders whose
-    # output is canonical and valid by construction may call it, so no
-    # parser or generator path reaches a model unchecked.
+    # output is canonical and valid by construction may call it, and the
+    # instance parser, which runs the models' own check helpers on each field
+    # first, so no parser or generator path reaches a model unchecked.
     found = {
         entry
         for path in sorted(SRC.glob("*.py"))
@@ -292,7 +293,7 @@ def test_only_canonical_builders_skip_validation():
     }
     assert found == {
         "approx.py:enumerate_tuples", "approx.py:expand_multiplicities",
-        "approx.py:good_tuple_from_opt", "reductions.py:_cvc_instance",
+        "approx.py:good_tuple_from_opt", "core.py:parse_instance", "reductions.py:_cvc_instance",
         "reductions.py:csp_to_mdk", "reductions.py:csp_to_mdk_covering",
     }, "core._trusted read in: " + ", ".join(sorted(found))
     probe = (
