@@ -5,9 +5,10 @@ Stream(seed) draws the same numbers as numpy.random.default_rng(seed) for
 the calls caphs makes, integers(lo, hi), choice(n, r) without replacement
 and bounded_row(r, n), one row of integers(0, r + 1, n) per call, and raises
 the same errors with the same messages.  PCG64 is O'Neill's 128-bit LCG with
-the XSL-RR output (O'Neill 2014), and bounded integers are drawn by Lemire's
-multiply-and-reject method (Lemire 2019), unmasked, as numpy's Generator
-draws them.
+the XSL-RR output (O'Neill 2014).  Every bounded integer comes from one fill,
+bounded_row, drawn by Lemire's multiply-and-reject method (Lemire 2019),
+unmasked, as numpy's Generator draws them; a scalar is a fill of one, as
+numpy draws it.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def _seed_words(seed: int) -> list[int]:
 
 class Stream:
     """numpy.random.default_rng(seed) for integers, rows of bounded integers
-    and choice without replacement."""
+    and choice without replacement, all drawn through bounded_row."""
 
     __slots__ = ("_state", "_inc", "_half")
 
@@ -74,7 +75,7 @@ class Stream:
         # pcg64_srandom_r: step from state 0, add the seed, step again.
         self._inc = ((w[2] << 64 | w[3]) << 1 | 1) & _MASK128
         self._state = ((self._inc + (w[0] << 64 | w[1])) * _PCG_MULT + self._inc) & _MASK128
-        self._half = None  # the high half of the last next64 that next32 split
+        self._half = None  # the high half of a word a 32-bit draw left over
 
     def next64(self) -> int:
         """Step the LCG, then output the XSL-RR of the new state."""
@@ -83,48 +84,35 @@ class Stream:
         rot = s >> 122
         return (x >> rot | x << (64 - rot)) & _MASK64
 
-    def next32(self) -> int:
-        """The low half of a fresh next64, then its high half on the next call."""
-        half = self._half
-        if half is not None:
-            self._half = None
-            return half
-        x = self.next64()
-        self._half = x >> 32
-        return x & _MASK32
-
     def bounded(self, r: int) -> int:
-        """A uniform integer in [0, r], 0 <= r < 2^64, as numpy's unmasked
-        random_bounded_uint64 draws it: nothing for r = 0, 32-bit Lemire
-        below 2^32 - 1, a raw word at 2^32 - 1 and at 2^64 - 1, and
-        64-bit Lemire otherwise."""
-        if r == 0:
-            return 0
-        if r < _MASK32:
-            draw, bits = self.next32, 32
-        elif r == _MASK32:
-            return self.next32()
-        elif r == _MASK64:
-            return self.next64()
-        else:
-            draw, bits = self.next64, 64
-        excl = r + 1
-        mask = (1 << bits) - 1
-        m = draw() * excl
-        if m & mask < excl:
-            threshold = (1 << bits) % excl
-            while m & mask < threshold:
-                m = draw() * excl
-        return m >> bits
+        """A uniform integer in [0, r], 0 <= r < 2^64: numpy draws a scalar
+        as a fill of one."""
+        return self.bounded_row(r, 1)[0]
 
     def bounded_row(self, r: int, n: int) -> list[int]:
-        """[bounded(r) for _ in range(n)] in one call: below 2^32 - 1 the LCG
-        step, the XSL-RR output and 32-bit Lemire run inline, and the half
-        word left over is kept for the next draw, as next32 keeps it."""
-        if r == 0 or r >= _MASK32:
-            return [self.bounded(r) for _ in range(n)]
+        """n uniform integers in [0, r], 0 <= r < 2^64, as numpy's unmasked
+        random_bounded_uint64_fill draws them: n zeros and nothing drawn for
+        r = 0; up to 2^32 - 1, 32-bit Lemire on the halves of each word, low
+        half first, with the LCG step and the XSL-RR output inline and the
+        high half left over kept for the next draw; raw words at 2^64 - 1;
+        and 64-bit Lemire otherwise, which leaves the half word alone."""
+        if r == 0:
+            return [0] * n
+        if r == _MASK64:
+            return [self.next64() for _ in range(n)]
         excl = r + 1
-        # Lemire accepts m unless its low word falls below 2^32 mod excl.
+        if r > _MASK32:
+            # Lemire accepts m unless its low word falls below 2^64 mod excl.
+            threshold = (1 << 64) % excl
+            out = []
+            for _ in range(n):
+                m = self.next64() * excl
+                while m & _MASK64 < threshold:
+                    m = self.next64() * excl
+                out.append(m >> 64)
+            return out
+        # The same test on the low 32 bits; at r = 2^32 - 1 the threshold is
+        # 0 and m >> 32 is the raw half word.
         threshold = (1 << 32) % excl
         state, inc, half = self._state, self._inc, self._half
         out = []

@@ -450,29 +450,44 @@ def test_criterion_11_covering_family():
         print(f"criterion 11 covering family: PASS (n={n}, {successes}/20 seeds)")
 
 
+def _enumerate_four_thirds(k, seeds):
+    """Check enumerate at k on every corpus instance with a solution of size
+    at most k; return how many there were and the seconds taken."""
+    t0 = time.perf_counter()
+    cfg = SolverConfig(tuple_budget=10**15, recursion_budget=10**15)
+    checked = 0
+    for n in (5, 6, 7):
+        for weights in ((1, 1), (1, 9)):
+            for seed in seeds:
+                params = {"n": n, "m": n, "d": 3, "cap_range": (1, 3),
+                          "weight_range": weights, "mult_range": (1, 2)}
+                inst = generate_instance(params, seed=seed)
+                if solve_exact(inst, k) is None:
+                    continue
+                res = solve_approx(inst, k, cfg, mode=ENUMERATE)
+                assert res is not None, (params, seed)
+                assert check_feasible(inst, res.solution) is not None, (params, seed)
+                assert res.solution.size() <= ceil43(k), (params, seed)
+                checked += 1
+    return checked, time.perf_counter() - t0
+
+
 def test_criterion_12_enumerate_four_thirds_at_k3():
     """Enumerate mode, with budgets that never fire, finds a feasible
     solution of size at most ceil(4 * 3 / 3) = 4 wherever one of size at
     most 3 exists.  k = 1 is the open exception, the ROADMAP's defect "guided
     mode loses an existing optimum at ranked roots": on an instance whose only
     small optimum needs a ranked root part, enumerate finds nothing at k = 1."""
-    t0 = time.perf_counter()
-    cfg = SolverConfig(tuple_budget=10**15, recursion_budget=10**15)
-    checked = 0
-    for n in (5, 6, 7):
-        for weights in ((1, 1), (1, 9)):
-            for seed in range(25):
-                params = {"n": n, "m": n, "d": 3, "cap_range": (1, 3),
-                          "weight_range": weights, "mult_range": (1, 2)}
-                inst = generate_instance(params, seed=seed)
-                if solve_exact(inst, 3) is None:
-                    continue
-                res = solve_approx(inst, 3, cfg, mode=ENUMERATE)
-                assert res is not None, (params, seed)
-                assert check_feasible(inst, res.solution) is not None, (params, seed)
-                assert res.solution.size() <= 4, (params, seed)
-                checked += 1
-    elapsed = time.perf_counter() - t0
+    checked, elapsed = _enumerate_four_thirds(3, range(25))
     assert checked == 97
     assert elapsed < 60
     print(f"criterion 12 enumerate 4/3 at k = 3: PASS ({checked} instances, {elapsed:.1f}s)")
+
+
+def test_criterion_12_enumerate_four_thirds_at_k4():
+    """The same at k = 4, size at most ceil(4 * 4 / 3) = 6, on the corpus'
+    first 10 seeds: all 25 take about three times as long."""
+    checked, elapsed = _enumerate_four_thirds(4, range(10))
+    assert checked == 56
+    assert elapsed < 60
+    print(f"criterion 12 enumerate 4/3 at k = 4: PASS ({checked} instances, {elapsed:.1f}s)")

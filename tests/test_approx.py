@@ -52,6 +52,7 @@ from caphs.feasibility import assignment_ok, check_feasible
 from _oracles import (
     eager_info_tuple,
     memoless_search_below,
+    min_dominator_bruteforce,
     plain_search_below,
     ranked_candidate_set,
     rescan_classes,
@@ -541,6 +542,24 @@ def test_a_resized_search_matches_a_fresh_one():
         assert got == _search_outcome(parts[k], Search(inst, k, cfg))
         answers.append(got[0])
     assert answers == [None, {0: 1, 1: 1, 2: 1}, "recursion budget exhausted"]
+
+
+def test_quotas_follow_the_first_minimum_dominator():
+    # Blue j is adjacent to the parts tau1 and tau2 name for the j-th s; a part
+    # that tau1 names for at least two s is forced, the parts of the
+    # lexicographically first minimum dominator that holds them get quota 2,
+    # and every other part gets 1.  Every (tau1, tau2) up to r = 4 and |S| = 3
+    # is asked twice, so the second answer comes from the memo.
+    ctx = Search(_hand_instance(), 2)
+    for r in range(1, 5):
+        for size in range(4):
+            for pairs in itertools.product(itertools.product(range(r), repeat=2), repeat=size):
+                firsts = Counter(a for a, _ in pairs)
+                forced = {i for i in range(r) if firsts[i] >= 2}
+                dom = min_dominator_bruteforce(range(r), range(size), dict(enumerate(pairs)), forced)
+                want = tuple(2 if i in dom else 1 for i in range(r))
+                assert ctx.quotas(r, pairs) == want, (r, pairs)
+                assert ctx.quotas(r, pairs) == want, (r, pairs)
 
 
 @st.composite

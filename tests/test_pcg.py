@@ -69,8 +69,8 @@ def test_rows_carry_the_half_word_across_rows(seed, k, n):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize(
     "k, n",
-    # One color (nothing drawn), the 32-bit path up to 2^31 + 1 values, and
-    # the wider bounds that bounded_row hands to bounded.
+    # One color (nothing drawn), the 32-bit path up to 2^31 + 1 values and
+    # at 2^32 (the raw half word), and the 64-bit path past it.
     [(1, 4), (2, 1), (3, 7), (5, 12), (2**31 + 1, 3), (2**32, 3), (2**32 + 1, 2), (2**40, 5)],
 )
 def test_bounded_row_equals_the_numpy_table_and_the_scalar_draws(seed, k, n):
@@ -98,6 +98,21 @@ def test_a_scalar_draw_takes_the_half_word_a_row_left(seed):
     assert s.integers(0, 2**40) == int(g.integers(0, 2**40))  # a 64-bit draw keeps the half
     assert s.bounded_row(6, 4) == g.integers(0, 7, 4).tolist()
     assert s.integers(0, 9) == int(g.integers(0, 9))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_wide_rows_leave_the_half_word_alone(seed):
+    # 64-bit Lemire and the raw 64-bit words draw whole words, so the half
+    # word the first row left waits for the next 32-bit draw.
+    s, g = _stream_and_numpy(seed)
+    assert s.bounded_row(2, 3) == g.integers(0, 3, 3).tolist()
+    half = s._half
+    assert half is not None
+    assert s.bounded_row(2**40 - 1, 4) == g.integers(0, 2**40, 4).tolist()
+    assert s.bounded_row(2**64 - 1, 2) == g.integers(0, 2**64, 2, dtype=np.uint64).tolist()
+    assert s._half == half
+    assert s.integers(0, 5) == int(g.integers(0, 5))
+    assert s._half is None
 
 
 @pytest.mark.parametrize("seed", SEEDS)
